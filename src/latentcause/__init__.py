@@ -41,17 +41,13 @@ from .dataio import (
     write_truth,
 )
 from .errors import (
-    AlignmentAmbiguity,
-    AllZeroLikelihood,
     DegenerateCluster,
     DegenerateSpectrum,
     DimensionMismatch,
     EmptyInput,
     InvalidConfig,
-    KTooLarge,
     LatentCauseError,
     NonConvergence,
-    NotPSD,
     RankDeficiency,
     SingularSystem,
     UnfittedModel,
@@ -61,7 +57,6 @@ from .mixture import (
     MixtureEstimate,
     PosteriorMatrix,
     align_permutation,
-    chol_psd,
     density,
     fit_discrete_multiview,
     fit_multiview,

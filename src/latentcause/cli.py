@@ -112,8 +112,7 @@ def cmd_fit(args) -> int:
                             landmark_count=args.landmarks)
         try:
             mixture = fit_multiview(data["z1"], data["z2"], data["z3"], args.k,
-                                    kernel=kernel, seed=args.seed,
-                                    strategy=args.strategy)
+                                    kernel=kernel, seed=args.seed)
         except DegenerateSpectrum as exc:
             raise DegenerateSpectrum(
                 f"mixture stage: degenerate spectrum at k={args.k}: {exc}"
@@ -266,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=("gaussian_rbf",), default="gaussian_rbf")
     p.add_argument("--bandwidth", type=float, default=1.0)
     p.add_argument("--landmarks", type=int, default=1000)
-    p.add_argument("--strategy", choices=("crossmoment", "cyclic"),
-                   default="crossmoment")
     p.add_argument("--ridge", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output model JSON path")

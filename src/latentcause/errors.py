@@ -27,28 +27,12 @@ class NonConvergence(LatentCauseError):
     """Power iteration failed to stabilize within the iteration budget."""
 
 
-class NotPSD(LatentCauseError):
-    """A matrix required to be positive semidefinite failed factorization."""
-
-
-class AlignmentAmbiguity(LatentCauseError):
-    """Two component matchings are indistinguishable; components not separated."""
-
-
 class RankDeficiency(LatentCauseError):
     """A cross-moment matrix has numerical rank below the requested K."""
 
 
 class UnfittedModel(LatentCauseError):
     """A prediction was requested from a model that has not been fitted."""
-
-
-class AllZeroLikelihood(LatentCauseError):
-    """Every component likelihood underflowed and no fallback was possible."""
-
-
-class KTooLarge(LatentCauseError):
-    """Exhaustive permutation search was forced for K above the K! budget."""
 
 
 class SingularSystem(LatentCauseError):

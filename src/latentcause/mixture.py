@@ -17,20 +17,16 @@ round out the toolkit.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from .errors import (
-    AlignmentAmbiguity,
     DimensionMismatch,
     EmptyInput,
     InvalidConfig,
-    KTooLarge,
-    NotPSD,
     RankDeficiency,
     UnfittedModel,
 )
@@ -39,18 +35,13 @@ from .tensor_spectral import (
     Moment2,
     build_whitener,
     robust_power_method,
-    top_k_eigh,
     whitened_third_moment,
 )
 
 DENSITY_FLOOR = 1e-12
 PRIOR_MIN = 1e-6
 PRIOR_MAX = 1.0
-MAX_JITTER = 1e-4
 RANK_FLOOR_REL = 1e-10
-EXHAUSTIVE_K_MAX = 8
-HOLDOUT_ROWS = 512
-ALIGN_MARGIN = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +105,8 @@ class PosteriorMatrix:
             raise DimensionMismatch(f"weights must be 2-d, got shape {w.shape}")
         if self.flavor not in ("proxy_only", "treatment_updated"):
             raise InvalidConfig(f"unknown flavor {self.flavor!r}")
+        if not np.all(np.isfinite(w)):
+            raise InvalidConfig("posterior entries must be finite")
         if np.any(w < -1e-12) or np.any(w > 1.0 + 1e-12):
             raise InvalidConfig("posterior entries must lie in [0, 1]")
         if w.size and np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-12:
@@ -154,6 +147,8 @@ def _as_views(z1, z2, z3):
         )
     if out[0].shape[0] == 0:
         raise EmptyInput("views contain no samples")
+    if not all(np.all(np.isfinite(v)) for v in out):
+        raise InvalidConfig("view values must be finite")
     return out
 
 
@@ -177,256 +172,47 @@ def priors_from_lambdas(lambdas: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Cholesky with escalating jitter
+# kernel fit
 # ---------------------------------------------------------------------------
 
-def _chol_with_jitter(g: np.ndarray, jitter: float = 0.0):
-    """Upper-triangular R with R'R = G + jitter*I, escalating jitter on failure."""
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got {g.shape}")
-    gs = (g + g.T) / 2.0
-    eye = np.eye(gs.shape[0])
-    j = float(jitter)
-    while True:
-        try:
-            lower = np.linalg.cholesky(gs + j * eye)
-            return lower.T, j
-        except np.linalg.LinAlgError:
-            j = 1e-10 if j == 0.0 else j * 10.0
-            if j > MAX_JITTER:
-                raise NotPSD(
-                    f"Cholesky failed up to jitter {MAX_JITTER:.0e}; "
-                    "matrix is not positive semidefinite"
-                ) from None
+def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
+                  seed=0) -> MixtureEstimate:
+    """Mixture fit allowing each view its own component distributions.
 
-
-def chol_psd(g: np.ndarray, jitter: float = 0.0) -> np.ndarray:
-    """Triangular factor R with R'R = G + jitter*I.
-
-    The jitter escalates by factors of 10 (starting at 1e-10 when zero) until
-    factorization succeeds or 1e-4 is exceeded, at which point the matrix is
-    declared not PSD.
-    """
-    r, _ = _chol_with_jitter(g, jitter)
-    return r
-
-
-# ---------------------------------------------------------------------------
-# symmetric kernel fit
-# ---------------------------------------------------------------------------
-
-def fit_symmetric_spectral(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
-                           seed=0) -> MixtureEstimate:
-    """Spectral mixture fit assuming the three views share one distribution.
-
-    Stacks views 1 and 2 into a paired anchor set, solves the generalized
-    eigenproblem of the symmetrized cross-view second moment through the
-    anchor Gram matrices, whitens all samples, decomposes the third moment,
-    and maps tensor eigenpairs back to anchor-coefficient densities and
-    mixing weights. Deterministic for a fixed seed.
-
-    When n exceeds the kernel's landmark budget, the eigenproblem runs on a
-    uniform subsample of sample pairs; moment averages still use every row.
+    Maps views 1 and 2 into view 3's coordinate system through Nystroem
+    features and the two-view cross-moment transformations, then runs one
+    whitened decomposition; it handles arbitrarily view-specific components,
+    and identically distributed views are the special case. It raises
+    RankDeficiency when the views do not carry k components. Deterministic
+    for a fixed seed.
     """
     views = _as_views(z1, z2, z3)
     _check_k(k)
     n = views[0].shape[0]
     kernel = kernel if kernel is not None else KernelSpec()
-    root = _root_seq(seed)
-    band_ss, sub_ss, power_ss = root.spawn(3)
+    band_ss, sub_ss, power_ss = _root_seq(seed).spawn(3)
     kernel = kernel.resolve(np.vstack(views), n, np.random.default_rng(band_ss))
 
-    anchors, coeff, lam, raw, priors, info = _symmetric_core(
-        views, k, kernel, sub_ss, power_ss
-    )
-    info["method"] = "symmetric_spectral"
+    rng = np.random.default_rng(sub_ss)
+    feats, bases, anchor_sets = zip(*(_nystrom_features(v, kernel, rng) for v in views))
+    lam, raw, priors, means, info = _cross_moment_core(feats, k, power_ss)
+    info["method"] = "crossmoment"
+    info["anchor_count"] = min(n, kernel.landmark_count)
     return MixtureEstimate(
         backend="kernel",
         priors=priors,
         priors_raw=raw,
         lambdas=lam,
         kernel=kernel,
-        anchors=(anchors, anchors, anchors),
-        coefficients=(coeff, coeff, coeff),
+        anchors=anchor_sets,
+        coefficients=tuple((b @ m).T for b, m in zip(bases, means)),
         seed=_seed_value(seed),
         diagnostics=info,
     )
 
 
-def _symmetric_core(views, k, kernel, sub_ss, power_ss):
-    """One symmetric spectral fit; returns anchor set, K x m coefficients."""
-    z1, z2, z3 = views
-    n = z1.shape[0]
-    n_a = min(n, kernel.landmark_count)
-    if n_a < n:
-        idx = np.sort(np.random.default_rng(sub_ss).choice(n, size=n_a, replace=False))
-    else:
-        idx = np.arange(n)
-    anchors = np.vstack((z1[idx], z2[idx]))
-    partners = np.vstack((z2[idx], z1[idx]))
-    m = anchors.shape[0]
-
-    omega = gram(kernel, anchors, anchors)
-    lmat = gram(kernel, partners, partners)
-    r, jitter = _chol_with_jitter(omega)
-    core = r @ lmat @ r.T / float(m * m)
-    svals_sq, gamma_t = top_k_eigh(Moment2((core + core.T) / 2.0, n), k)
-    sv = np.sqrt(svals_sq)
-    gamma = scipy.linalg.solve_triangular(r, gamma_t, lower=False)
-
-    # The third moment averages over the same rows that built the anchor
-    # eigensystem; feeding it rows the whitener never saw lets the two
-    # empirical class frequencies drift apart, and the drift enters the
-    # eigenvalues (hence the priors) with a cubed amplification.
-    scale = 1.0 / np.sqrt(sv)
-    xi = [gram(kernel, z[idx], anchors) @ gamma * scale[None, :] for z in views]
-    t_hat = whitened_third_moment(*xi)
-    eig = robust_power_method(t_hat, k, seed=power_ss)
-    raw, priors = priors_from_lambdas(eig.lambdas)
-
-    # Undo the whitening: each component embedding is (sum_j gamma_j s_j^{1/2})
-    # v_u scaled by its tensor eigenvalue, expressed over the anchor points.
-    basis = gamma * np.sqrt(sv)[None, :]
-    coeff = (basis @ (eig.vectors.T * eig.lambdas[None, :])).T
-
-    info = {
-        "jitter": jitter,
-        "anchor_count": m,
-        "power_residual": eig.residual,
-        "moment_spectrum": sv,
-    }
-    return anchors, coeff, eig.lambdas, raw, priors, info
-
-
-# ---------------------------------------------------------------------------
-# asymmetric (per-view) fits
-# ---------------------------------------------------------------------------
-
-def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
-                  seed=0, strategy: str = "crossmoment") -> MixtureEstimate:
-    """Mixture fit allowing each view its own component distributions.
-
-    The default "crossmoment" strategy maps views 1 and 2 into view 3's
-    coordinate system through Nystroem features and the two-view
-    cross-moment transformations, then runs one whitened decomposition; it
-    handles arbitrarily view-specific components. It raises RankDeficiency
-    when the views do not carry k components.
-
-    strategy "cyclic" instead runs the symmetric fit three times with
-    rotated view roles, aligns components across runs by prior proximity
-    and posterior agreement on a holdout of training rows, and unmixes
-    per-view densities from the three pair-blended estimates. On
-    identically distributed views it reproduces fit_symmetric_spectral
-    exactly; the more the views differ, the less decomposable the blended
-    third moment becomes, and the power iteration stops converging. It
-    raises AlignmentAmbiguity when two cross-run matchings are closer than
-    1e-6 in total cost, which signals components too similar to track.
-    """
-    views = _as_views(z1, z2, z3)
-    _check_k(k)
-    if strategy not in ("cyclic", "crossmoment"):
-        raise InvalidConfig(f"unknown strategy {strategy!r}")
-    n = views[0].shape[0]
-    kernel = kernel if kernel is not None else KernelSpec()
-    root = _root_seq(seed)
-    if strategy == "cyclic":
-        return _fit_cyclic(views, k, kernel, seed, root)
-    band_ss, sub_ss, power_ss = root.spawn(3)
-    kernel = kernel.resolve(np.vstack(views), n, np.random.default_rng(band_ss))
-    return _fit_kernel_crossmoment(views, k, kernel, sub_ss, power_ss, seed)
-
-
-def _fit_cyclic(views, k, kernel, seed, root):
-    z1, z2, z3 = views
-    n = z1.shape[0]
-    children = root.spawn(6)
-    # children[0] is by construction the same stream the first run derives
-    # internally for bandwidth resolution, so resolving here changes nothing.
-    kernel = kernel.resolve(np.vstack(views), n, np.random.default_rng(children[0]))
-
-    run1 = fit_symmetric_spectral(z1, z2, z3, k, kernel=kernel, seed=seed)
-    run2 = fit_symmetric_spectral(z2, z3, z1, k, kernel=kernel, seed=children[3])
-    run3 = fit_symmetric_spectral(z3, z1, z2, k, kernel=kernel, seed=children[4])
-
-    h = min(n, HOLDOUT_ROWS)
-    hidx = np.random.default_rng(children[5]).choice(n, size=h, replace=False)
-    w1 = posteriors(run1, z1[hidx], z2[hidx], z3[hidx]).weights
-    w2 = posteriors(run2, z2[hidx], z3[hidx], z1[hidx]).weights
-    w3 = posteriors(run3, z3[hidx], z1[hidx], z2[hidx]).weights
-
-    perm2, margin2 = _match_components(run2.priors, w2, run1.priors, w1)
-    perm3, margin3 = _match_components(run3.priors, w3, run1.priors, w1)
-
-    # Each run blends the densities of its two anchor views; adding the two
-    # blends that contain a view and subtracting the one that does not
-    # isolates that view's density.
-    blends = (
-        (run1.anchors[0], run1.coefficients[0]),
-        (run2.anchors[0], run2.coefficients[0][perm2]),
-        (run3.anchors[0], run3.coefficients[0][perm3]),
-    )
-    signs_per_view = ((1.0, -1.0, 1.0), (1.0, 1.0, -1.0), (-1.0, 1.0, 1.0))
-    anchors, coeffs = [], []
-    for signs in signs_per_view:
-        anchors.append(np.vstack([a for a, _ in blends]))
-        coeffs.append(np.hstack([s * c for s, (_, c) in zip(signs, blends)]))
-
-    diagnostics = {
-        "method": "cyclic",
-        "alignment_margin": min(margin2, margin3),
-        "run_jitters": [r.diagnostics["jitter"] for r in (run1, run2, run3)],
-        "anchor_count": run1.diagnostics["anchor_count"],
-    }
-    return MixtureEstimate(
-        backend="kernel",
-        priors=run1.priors,
-        priors_raw=run1.priors_raw,
-        lambdas=run1.lambdas,
-        kernel=kernel,
-        anchors=tuple(anchors),
-        coefficients=tuple(coeffs),
-        seed=_seed_value(seed),
-        diagnostics=diagnostics,
-    )
-
-
-def _match_components(priors_est, post_est, priors_ref, post_ref):
-    """Best component permutation between two fits of the same data.
-
-    Cost per pair is the mean absolute gap between posterior columns on the
-    shared holdout plus the prior gap. Returns the permutation (est index per
-    ref slot) and the cost margin to the runner-up.
-    """
-    k = priors_ref.shape[0]
-    cost = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            cost[i, j] = (
-                np.mean(np.abs(post_est[:, i] - post_ref[:, j]))
-                + abs(priors_est[i] - priors_ref[j])
-            )
-    perm, best, second = _best_two_assignments(cost)
-    if second - best < ALIGN_MARGIN and k > 1:
-        raise AlignmentAmbiguity(
-            f"two component matchings differ by {second - best:.2e} (< 1e-6); "
-            "components are not separated enough to align"
-        )
-    margin = second - best if np.isfinite(second) else np.inf
-    return perm, margin
-
-
-def _best_two_assignments(cost: np.ndarray):
-    """Exhaustive best and second-best assignment totals for a K x K cost."""
-    k = cost.shape[0]
-    best_perm, best, second = None, np.inf, np.inf
-    for p in itertools.permutations(range(k)):
-        total = float(sum(cost[p[j], j] for j in range(k)))
-        if total < best:
-            best_perm, best, second = p, total, best
-        elif total < second:
-            second = total
-    return np.array(best_perm, dtype=int), best, second
+# Public name kept for symmetric-view callers; the cross-moment core covers them.
+fit_symmetric_spectral = fit_multiview
 
 
 def _nystrom_features(view, kernel, rng, floor_rel=RANK_FLOOR_REL):
@@ -448,33 +234,6 @@ def _nystrom_features(view, kernel, rng, floor_rel=RANK_FLOOR_REL):
     keep = vals > max(float(vals[-1]), 0.0) * floor_rel
     basis = vecs[:, keep] / np.sqrt(vals[keep])[None, :]
     return gram(kernel, view, landmarks) @ basis, basis, landmarks
-
-
-def _fit_kernel_crossmoment(views, k, kernel, sub_ss, power_ss, seed):
-    rng = np.random.default_rng(sub_ss)
-    n_a = min(views[0].shape[0], kernel.landmark_count)
-    feats, bases, anchor_sets = [], [], []
-    for v in range(3):
-        f, basis, landmarks = _nystrom_features(views[v], kernel, rng)
-        feats.append(f)
-        bases.append(basis)
-        anchor_sets.append(landmarks)
-
-    lam, raw, priors, means, info = _cross_moment_core(feats, k, power_ss)
-    coeffs = tuple((bases[v] @ means[v]).T for v in range(3))
-    info["method"] = "crossmoment"
-    info["anchor_count"] = n_a
-    return MixtureEstimate(
-        backend="kernel",
-        priors=priors,
-        priors_raw=raw,
-        lambdas=lam,
-        kernel=kernel,
-        anchors=tuple(anchor_sets),
-        coefficients=coeffs,
-        seed=_seed_value(seed),
-        diagnostics=info,
-    )
 
 
 def _pinv_rank(c: np.ndarray, k: int) -> np.ndarray:
@@ -748,32 +507,21 @@ def select_rank(singular_values: np.ndarray) -> int:
 # label alignment
 # ---------------------------------------------------------------------------
 
-def align_permutation(estimated, reference, method: str = "auto") -> np.ndarray:
+def align_permutation(estimated, reference) -> np.ndarray:
     """Component permutation matching an estimate to a reference.
 
     Inputs are K x p summary blocks (one row per component), or discrete
     MixtureEstimates, whose stacked emission matrices serve as summaries.
     Returns perm with estimated[perm[j]] matched to reference[j]; applying
-    it minimizes the total per-pair Euclidean distance. Exhaustive search
-    for K <= 8; beyond that "auto" falls back to greedy matching with a
-    warning, while "exhaustive" refuses.
+    it minimizes the total per-pair Euclidean distance, exactly for any K.
     """
     a = _component_blocks(estimated)
     b = _component_blocks(reference)
     if a.shape != b.shape:
         raise DimensionMismatch(f"summary shapes differ: {a.shape} vs {b.shape}")
-    k = a.shape[0]
     cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    if k <= EXHAUSTIVE_K_MAX or method == "exhaustive":
-        if k > EXHAUSTIVE_K_MAX:
-            raise KTooLarge(f"exhaustive alignment over {k}! permutations refused")
-        perm, _, _ = _best_two_assignments(cost)
-        return perm
-    warnings.warn(
-        f"K={k} exceeds the exhaustive alignment budget; using greedy matching",
-        RuntimeWarning, stacklevel=2,
-    )
-    return _greedy_assignment(cost)
+    rows, cols = linear_sum_assignment(cost)
+    return rows[np.argsort(cols)]
 
 
 def _component_blocks(obj) -> np.ndarray:
@@ -790,21 +538,6 @@ def _component_blocks(obj) -> np.ndarray:
     if a.ndim != 2:
         raise DimensionMismatch(f"summary blocks must be 2-d, got {a.shape}")
     return a
-
-
-def _greedy_assignment(cost: np.ndarray) -> np.ndarray:
-    k = cost.shape[0]
-    perm = np.full(k, -1, dtype=int)
-    open_rows = np.ones(k, dtype=bool)
-    open_cols = np.ones(k, dtype=bool)
-    masked = cost.copy()
-    for _ in range(k):
-        masked_view = np.where(open_rows[:, None] & open_cols[None, :], masked, np.inf)
-        i, j = np.unravel_index(int(np.argmin(masked_view)), cost.shape)
-        perm[j] = i
-        open_rows[i] = False
-        open_cols[j] = False
-    return perm
 
 
 def map_assign(p: PosteriorMatrix) -> np.ndarray:

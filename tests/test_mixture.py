@@ -1,5 +1,7 @@
 """Mixture recovery: spectral fits, posteriors, priors, and alignment."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from latentcause import (
     DimensionMismatch,
     InvalidConfig,
     KernelSpec,
-    KTooLarge,
+    LatentCauseError,
     PosteriorMatrix,
     RankDeficiency,
     align_permutation,
@@ -69,15 +71,6 @@ def test_crossmoment_fit_on_three_cluster_design():
     mad = float(np.mean(np.abs(w.weights[:, perm] - oracle.weights)))
     assert mad <= 0.05
     assert np.max(np.abs(np.sort(est.priors) - np.sort(scenario.priors))) <= 0.05
-
-
-def test_cyclic_strategy_agrees_with_symmetric_fit_on_symmetric_views():
-    views, _ = symmetric_views([0.5, 0.5], 3000, seed=5)
-    kernel = KernelSpec(bandwidth=0.6)
-    sym = fit_symmetric_spectral(*views, 2, kernel=kernel, seed=7)
-    cyc = fit_multiview(*views, 2, kernel=kernel, seed=7, strategy="cyclic")
-    perm = align_permutation(cyc.priors[:, None], sym.priors[:, None])
-    assert np.max(np.abs(cyc.priors[perm] - sym.priors)) <= 1e-6
 
 
 def test_posteriors_rows_are_stochastic():
@@ -173,14 +166,14 @@ def test_align_permutation_matches_brute_force():
         assert np.array_equal(got, want)
 
 
-def test_align_permutation_greedy_warning_beyond_exhaustive_budget():
+def test_align_permutation_recovers_planted_permutation_at_k9():
     rng = np.random.default_rng(14)
     ref = rng.standard_normal((9, 2))
-    with pytest.warns(RuntimeWarning):
-        perm = align_permutation(ref.copy(), ref)
-    assert np.array_equal(perm, np.arange(9))
-    with pytest.raises(KTooLarge):
-        align_permutation(ref.copy(), ref, method="exhaustive")
+    perm_true = rng.permutation(9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        perm = align_permutation(ref[perm_true], ref)
+    assert np.array_equal(perm, np.argsort(perm_true))
 
 
 def test_posterior_matrix_validation():
@@ -190,3 +183,34 @@ def test_posterior_matrix_validation():
         PosteriorMatrix(weights=np.array([[0.5, 0.5]]), flavor="rumor")
     with pytest.raises(DimensionMismatch):
         PosteriorMatrix(weights=np.ones(3), flavor="proxy_only")
+
+
+def _fit_with_bad_value(bad):
+    views, _ = symmetric_views([0.5, 0.5], 300, seed=15)
+    views[1][7] = bad
+    # more rows than landmarks, so the bad value reaches the cross moments
+    fit_multiview(*views, 2, kernel=KernelSpec(bandwidth=0.6, landmark_count=50),
+                  seed=0)
+
+
+def _posteriors_with_bad_value(bad):
+    views, _ = symmetric_views([0.5, 0.5], 300, seed=15)
+    est = fit_multiview(*views, 2, kernel=KernelSpec(bandwidth=0.6), seed=0)
+    views[2][3] = bad
+    posteriors(est, *views)
+
+
+def _posterior_matrix_with_bad_value(bad):
+    PosteriorMatrix(weights=np.array([[0.5, 0.5], [bad, 1.0]]), flavor="proxy_only")
+
+
+@pytest.mark.parametrize("build, bad", [
+    (_fit_with_bad_value, np.nan),
+    (_fit_with_bad_value, np.inf),
+    (_posteriors_with_bad_value, np.nan),
+    (_posteriors_with_bad_value, -np.inf),
+    (_posterior_matrix_with_bad_value, np.nan),
+])
+def test_non_finite_input_raises_typed_error(build, bad):
+    with pytest.raises(LatentCauseError):
+        build(bad)
