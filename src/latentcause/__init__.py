@@ -18,8 +18,6 @@ from .causal import (
     fit_effects,
     fit_outcome,
     fit_treatment,
-    fit_treatment_mean,
-    fit_treatment_variance,
     outcome_feature_map,
     treatment_density,
     treatment_feature_map,

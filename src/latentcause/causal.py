@@ -28,7 +28,7 @@ from .errors import (
     InvalidConfig,
     SingularSystem,
 )
-from .mixture import MixtureEstimate, PosteriorMatrix, posteriors
+from .mixture import MixtureEstimate, PosteriorMatrix, _check_component, posteriors
 
 SIGMA_FLOOR = 1e-6
 CLUSTER_FLOOR = 1e-8
@@ -308,32 +308,6 @@ def _stacked_regression(feats, weights, target, ridge):
     return sol.reshape(k, l), used
 
 
-def _variance_core(a_vec, feats, weights, alpha):
-    """Per-component variances from the pooled squared residuals.
-
-    The squared residual against the posterior-mixed mean overshoots the
-    within-component noise by the spread of the component means, so that
-    spread is subtracted from the target before the K x K solve. Negative
-    solutions are clamped to the floor.
-    """
-    means = feats @ np.asarray(alpha, dtype=float).T        # n x K
-    mixed = np.einsum("nk,nk->n", weights, means)
-    resid = a_vec - mixed
-    spread = np.einsum("nk,nk->n", weights, means ** 2) - mixed ** 2
-    target = resid ** 2 - spread
-    sol, used = _solve_normal_equations(
-        weights.T @ weights, weights.T @ target, 0.0
-    )
-    clamped = int(np.sum(sol < SIGMA_FLOOR))
-    if clamped:
-        warnings.warn(
-            f"{clamped} variance estimates fell below {SIGMA_FLOOR:g} "
-            "and were clamped",
-            RuntimeWarning, stacklevel=3,
-        )
-    return np.maximum(sol, SIGMA_FLOOR), clamped, used
-
-
 def _check_rows(n, *arrays):
     for arr in arrays:
         if arr is None:
@@ -352,6 +326,18 @@ def _scalar_target(x, name):
     return vec
 
 
+def _component_means(weights, x):
+    """Posterior-weighted per-component row averages of x, one row per component."""
+    totals = weights.sum(axis=0)
+    low = totals < CLUSTER_FLOOR
+    if np.any(low):
+        raise DegenerateCluster(
+            f"component {int(np.argmax(low))} carries posterior mass "
+            f"{totals.min():.3g}, below {CLUSTER_FLOOR:g}"
+        )
+    return (weights.T @ x) / totals[:, None]
+
+
 def _expect_flavor(w: PosteriorMatrix, flavor: str, stage: str):
     if not isinstance(w, PosteriorMatrix):
         raise InvalidConfig(f"{stage} needs a PosteriorMatrix")
@@ -363,36 +349,18 @@ def _expect_flavor(w: PosteriorMatrix, flavor: str, stage: str):
 # stage two: treatment model
 # ---------------------------------------------------------------------------
 
-def fit_treatment_mean(a, z, w: PosteriorMatrix, feature_map: FeatureMap,
-                       ridge: float = 0.0) -> np.ndarray:
-    """Per-component treatment mean coefficients, K x L.
-
-    Solves the stacked weighted normal equations for all components at
-    once; with one-hot weights this is exactly independent per-component
-    least squares.
-    """
-    _expect_flavor(w, "proxy_only", "the treatment mean fit")
-    a_vec = _scalar_target(a, "treatment")
-    _check_rows(a_vec.shape[0], z, w.weights)
-    feats = feature_map.evaluate(z=z)
-    alpha, _ = _stacked_regression(feats, w.weights, a_vec, ridge)
-    return alpha
-
-
-def fit_treatment_variance(a, z, w: PosteriorMatrix, alpha,
-                           feature_map: FeatureMap) -> np.ndarray:
-    """Per-component treatment noise variances, clamped to the floor."""
-    _expect_flavor(w, "proxy_only", "the treatment variance fit")
-    a_vec = _scalar_target(a, "treatment")
-    _check_rows(a_vec.shape[0], z, w.weights)
-    feats = feature_map.evaluate(z=z)
-    sigma2, _, _ = _variance_core(a_vec, feats, w.weights, alpha)
-    return sigma2
-
-
 def fit_treatment(a, z, w: PosteriorMatrix, feature_map: FeatureMap | None = None,
                   ridge: float = 0.0) -> TreatmentModel:
-    """Both treatment stages assembled into a TreatmentModel."""
+    """Per-component Gaussian treatment model: mean coefficients, then variances.
+
+    The means solve the stacked weighted normal equations for all components
+    at once; with one-hot weights this is exactly independent per-component
+    least squares. The variances come from the pooled squared residuals: the
+    squared residual against the posterior-mixed mean overshoots the
+    within-component noise by the spread of the component means, so that
+    spread is subtracted from the target before the K x K solve. Variances
+    below the floor are clamped to it.
+    """
     _expect_flavor(w, "proxy_only", "the treatment fit")
     a_vec = _scalar_target(a, "treatment")
     _check_rows(a_vec.shape[0], z, w.weights)
@@ -401,10 +369,24 @@ def fit_treatment(a, z, w: PosteriorMatrix, feature_map: FeatureMap | None = Non
         fm = treatment_feature_map(np.atleast_2d(np.asarray(z)).shape[1])
     feats = fm.evaluate(z=z)
     alpha, used = _stacked_regression(feats, w.weights, a_vec, ridge)
-    sigma2, clamped, var_used = _variance_core(a_vec, feats, w.weights, alpha)
+
+    means = feats @ alpha.T                                 # n x K
+    mixed = np.einsum("nk,nk->n", w.weights, means)
+    spread = np.einsum("nk,nk->n", w.weights, means ** 2) - mixed ** 2
+    target = (a_vec - mixed) ** 2 - spread
+    sol, var_used = _solve_normal_equations(
+        w.weights.T @ w.weights, w.weights.T @ target, 0.0
+    )
+    clamped = int(np.sum(sol < SIGMA_FLOOR))
+    if clamped:
+        warnings.warn(
+            f"{clamped} variance estimates fell below {SIGMA_FLOOR:g} "
+            "and were clamped",
+            RuntimeWarning, stacklevel=2,
+        )
     return TreatmentModel(
         alpha=alpha,
-        sigma2=sigma2,
+        sigma2=np.maximum(sol, SIGMA_FLOOR),
         feature_map=fm,
         diagnostics={
             "ridge": used,
@@ -525,17 +507,9 @@ def estimate_ate(ce: CausalEstimate, a, z=None, w: PosteriorMatrix | None = None
         feats = ce.outcome.feature_map.evaluate(a=float(a), z=ce.z_feature_means)
         per_component = np.einsum("km,km->k", beta, feats)
     else:
-        weights = w.weights
-        _check_rows(weights.shape[0], z)
-        totals = weights.sum(axis=0)
-        low = totals < CLUSTER_FLOOR
-        if np.any(low):
-            raise DegenerateCluster(
-                f"component {int(np.argmax(low))} carries posterior mass "
-                f"{totals.min():.3g}, below {CLUSTER_FLOOR:g}"
-            )
+        _check_rows(w.weights.shape[0], z)
         feats = ce.outcome.feature_map.evaluate(a=float(a), z=z)
-        cond = (weights.T @ feats) / totals[:, None]
+        cond = _component_means(w.weights, feats)
         per_component = np.einsum("km,km->k", beta, cond)
     return float(ce.priors @ per_component)
 
@@ -570,14 +544,7 @@ def fit_effects(data: dict, mixture: MixtureEstimate,
         ridge,
     )
 
-    totals = w.weights.sum(axis=0)
-    low = totals < CLUSTER_FLOOR
-    if np.any(low):
-        raise DegenerateCluster(
-            f"component {int(np.argmax(low))} carries posterior mass "
-            f"{totals.min():.3g}, below {CLUSTER_FLOOR:g}"
-        )
-    z_feature_means = (w.weights.T @ z1) / totals[:, None]
+    z_feature_means = _component_means(w.weights, z1)
 
     diagnostics = {
         "proxy_fallbacks": w.fallback_count,
@@ -593,8 +560,3 @@ def fit_effects(data: dict, mixture: MixtureEstimate,
         z_feature_means=z_feature_means,
         diagnostics=diagnostics,
     )
-
-
-def _check_component(u, k):
-    if not isinstance(u, (int, np.integer)) or not 0 <= int(u) < k:
-        raise InvalidConfig(f"component index must lie in 0..{k - 1}, got {u!r}")

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .benchmark import run_benchmark, summarize
-from .causal import CausalEstimate, estimate_ate, estimate_cate, fit_effects
+from .causal import estimate_ate, estimate_cate, fit_effects
 from .dataio import (
     _jsonable,
     load_model,
@@ -107,26 +107,21 @@ def cmd_fit(args) -> int:
         raise InvalidConfig(
             f"{args.input} holds a {mode} dataset, not {args.mode}"
         )
-    if args.mode == "multiproxy":
-        kernel = KernelSpec(family=args.kernel, bandwidth=args.bandwidth,
-                            landmark_count=args.landmarks)
-        try:
+    try:
+        if args.mode == "multiproxy":
+            kernel = KernelSpec(bandwidth=args.bandwidth,
+                                landmark_count=args.landmarks)
             mixture = fit_multiview(data["z1"], data["z2"], data["z3"], args.k,
                                     kernel=kernel, seed=args.seed)
-        except DegenerateSpectrum as exc:
-            raise DegenerateSpectrum(
-                f"mixture stage: degenerate spectrum at k={args.k}: {exc}"
-            ) from None
-        model = fit_effects(data, mixture, ridge=args.ridge)
-    else:
-        try:
+            model = fit_effects(data, mixture, ridge=args.ridge)
+        else:
             model = fit_multitreatment(data["a1"], data["a2"], data["a3"],
                                        data["y"], args.k, seed=args.seed,
                                        ridge=args.ridge)
-        except DegenerateSpectrum as exc:
-            raise DegenerateSpectrum(
-                f"mixture stage: degenerate spectrum at k={args.k}: {exc}"
-            ) from None
+    except DegenerateSpectrum as exc:
+        raise DegenerateSpectrum(
+            f"mixture stage: degenerate spectrum at k={args.k}: {exc}"
+        ) from None
     save_model(args.out, model)
     diagnostics = {
         "mode": args.mode,
@@ -262,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=("multiproxy", "multitreatment"))
     p.add_argument("--input", required=True, help="dataset CSV path")
     p.add_argument("--k", type=int, required=True, help="component count")
-    p.add_argument("--kernel", choices=("gaussian_rbf",), default="gaussian_rbf")
     p.add_argument("--bandwidth", type=float, default=1.0)
     p.add_argument("--landmarks", type=int, default=1000)
     p.add_argument("--ridge", type=float, default=0.0)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .causal import CausalEstimate, FeatureMap, OutcomeModel, TreatmentModel
-from .errors import DimensionMismatch, InvalidConfig
+from .errors import InvalidConfig
 from .kernels import KernelSpec
 from .mixture import MixtureEstimate
 from .multitreatment import MultiTreatmentModel

@@ -59,14 +59,13 @@ class KernelSpec:
         return replace(self, bandwidth=float(s))
 
 
-def median_heuristic(points: np.ndarray, rng: np.random.Generator,
-                     subsample: int = MEDIAN_SUBSAMPLE) -> float:
-    """Median pairwise Euclidean distance over at most ``subsample`` points."""
+def median_heuristic(points: np.ndarray, rng: np.random.Generator) -> float:
+    """Median pairwise Euclidean distance over at most MEDIAN_SUBSAMPLE points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise InvalidConfig("cannot resolve a bandwidth from zero points")
-    if pts.shape[0] > subsample:
-        idx = rng.choice(pts.shape[0], size=subsample, replace=False)
+    if pts.shape[0] > MEDIAN_SUBSAMPLE:
+        idx = rng.choice(pts.shape[0], size=MEDIAN_SUBSAMPLE, replace=False)
         pts = pts[idx]
     sq = _sq_dists(pts, pts)
     iu = np.triu_indices(pts.shape[0], k=1)

@@ -132,16 +132,17 @@ def _seed_value(seed) -> int | None:
     return seed if isinstance(seed, (int, np.integer)) else None
 
 
-def _as_views(z1, z2, z3):
+def _as_views(*views):
+    """Continuous views as n x d float arrays of one shape, all finite."""
     out = []
-    for z in (z1, z2, z3):
+    for z in views:
         a = np.asarray(z, dtype=float)
         if a.ndim == 1:
             a = a[:, None]
         if a.ndim != 2:
             raise DimensionMismatch(f"view must be 1-d or 2-d, got shape {a.shape}")
         out.append(a)
-    if not (out[0].shape == out[1].shape == out[2].shape):
+    if any(v.shape != out[0].shape for v in out):
         raise DimensionMismatch(
             f"views must share one shape, got {[v.shape for v in out]}"
         )
@@ -152,9 +153,40 @@ def _as_views(z1, z2, z3):
     return out
 
 
+def _as_levels(*views, levels: int | None = None):
+    """Categorical views as int arrays of one length, with their level count S.
+
+    S is ``levels`` when given, else one past the largest observed level;
+    every value must be an integer in 0..S-1.
+    """
+    out = []
+    for a in views:
+        arr = np.asarray(a)
+        if arr.ndim != 1:
+            raise DimensionMismatch(f"categorical views must be 1-d, got {arr.shape}")
+        if arr.size == 0:
+            raise EmptyInput("views contain no samples")
+        whole = arr.dtype.kind in "biu" or np.all(
+            np.isfinite(arr) & (np.floor(arr) == arr))
+        if not whole or np.any(arr < 0):
+            raise InvalidConfig("categorical views must hold nonnegative integers")
+        out.append(arr.astype(int, copy=False))
+    if any(v.shape != out[0].shape for v in out):
+        raise DimensionMismatch("views must share one length")
+    s = int(levels) if levels is not None else max(int(v.max()) for v in out) + 1
+    if any(v.max() >= s for v in out):
+        raise InvalidConfig(f"a view holds a level outside 0..{s - 1}")
+    return out, s
+
+
 def _check_k(k: int):
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvalidConfig(f"component count must be a positive integer, got {k!r}")
+
+
+def _check_component(u, k, name="component"):
+    if not isinstance(u, (int, np.integer)) or not 0 <= int(u) < k:
+        raise InvalidConfig(f"{name} index must lie in 0..{k - 1}, got {u!r}")
 
 
 def priors_from_lambdas(lambdas: np.ndarray):
@@ -215,7 +247,7 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
 fit_symmetric_spectral = fit_multiview
 
 
-def _nystrom_features(view, kernel, rng, floor_rel=RANK_FLOOR_REL):
+def _nystrom_features(view, kernel, rng):
     """Whitened landmark features for one view: (features, basis, landmarks).
 
     The basis diagonalizes the landmark gram and rescales by inverse root
@@ -231,7 +263,7 @@ def _nystrom_features(view, kernel, rng, floor_rel=RANK_FLOOR_REL):
     landmarks = view[idx]
     kmm = gram(kernel, landmarks, landmarks)
     vals, vecs = np.linalg.eigh((kmm + kmm.T) / 2.0)
-    keep = vals > max(float(vals[-1]), 0.0) * floor_rel
+    keep = vals > max(float(vals[-1]), 0.0) * RANK_FLOOR_REL
     basis = vecs[:, keep] / np.sqrt(vals[keep])[None, :]
     return gram(kernel, view, landmarks) @ basis, basis, landmarks
 
@@ -298,22 +330,8 @@ def fit_discrete_multiview(a1, a2, a3, k: int, seed=0,
     marginals.
     """
     _check_k(k)
-    views = []
-    for a in (a1, a2, a3):
-        arr = np.asarray(a)
-        if arr.ndim != 1:
-            raise DimensionMismatch(f"categorical views must be 1-d, got {arr.shape}")
-        if arr.size == 0:
-            raise EmptyInput("views contain no samples")
-        if not np.all(arr == arr.astype(int)) or np.any(arr < 0):
-            raise InvalidConfig("categorical views must hold nonnegative integers")
-        views.append(arr.astype(int))
-    if not (views[0].shape == views[1].shape == views[2].shape):
-        raise DimensionMismatch("views must share one length")
+    views, s = _as_levels(a1, a2, a3, levels=levels)
     n = views[0].shape[0]
-    s = int(levels) if levels is not None else int(max(v.max() for v in views)) + 1
-    if any(v.max() >= s for v in views):
-        raise InvalidConfig("a view holds a level outside 0..S-1")
     if s < k:
         raise InvalidConfig(f"need at least k={k} levels, views have {s}")
 
@@ -357,27 +375,29 @@ def _check_fitted(est):
         raise UnfittedModel("expected a fitted MixtureEstimate")
 
 
+def _checked_views(est: MixtureEstimate, *views):
+    """Views checked for the estimate's backend: level arrays or n x d points."""
+    if est.backend == "discrete":
+        return _as_levels(*views, levels=est.emissions[0].shape[0])[0]
+    return _as_views(*views)
+
+
 def density(est: MixtureEstimate, view: int, component: int, z) -> float:
     """Recovered density of one view under one component, floor-clamped."""
     _check_fitted(est)
-    if est.backend == "discrete":
-        return float(np.maximum(est.emissions[view][int(z), component],
-                                est.density_floor))
-    pts = np.atleast_2d(np.asarray(z, dtype=float))
-    val = gram(est.kernel, pts, est.anchors[view]) @ est.coefficients[view][component]
-    return float(np.maximum(val[0], est.density_floor))
+    _check_component(view, 3, "view")
+    _check_component(component, est.n_components)
+    point = np.atleast_1d(z) if est.backend == "discrete" else np.atleast_2d(z)
+    (point,) = _checked_views(est, point)
+    return float(_density_matrix(est, view, point)[0, component])
 
 
 def _density_matrix(est: MixtureEstimate, view: int, z) -> np.ndarray:
-    """n x K matrix of clamped per-component densities for one view."""
+    """n x K matrix of clamped per-component densities for one checked view."""
     if est.backend == "discrete":
-        levels = np.asarray(z).astype(int).ravel()
-        dm = est.emissions[view][levels, :]
+        dm = est.emissions[view][z, :]
     else:
-        pts = np.asarray(z, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        dm = gram(est.kernel, pts, est.anchors[view]) @ est.coefficients[view].T
+        dm = gram(est.kernel, z, est.anchors[view]) @ est.coefficients[view].T
     return np.maximum(dm, est.density_floor)
 
 
@@ -389,14 +409,7 @@ def posteriors(est: MixtureEstimate, z1, z2, z3) -> PosteriorMatrix:
     information; they fall back to the prior vector and are counted.
     """
     _check_fitted(est)
-    if est.backend == "discrete":
-        zs = [np.asarray(z).ravel() for z in (z1, z2, z3)]
-        if not (zs[0].shape == zs[1].shape == zs[2].shape):
-            raise DimensionMismatch("views must share one length")
-        if zs[0].size == 0:
-            raise EmptyInput("no rows to score")
-    else:
-        zs = _as_views(z1, z2, z3)
+    zs = _checked_views(est, z1, z2, z3)
     n = zs[0].shape[0]
     k = est.n_components
 
@@ -437,46 +450,24 @@ def scree(z1, z2, kernel: KernelSpec | None = None, max_k: int = 10,
     constant direction plus K - 1 mixture directions), so the spectrum
     drops off right after the true component count.
     """
-    a1 = np.asarray(z1, dtype=float)
-    a2 = np.asarray(z2, dtype=float)
-    if a1.ndim == 1:
-        a1 = a1[:, None]
-    if a2.ndim == 1:
-        a2 = a2[:, None]
-    if a1.shape != a2.shape:
-        raise DimensionMismatch("views must share one shape")
+    a1, a2 = _as_views(z1, z2)
     n = a1.shape[0]
-    if n == 0:
-        raise EmptyInput("views contain no samples")
     if max_k < 1 or max_k > n:
         raise InvalidConfig(f"max_k must lie in 1..n, got {max_k}")
 
     kernel = kernel if kernel is not None else KernelSpec()
-    root = _root_seq(seed)
-    band_ss, sub_ss = root.spawn(2)
+    band_ss, sub_ss = _root_seq(seed).spawn(2)
     kernel = kernel.resolve(np.vstack((a1, a2)), n, np.random.default_rng(band_ss))
     rng = np.random.default_rng(sub_ss)
-    f1, _, _ = _nystrom_features(a1, kernel, rng)
-    f2, _, _ = _nystrom_features(a2, kernel, rng)
+    f1, f2 = (_nystrom_features(a, kernel, rng)[0] for a in (a1, a2))
     sv = np.linalg.svd(f1.T @ f2 / n, compute_uv=False)
     return sv[: min(max_k, sv.shape[0])]
 
 
 def scree_discrete(a1, a2, max_k: int = 10, levels: int | None = None) -> np.ndarray:
     """Cross-view correlation spectrum for two categorical views."""
-    v1 = np.asarray(a1).ravel()
-    v2 = np.asarray(a2).ravel()
-    if v1.shape != v2.shape:
-        raise DimensionMismatch("views must share one length")
+    (v1, v2), s = _as_levels(a1, a2, levels=levels)
     n = v1.shape[0]
-    if n == 0:
-        raise EmptyInput("views contain no samples")
-    for v in (v1, v2):
-        if not np.issubdtype(v.dtype, np.integer) or np.any(v < 0):
-            raise InvalidConfig("categorical views must be nonnegative integers")
-    s = int(levels) if levels is not None else int(max(v1.max(), v2.max())) + 1
-    if v1.max() >= s or v2.max() >= s:
-        raise InvalidConfig(f"levels {s} does not cover the observed values")
     if max_k < 1 or max_k > n:
         raise InvalidConfig(f"max_k must lie in 1..n, got {max_k}")
 

@@ -14,9 +14,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .causal import FeatureMap, _stacked_regression, outcome_feature_map
+from .causal import (
+    FeatureMap,
+    _check_rows,
+    _scalar_target,
+    _stacked_regression,
+    outcome_feature_map,
+)
 from .errors import DimensionMismatch, InvalidConfig
-from .mixture import MixtureEstimate, fit_discrete_multiview, posteriors
+from .mixture import (
+    MixtureEstimate,
+    _check_component,
+    fit_discrete_multiview,
+    posteriors,
+)
 
 
 @dataclass(frozen=True)
@@ -63,11 +74,8 @@ def fit_multitreatment(a1, a2, a3, y, k: int, xi_map: FeatureMap | None = None,
     """
     est = fit_discrete_multiview(a1, a2, a3, k, seed=seed, levels=levels)
     w = posteriors(est, a1, a2, a3)
-    y_vec = np.asarray(y, dtype=float).ravel()
-    if y_vec.shape[0] != w.weights.shape[0]:
-        raise DimensionMismatch("outcome length must match the treatments")
-    if not np.all(np.isfinite(y_vec)):
-        raise InvalidConfig("outcome values must be finite")
+    y_vec = _scalar_target(y, "outcome")
+    _check_rows(y_vec.shape[0], w.weights)
     fm = xi_map if xi_map is not None else outcome_feature_map(0, treat_dim=3)
     treats = np.column_stack([np.asarray(a, dtype=float).ravel()
                               for a in (a1, a2, a3)])
@@ -88,10 +96,7 @@ def _point_features(m: MultiTreatmentModel, a) -> np.ndarray:
 
 def mt_cate(m: MultiTreatmentModel, u: int, a) -> float:
     """Effect under component u at treatment combination a."""
-    if not isinstance(u, (int, np.integer)) or not 0 <= int(u) < m.n_components:
-        raise InvalidConfig(
-            f"component index must lie in 0..{m.n_components - 1}, got {u!r}"
-        )
+    _check_component(u, m.n_components)
     return float(m.gamma[int(u)] @ _point_features(m, a))
 
 

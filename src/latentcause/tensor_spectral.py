@@ -8,7 +8,7 @@ the number of latent components and stays small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,13 +87,12 @@ def symmetrize3(raw: np.ndarray) -> np.ndarray:
     return sum(np.transpose(raw, p) for p in _PERMS3) / 6.0
 
 
-def top_k_eigh(m2: Moment2, k: int, floor: float | None = None):
+def top_k_eigh(m2: Moment2, k: int):
     """Leading k eigenvalues (descending) and eigenvectors of a second moment.
 
-    ``floor`` is an absolute threshold on the k-th eigenvalue; by default it
-    is 1e-10 times the largest eigenvalue. Falling below it means the
-    requested K exceeds what the data supports, and we fail loudly rather
-    than regularize.
+    The k-th eigenvalue must reach 1e-10 times the largest. Falling below
+    that floor means the requested K exceeds what the data supports, and we
+    fail loudly rather than regularize.
     """
     m = m2.matrix
     if k > m.shape[0]:
@@ -101,8 +100,7 @@ def top_k_eigh(m2: Moment2, k: int, floor: float | None = None):
     vals, vecs = np.linalg.eigh(m)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
-    if floor is None:
-        floor = EIG_FLOOR_REL * max(float(vals[0]), 0.0)
+    floor = EIG_FLOOR_REL * max(float(vals[0]), 0.0)
     if vals[k - 1] < floor:
         raise DegenerateSpectrum(
             f"eigenvalue {k} is {vals[k - 1]:.3e}, below floor {floor:.3e}; "
@@ -111,9 +109,9 @@ def top_k_eigh(m2: Moment2, k: int, floor: float | None = None):
     return vals[:k].copy(), vecs[:, :k].copy()
 
 
-def build_whitener(m2: Moment2, k: int, floor: float | None = None) -> Whitener:
+def build_whitener(m2: Moment2, k: int) -> Whitener:
     """Whitening map from the top-k eigenpairs: W = U_k diag(s_k^(-1/2))."""
-    vals, vecs = top_k_eigh(m2, k, floor)
+    vals, vecs = top_k_eigh(m2, k)
     return Whitener(map=vecs / np.sqrt(vals)[None, :], spectrum=vals)
 
 
@@ -146,37 +144,35 @@ def _tensor_value(entries: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("ijk,i,j,k->", entries, v, v, v))
 
 
-def robust_power_method(t: SymTensor3, k: int, restarts: int = POWER_RESTARTS,
-                        iters: int = POWER_ITERS, tol: float = POWER_TOL,
+def robust_power_method(t: SymTensor3, k: int,
                         seed: int | np.random.SeedSequence = 0) -> TensorEigenSet:
     """Extract k eigenpairs by restarted power iteration with deflation.
 
     For each component, the iteration v <- T(I, v, v) / ||.|| runs from
-    ``restarts`` random unit starts; the converged start with the largest
-    eigenvalue T(v, v, v) wins (first found on ties) and its rank-1 term is
-    deflated before the next component. Each restart draws its start vector
-    from its own derived seed, so results do not depend on execution order.
-    Eigenvalues are normalized positive by flipping v.
+    POWER_RESTARTS random unit starts for at most POWER_ITERS steps; the
+    converged start with the largest eigenvalue T(v, v, v) wins (first found
+    on ties) and its rank-1 term is deflated before the next component. Each
+    restart draws its start vector from its own derived seed, so results do
+    not depend on execution order. Eigenvalues are normalized positive by
+    flipping v.
     """
-    if restarts < 1 or iters < 1:
-        raise NonConvergence("restarts and iters must be at least 1")
     dim = t.dim
     if k > dim:
         raise DimensionMismatch(f"cannot extract {k} components from a dim-{dim} tensor")
     work = t.entries.copy()
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    starts = root.spawn(k * restarts)
+    starts = root.spawn(k * POWER_RESTARTS)
 
     lambdas = np.zeros(k)
     vectors = np.zeros((k, dim))
     for j in range(k):
         best_lam, best_vec = None, None
-        for r in range(restarts):
-            rng = np.random.default_rng(starts[j * restarts + r])
+        for r in range(POWER_RESTARTS):
+            rng = np.random.default_rng(starts[j * POWER_RESTARTS + r])
             v = rng.standard_normal(dim)
             v /= np.linalg.norm(v)
             converged = False
-            for _ in range(iters):
+            for _ in range(POWER_ITERS):
                 step = np.einsum("ijk,j,k->i", work, v, v)
                 norm = np.linalg.norm(step)
                 if norm == 0.0:
@@ -184,7 +180,7 @@ def robust_power_method(t: SymTensor3, k: int, restarts: int = POWER_RESTARTS,
                     converged = True
                     break
                 step /= norm
-                if np.linalg.norm(step - v) < tol:
+                if np.linalg.norm(step - v) < POWER_TOL:
                     v = step
                     converged = True
                     break
@@ -198,7 +194,7 @@ def robust_power_method(t: SymTensor3, k: int, restarts: int = POWER_RESTARTS,
                 best_lam, best_vec = lam, v
         if best_lam is None:
             raise NonConvergence(
-                f"no restart converged within {iters} iterations at component {j + 1}; "
+                f"no restart converged within {POWER_ITERS} iterations at component {j + 1}; "
                 "noise level too high or wrong K"
             )
         lambdas[j] = best_lam

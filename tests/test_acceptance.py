@@ -21,7 +21,7 @@ from latentcause import (
     fit_multiview,
     fit_outcome,
     fit_symmetric_spectral,
-    fit_treatment_mean,
+    fit_treatment,
     load_model,
     mt_ate,
     posteriors,
@@ -182,8 +182,8 @@ def test_criterion_6_oracle_equivalence_suite(proxy_case, discrete_case,
 
     scenario, data, labels = proxy_case
     hot = one_hot_weights(labels, 3)
-    alpha = fit_treatment_mean(data["a"], data["z1"], hot,
-                               treatment_feature_map(3))
+    alpha = fit_treatment(data["a"], data["z1"], hot,
+                          treatment_feature_map(3)).alpha
     ols_alpha = per_group_ols(data["z1"], data["a"], labels, 3)
     hot_out = one_hot_weights(labels, 3, flavor="treatment_updated")
     om = fit_outcome(data["a"], data["z1"], data["y"], hot_out)

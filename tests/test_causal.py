@@ -23,8 +23,6 @@ from latentcause import (
     fit_multiview,
     fit_outcome,
     fit_treatment,
-    fit_treatment_mean,
-    fit_treatment_variance,
     oracle_posteriors,
     outcome_feature_map,
     treatment_density,
@@ -108,7 +106,7 @@ def test_one_hot_treatment_mean_equals_per_group_ols(proxy_case, one_hot_weights
     scenario, data, labels = proxy_case
     w = one_hot_weights(labels, 3)
     fm = treatment_feature_map(3)
-    alpha = fit_treatment_mean(data["a"], data["z1"], w, fm)
+    alpha = fit_treatment(data["a"], data["z1"], w, fm).alpha
     want = per_group_ols(data["z1"], data["a"], labels, 3)
     assert np.max(np.abs(alpha - want)) <= 1e-10
 
@@ -117,8 +115,8 @@ def test_one_hot_variance_equals_per_group_residual(proxy_case, one_hot_weights)
     scenario, data, labels = proxy_case
     w = one_hot_weights(labels, 3)
     fm = treatment_feature_map(3)
-    alpha = fit_treatment_mean(data["a"], data["z1"], w, fm)
-    sigma2 = fit_treatment_variance(data["a"], data["z1"], w, alpha, fm)
+    tm = fit_treatment(data["a"], data["z1"], w, fm)
+    alpha, sigma2 = tm.alpha, tm.sigma2
     want = per_group_mean_sq_residual(data["z1"], data["a"], labels, alpha, 3)
     assert np.max(np.abs(sigma2 - want)) <= 1e-10
 

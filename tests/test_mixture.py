@@ -1,5 +1,6 @@
 """Mixture recovery: spectral fits, posteriors, priors, and alignment."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -21,8 +22,11 @@ from latentcause import (
     oracle_posteriors,
     posteriors,
     priors_from_lambdas,
+    scree,
     simulate_multiproxy,
+    simulate_multitreatment,
     three_cluster_gaussian,
+    two_state_discrete,
 )
 
 from frozen import PRIOR_FROM_LAMBDA_TWO
@@ -204,13 +208,89 @@ def _posterior_matrix_with_bad_value(bad):
     PosteriorMatrix(weights=np.array([[0.5, 0.5], [bad, 1.0]]), flavor="proxy_only")
 
 
+@functools.lru_cache(maxsize=None)
+def _discrete_fit():
+    data, _ = simulate_multitreatment(two_state_discrete(), 600, seed=5)
+    est = fit_discrete_multiview(data["a1"], data["a2"], data["a3"], 2, seed=0)
+    return est, data
+
+
+LEVELS = two_state_discrete().emissions[0].shape[0]   # S, also the fit's S
+
+
+def _discrete_posteriors_with_bad_level(bad):
+    est, data = _discrete_fit()
+    a1 = data["a1"].astype(float)
+    a1[4] = bad
+    posteriors(est, a1, data["a2"], data["a3"])
+
+
+def _discrete_density_at_bad_level(bad):
+    est, _ = _discrete_fit()
+    density(est, 0, 1, bad)
+
+
+def _scree_with_bad_value(bad):
+    views, _ = symmetric_views([0.5, 0.5], 300, seed=15)
+    views[0][5] = bad
+    scree(views[0], views[1], kernel=KernelSpec(bandwidth=0.6), max_k=3)
+
+
+def _kernel_density_at_bad_point(bad):
+    views, _ = symmetric_views([0.5, 0.5], 300, seed=15)
+    est = fit_multiview(*views, 2, kernel=KernelSpec(bandwidth=0.6), seed=0)
+    density(est, 0, 0, np.array([bad]))
+
+
+def _density_of_view(view):
+    density(_discrete_fit()[0], view, 0, 1)
+
+
+def _density_of_component(component):
+    density(_discrete_fit()[0], 0, component, 1)
+
+
 @pytest.mark.parametrize("build, bad", [
     (_fit_with_bad_value, np.nan),
     (_fit_with_bad_value, np.inf),
     (_posteriors_with_bad_value, np.nan),
     (_posteriors_with_bad_value, -np.inf),
     (_posterior_matrix_with_bad_value, np.nan),
+    (_discrete_posteriors_with_bad_level, np.nan),
+    (_discrete_posteriors_with_bad_level, LEVELS),
+    (_discrete_posteriors_with_bad_level, -1),
+    (_discrete_posteriors_with_bad_level, 2.5),
+    (_discrete_density_at_bad_level, np.nan),
+    (_discrete_density_at_bad_level, LEVELS),
+    (_discrete_density_at_bad_level, -1),
+    (_discrete_density_at_bad_level, 2.5),
+    (_scree_with_bad_value, np.nan),
+    (_kernel_density_at_bad_point, np.nan),
+    (_density_of_view, 3),
+    (_density_of_component, 2),                         # K = 2
 ])
 def test_non_finite_input_raises_typed_error(build, bad):
     with pytest.raises(LatentCauseError):
         build(bad)
+
+
+def test_discrete_posteriors_score_only_valid_levels():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    est, data = _discrete_fit()
+    odd = st.sampled_from([np.nan, np.inf, 2.5, -0.5])
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.lists(st.integers(-2, 8) | odd, min_size=1, max_size=8))
+    def check(values):
+        a1 = np.array(values, dtype=float)
+        n = a1.shape[0]
+        try:
+            w = posteriors(est, a1, data["a2"][:n], data["a3"][:n])
+        except LatentCauseError:
+            return
+        assert all(float(v).is_integer() and 0 <= v < LEVELS for v in values)
+        assert np.all(np.isfinite(w.weights))
+        assert np.max(np.abs(w.weights.sum(axis=1) - 1.0)) <= 1e-12
+
+    check()
