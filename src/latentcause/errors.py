@@ -24,7 +24,7 @@ class DimensionMismatch(LatentCauseError):
 
 
 class NonConvergence(LatentCauseError):
-    """Power iteration failed to stabilize within the iteration budget."""
+    """An iterative solver (power iteration, ARPACK) did not converge."""
 
 
 class RankDeficiency(LatentCauseError):

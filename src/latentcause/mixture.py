@@ -22,11 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.linalg import ArpackError, svds
 
 from .errors import (
     DimensionMismatch,
     EmptyInput,
     InvalidConfig,
+    NonConvergence,
     RankDeficiency,
     UnfittedModel,
 )
@@ -166,7 +168,7 @@ def _as_levels(*views, levels: int | None = None):
             raise DimensionMismatch(f"categorical views must be 1-d, got {arr.shape}")
         if arr.size == 0:
             raise EmptyInput("views contain no samples")
-        whole = arr.dtype.kind in "biu" or np.all(
+        whole = arr.dtype.kind in "biu" or arr.dtype.kind == "f" and np.all(
             np.isfinite(arr) & (np.floor(arr) == arr))
         if not whole or np.any(arr < 0):
             raise InvalidConfig("categorical views must hold nonnegative integers")
@@ -228,8 +230,7 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
     rng = np.random.default_rng(sub_ss)
     feats, bases, anchor_sets = zip(*(_nystrom_features(v, kernel, rng) for v in views))
     lam, raw, priors, means, info = _cross_moment_core(feats, k, power_ss)
-    info["method"] = "crossmoment"
-    info["anchor_count"] = min(n, kernel.landmark_count)
+    info.update(method="crossmoment", anchor_count=min(n, kernel.landmark_count))
     return MixtureEstimate(
         backend="kernel",
         priors=priors,
@@ -256,10 +257,7 @@ def _nystrom_features(view, kernel, rng):
     """
     n = view.shape[0]
     n_a = min(n, kernel.landmark_count)
-    if n_a < n:
-        idx = np.sort(rng.choice(n, size=n_a, replace=False))
-    else:
-        idx = np.arange(n)
+    idx = np.sort(rng.choice(n, size=n_a, replace=False)) if n_a < n else np.arange(n)
     landmarks = view[idx]
     kmm = gram(kernel, landmarks, landmarks)
     vals, vecs = np.linalg.eigh((kmm + kmm.T) / 2.0)
@@ -268,16 +266,28 @@ def _nystrom_features(view, kernel, rng):
     return gram(kernel, view, landmarks) @ basis, basis, landmarks
 
 
-def _pinv_rank(c: np.ndarray, k: int) -> np.ndarray:
-    """Rank-k pseudo-inverse; fails loudly when the k-th singular value dies."""
-    u, s, vt = np.linalg.svd(c, full_matrices=False)
-    if s.shape[0] < k or s[k - 1] < RANK_FLOOR_REL * max(s[0], 1e-300):
-        tail = s[k - 1] if s.shape[0] >= k else 0.0
-        raise RankDeficiency(
-            f"cross-moment singular value {k} is {tail:.3e}; "
-            "views carry fewer than K components"
-        )
-    return vt[:k].T @ (u[:, :k] / s[:k][None, :]).T
+def _top_singular(c: np.ndarray, k: int):
+    """Top k singular triplets (u, s, v) of c, fails loudly when s_k dies.
+
+    ARPACK finds k + 1 triplets where c allows (few one-hot levels take a dense
+    SVD); the margin s_k / s_(k+1) is None without a nonzero (k+1)-th value.
+    """
+    if min(c.shape) > k + 1:
+        v0 = np.random.default_rng(0).standard_normal(min(c.shape))
+        try:
+            u, s, vt = svds(c, k=k + 1, v0=v0, tol=0)
+        except ArpackError as exc:
+            raise NonConvergence(f"truncated SVD of a cross moment failed: {exc}") from exc
+        order = np.argsort(s)[::-1]
+        u, s, vt = u[:, order], s[order], vt[order]
+    else:
+        u, s, vt = np.linalg.svd(c, full_matrices=False)
+    tail = s[k - 1] if s.shape[0] >= k else 0.0
+    if tail < RANK_FLOOR_REL * max(s[0], 1e-300):
+        raise RankDeficiency(f"cross-moment singular value {k} is {tail:.3e}; "
+                             "views carry fewer than K components")
+    margin = float(s[k - 1] / s[k]) if s.shape[0] > k and s[k] > 0 else None
+    return u[:, :k], s[:k], vt[:k].T, margin
 
 
 def _cross_moment_core(feats, k, power_ss):
@@ -286,38 +296,32 @@ def _cross_moment_core(feats, k, power_ss):
     Views 1 and 2 are mapped into view 3's coordinates with the two-view
     cross-moment transformations, after which the problem is symmetric and
     one whitened decomposition recovers priors and all three conditional
-    feature means.
+    feature means. Only c12 = U S V' is formed at feature size: the maps are
+    x1 = (f1 U S^-1)(V' c23) and x2 = (f2 V S^-1)(U' c13), whose cross moment
+    lies in the 2k-dim row span of [V' c23; U' c13], where it is whitened.
     """
     f1, f2, f3 = feats
     n = f1.shape[0]
-    c12 = f1.T @ f2 / n
-    c21 = c12.T
-    c13 = f1.T @ f3 / n
-    c23 = f2.T @ f3 / n
-    c31 = c13.T
-    c32 = c23.T
+    u, s, v, margin = _top_singular(f1.T @ f2 / n, k)
+    g1, g2 = f1 @ u, f2 @ v                          # n x k
+    b1, b2 = g2.T @ f3 / n, g1.T @ f3 / n            # V' c23, U' c13
+    q = np.linalg.qr(np.vstack((b1, b2)).T)[0]       # m3 x 2k orthonormal
+    e1, e2 = b1 @ q / s[:, None], b2 @ q / s[:, None]   # x1 q = g1 e1, x2 q = g2 e2
+    cross = e1.T @ (g1.T @ g2 / n) @ e2
+    whitener = build_whitener(Moment2((cross + cross.T) / 2.0, n), k)
 
-    p1 = c32 @ _pinv_rank(c12, k)
-    p2 = c31 @ _pinv_rank(c21, k)
-    x1 = f1 @ p1.T
-    x2 = f2 @ p2.T
-    m2 = (x1.T @ x2 + x2.T @ x1) / (2.0 * n)
-    whitener = build_whitener(Moment2(m2, n), k)
-
-    t_hat = whitened_third_moment(x1 @ whitener.map, x2 @ whitener.map,
-                                  f3 @ whitener.map)
+    w = q @ whitener.map
+    t_hat = whitened_third_moment(g1 @ (e1 @ whitener.map), g2 @ (e2 @ whitener.map),
+                                  f3 @ w)
     eig = robust_power_method(t_hat, k, seed=power_ss)
     raw, priors = priors_from_lambdas(eig.lambdas)
 
-    unwhiten = whitener.map * whitener.spectrum[None, :]
-    m3 = unwhiten @ (eig.vectors.T * eig.lambdas[None, :])
-    m3_pinv_t = np.linalg.pinv(m3).T
-    m1 = c13 @ m3_pinv_t / priors[None, :]
-    m2v = c23 @ m3_pinv_t / priors[None, :]
-
+    m3 = (w * whitener.spectrum[None, :]) @ (eig.vectors.T * eig.lambdas[None, :])
+    h = f3 @ (np.linalg.pinv(m3).T / (n * priors[None, :]))
     info = {"power_residual": eig.residual,
-            "moment_spectrum": np.sqrt(whitener.spectrum)}
-    return eig.lambdas, raw, priors, [m1, m2v, m3], info
+            "moment_spectrum": np.sqrt(whitener.spectrum),
+            "rank_margin": margin}
+    return eig.lambdas, raw, priors, [f1.T @ h, f2.T @ h, m3], info
 
 
 def fit_discrete_multiview(a1, a2, a3, k: int, seed=0,
@@ -353,8 +357,7 @@ def fit_discrete_multiview(a1, a2, a3, k: int, seed=0,
     power_ss = _root_seq(seed).spawn(1)[0]
     lam, raw, priors, means, info = _cross_moment_core(feats, k, power_ss)
     emissions = tuple(_stochastic_columns(m) for m in means)
-    info["method"] = "discrete_cross_moment"
-    info["levels"] = s
+    info.update(method="discrete_cross_moment", levels=s)
     return MixtureEstimate(
         backend="discrete", priors=priors, priors_raw=raw, lambdas=lam,
         emissions=emissions, seed=_seed_value(seed), diagnostics=info,
@@ -379,7 +382,10 @@ def _checked_views(est: MixtureEstimate, *views):
     """Views checked for the estimate's backend: level arrays or n x d points."""
     if est.backend == "discrete":
         return _as_levels(*views, levels=est.emissions[0].shape[0])[0]
-    return _as_views(*views)
+    zs = _as_views(*views)
+    if zs[0].shape[1] != est.anchors[0].shape[1]:
+        raise DimensionMismatch("views do not match the fitted proxy dimension")
+    return zs
 
 
 def density(est: MixtureEstimate, view: int, component: int, z) -> float:
@@ -474,10 +480,8 @@ def scree_discrete(a1, a2, max_k: int = 10, levels: int | None = None) -> np.nda
     counts = np.zeros((s, s))
     np.add.at(counts, (v1, v2), 1.0)
     c12 = counts / n
-    p1 = c12.sum(axis=1)
-    p2 = c12.sum(axis=0)
-    keep1 = p1 > 0
-    keep2 = p2 > 0
+    p1, p2 = c12.sum(axis=1), c12.sum(axis=0)
+    keep1, keep2 = p1 > 0, p2 > 0
     core = (c12[keep1][:, keep2]
             / np.sqrt(p1[keep1])[:, None] / np.sqrt(p2[keep2])[None, :])
     sv = np.linalg.svd(core, compute_uv=False)

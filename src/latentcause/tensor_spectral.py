@@ -140,10 +140,6 @@ def tensor_contract(t: SymTensor3, v: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,j,k->i", t.entries, v, v)
 
 
-def _tensor_value(entries: np.ndarray, v: np.ndarray) -> float:
-    return float(np.einsum("ijk,i,j,k->", entries, v, v, v))
-
-
 def robust_power_method(t: SymTensor3, k: int,
                         seed: int | np.random.SeedSequence = 0) -> TensorEigenSet:
     """Extract k eigenpairs by restarted power iteration with deflation.
@@ -187,7 +183,7 @@ def robust_power_method(t: SymTensor3, k: int,
                 v = step
             if not converged:
                 continue
-            lam = _tensor_value(work, v)
+            lam = float(np.einsum("ijk,i,j,k->", work, v, v, v))
             if lam < 0.0:
                 lam, v = -lam, -v
             if best_lam is None or lam > best_lam:

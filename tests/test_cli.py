@@ -80,6 +80,7 @@ def test_fit_emits_diagnostics_and_is_deterministic(tmp_path, proxy_csv,
     diagnostics = json.loads(captured.err.strip().splitlines()[-1])
     assert diagnostics["mode"] == "multiproxy" and diagnostics["k"] == 3
     assert abs(sum(diagnostics["priors"]) - 1.0) <= 1e-10
+    assert diagnostics["mixture"]["rank_margin"] >= 1.0
     assert refit.read_bytes() == proxy_model.read_bytes()
 
 

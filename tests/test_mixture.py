@@ -1,10 +1,12 @@
 """Mixture recovery: spectral fits, posteriors, priors, and alignment."""
 
+import dataclasses
 import functools
 import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from latentcause import (
     DimensionMismatch,
@@ -27,6 +29,13 @@ from latentcause import (
     simulate_multitreatment,
     three_cluster_gaussian,
     two_state_discrete,
+)
+from latentcause.mixture import _cross_moment_core, _nystrom_features
+from latentcause.tensor_spectral import (
+    Moment2,
+    build_whitener,
+    robust_power_method,
+    whitened_third_moment,
 )
 
 from frozen import PRIOR_FROM_LAMBDA_TWO
@@ -250,6 +259,36 @@ def _density_of_component(component):
     density(_discrete_fit()[0], 0, component, 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _proxy_fit():
+    data, _ = simulate_multiproxy(three_cluster_gaussian(), 300, seed=5)
+    views = [data[f"z{v}"] for v in (1, 2, 3)]
+    return fit_multiview(*views, 3, kernel=KernelSpec(bandwidth=1.0), seed=0), views
+
+
+def _kernel_posteriors_with_columns(cols):
+    est, views = _proxy_fit()                            # d = 3
+    posteriors(est, *(z[:, :cols] for z in views))
+
+
+def _kernel_density_with_columns(cols):
+    density(_proxy_fit()[0], 0, 0, np.zeros(cols))
+
+
+def _discrete_fit_with_level(bad):
+    _, data = _discrete_fit()
+    a1 = list(data["a1"])                                # a user's plain list
+    a1[4] = bad
+    fit_discrete_multiview(a1, data["a2"], data["a3"], 2, seed=0)
+
+
+def _discrete_posteriors_with_level(bad):
+    est, data = _discrete_fit()
+    a1 = list(data["a1"])
+    a1[4] = bad
+    posteriors(est, a1, data["a2"], data["a3"])
+
+
 @pytest.mark.parametrize("build, bad", [
     (_fit_with_bad_value, np.nan),
     (_fit_with_bad_value, np.inf),
@@ -268,6 +307,12 @@ def _density_of_component(component):
     (_kernel_density_at_bad_point, np.nan),
     (_density_of_view, 3),
     (_density_of_component, 2),                         # K = 2
+    (_kernel_posteriors_with_columns, 2),
+    (_kernel_density_with_columns, 2),
+    (_discrete_fit_with_level, "a"),
+    (_discrete_fit_with_level, None),
+    (_discrete_posteriors_with_level, "a"),
+    (_discrete_posteriors_with_level, None),
 ])
 def test_non_finite_input_raises_typed_error(build, bad):
     with pytest.raises(LatentCauseError):
@@ -294,3 +339,106 @@ def test_discrete_posteriors_score_only_valid_levels():
         assert np.max(np.abs(w.weights.sum(axis=1) - 1.0)) <= 1e-12
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the rank-K cross-moment core against the dense m x m construction
+# ---------------------------------------------------------------------------
+
+def _dense_pinv_rank(c, k):
+    u, s, vt = np.linalg.svd(c, full_matrices=False)
+    if s.shape[0] < k or s[k - 1] < 1e-10 * max(s[0], 1e-300):
+        raise RankDeficiency("views carry fewer than K components")
+    return vt[:k].T @ (u[:, :k] / s[:k][None, :]).T
+
+
+def _dense_cross_moment_core(feats, k, power_ss):
+    """Reference: every cross moment, map and second moment at full size."""
+    f1, f2, f3 = feats
+    n = f1.shape[0]
+    c12 = f1.T @ f2 / n
+    c13 = f1.T @ f3 / n
+    c23 = f2.T @ f3 / n
+    p1 = c23.T @ _dense_pinv_rank(c12, k)
+    p2 = c13.T @ _dense_pinv_rank(c12.T, k)
+    x1 = f1 @ p1.T
+    x2 = f2 @ p2.T
+    m2 = (x1.T @ x2 + x2.T @ x1) / (2.0 * n)
+    whitener = build_whitener(Moment2(m2, n), k)
+    t_hat = whitened_third_moment(x1 @ whitener.map, x2 @ whitener.map,
+                                  f3 @ whitener.map)
+    eig = robust_power_method(t_hat, k, seed=power_ss)
+    _, priors = priors_from_lambdas(eig.lambdas)
+    unwhiten = whitener.map * whitener.spectrum[None, :]
+    m3 = unwhiten @ (eig.vectors.T * eig.lambdas[None, :])
+    m3_pinv_t = np.linalg.pinv(m3).T
+    return (eig.lambdas, priors,
+            [c13 @ m3_pinv_t / priors[None, :], c23 @ m3_pinv_t / priors[None, :], m3])
+
+
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _overlap_features():
+    scenario = dataclasses.replace(three_cluster_gaussian(), proxy_sigma=2.4)
+    data, _ = simulate_multiproxy(scenario, 1500, seed=3)
+    kernel = KernelSpec(bandwidth=1.0)
+    rng = np.random.default_rng(0)
+    return [_nystrom_features(data[f"z{v}"], kernel, rng)[0] for v in (1, 2, 3)], 3
+
+
+def _one_hot_features():
+    data, _ = simulate_multitreatment(two_state_discrete(), 2000, seed=3)
+    eye = np.eye(LEVELS)
+    return [eye[data[f"a{v}"]] for v in (1, 2, 3)], 2
+
+
+@pytest.mark.parametrize("features", [_overlap_features, _one_hot_features])
+def test_rank_k_core_matches_dense_reference(features):
+    feats, k = features()
+    assert min(feats[0].shape[1], feats[1].shape[1]) > k + 1   # the ARPACK branch
+    ss = np.random.SeedSequence(11)
+    lam, _, priors, means, info = _cross_moment_core(feats, k, ss)
+    want_lam, want_priors, want_means = _dense_cross_moment_core(feats, k, ss)
+    assert _relative_gap(priors, want_priors) <= 1e-8
+    assert _relative_gap(lam, want_lam) <= 1e-8
+    for got, want in zip(means, want_means):
+        assert _relative_gap(got, want) <= 1e-8
+    s = np.linalg.svd(feats[0].T @ feats[1] / feats[0].shape[0], compute_uv=False)
+    assert abs(info["rank_margin"] - s[k - 1] / s[k]) <= 1e-8 * s[k - 1] / s[k]
+
+
+def test_rank_margin_is_none_without_a_further_singular_value():
+    rng = np.random.default_rng(16)
+    u = rng.integers(0, 2, size=2000)
+    views = [np.where(rng.random(2000) < 0.8, u, 1 - u) for _ in range(3)]  # S = K
+    est = fit_discrete_multiview(*views, 2, seed=0)
+    assert est.diagnostics["rank_margin"] is None
+
+
+def test_rank_deficient_features_raise_through_truncated_svd(monkeypatch):
+    rng = np.random.default_rng(17)
+    k, n, m = 3, 800, 40
+    hidden = rng.standard_normal((n, k - 1))
+    feats = [hidden @ rng.standard_normal((k - 1, m)) for _ in range(3)]
+    calls = []
+
+    def counting_svds(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svds(*args, **kwargs)
+
+    monkeypatch.setattr("latentcause.mixture.svds", counting_svds)
+    with pytest.raises(RankDeficiency):
+        _cross_moment_core(feats, k, np.random.SeedSequence(0))
+    assert calls == [(m, m)]
+
+
+def test_arpack_failure_surfaces_as_typed_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr("latentcause.mixture.svds", fail)
+    views, _ = symmetric_views([0.5, 0.5], 300, seed=15)
+    with pytest.raises(LatentCauseError):
+        fit_multiview(*views, 2, kernel=KernelSpec(bandwidth=0.6), seed=0)
