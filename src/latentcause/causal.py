@@ -56,13 +56,14 @@ class FeatureMap:
     kind: str
     output_dim: int
     include_constant: bool = True
-    basis: tuple = ()
+    basis: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in FEATURE_KINDS:
             raise InvalidConfig(f"unknown feature map kind {self.kind!r}")
         if not isinstance(self.output_dim, (int, np.integer)) or self.output_dim < 1:
             raise InvalidConfig("output_dim must be a positive integer")
+        object.__setattr__(self, "include_constant", bool(self.include_constant))
         if self.kind == "custom":
             if not self.basis or any(not callable(f) for f in self.basis):
                 raise InvalidConfig("custom maps need a tuple of callables")

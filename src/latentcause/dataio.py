@@ -9,13 +9,14 @@ bytes. Nothing binary: every artifact stays inspectable in a text editor.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 
 from .causal import CausalEstimate, FeatureMap, OutcomeModel, TreatmentModel
-from .errors import InvalidConfig
+from .errors import DimensionMismatch, InvalidConfig
 from .kernels import KernelSpec
 from .mixture import MixtureEstimate
 from .multitreatment import MultiTreatmentModel
@@ -53,33 +54,51 @@ def _multiproxy_header(d: int) -> list[str]:
     return cols + ["a", "y"]
 
 
+def _float_column(data: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(data[key], dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidConfig(f"dataset column {key} must be numeric") from None
+
+
+def _check_values(values: np.ndarray, n_levels: int, path) -> None:
+    """Finite values, the first ``n_levels`` columns nonnegative integer levels."""
+    if not np.all(np.isfinite(values)):
+        raise InvalidConfig(f"{path}: dataset values must be finite")
+    levels = values[:, :n_levels]
+    if np.any(levels < 0) or np.any(levels != np.round(levels)):
+        raise InvalidConfig(f"{path}: treatment levels must be nonnegative integers")
+
+
 def write_dataset(path, data: dict, mode: str | None = None) -> None:
-    """Write one dataset as CSV; the column layout encodes the mode."""
+    """Write one dataset as CSV; the column layout encodes the mode.
+
+    The columns are checked before the file is opened: one row count, finite
+    values, and nonnegative integer treatment levels.
+    """
     mode = mode if mode is not None else dataset_mode(data)
-    path = Path(path)
     if mode == "multiproxy":
-        views = [np.asarray(data[k], dtype=float) for k in ("z1", "z2", "z3")]
+        views = [_float_column(data, k) for k in ("z1", "z2", "z3")]
         views = [v[:, None] if v.ndim == 1 else v for v in views]
-        a = np.asarray(data["a"], dtype=float).ravel()
-        y = np.asarray(data["y"], dtype=float).ravel()
-        d = views[0].shape[1]
-        header = _multiproxy_header(d)
-        rows = (
-            [_fmt(x) for v in views for x in v[i]] + [_fmt(a[i]), _fmt(y[i])]
-            for i in range(a.shape[0])
-        )
+        if any(v.ndim != 2 or v.shape != views[0].shape for v in views):
+            raise DimensionMismatch(f"views must share one n x d shape, got "
+                                    f"{[v.shape for v in views]}")
+        header = _multiproxy_header(views[0].shape[1])
+        columns = views + [_float_column(data, k).reshape(-1, 1) for k in ("a", "y")]
     elif mode == "multitreatment":
-        treats = [np.asarray(data[k]).ravel() for k in ("a1", "a2", "a3")]
-        y = np.asarray(data["y"], dtype=float).ravel()
         header = list(_MULTITREATMENT_KEYS)
-        rows = (
-            [str(int(treats[0][i])), str(int(treats[1][i])),
-             str(int(treats[2][i])), _fmt(y[i])]
-            for i in range(y.shape[0])
-        )
+        columns = [_float_column(data, k).reshape(-1, 1) for k in header]
     else:
         raise InvalidConfig(f"unknown dataset mode {mode!r}")
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    if any(c.shape[0] != columns[0].shape[0] for c in columns):
+        raise DimensionMismatch(f"columns disagree on the row count: "
+                                f"{[c.shape[0] for c in columns]}")
+    values = np.hstack(columns)
+    n_levels = 3 if mode == "multitreatment" else 0
+    _check_values(values, n_levels, path)
+    rows = ([str(int(x)) for x in row[:n_levels]] + [_fmt(x) for x in row[n_levels:]]
+            for row in values)
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -121,13 +140,10 @@ def read_dataset(path) -> tuple[dict, str]:
         ).reshape(len(rows), width)
     except ValueError as exc:
         raise InvalidConfig(f"non-numeric value in {path}: {exc}") from None
-    if not np.all(np.isfinite(values)):
-        raise InvalidConfig(f"{path} contains non-finite values")
+    _check_values(values, 3 if mode == "multitreatment" else 0, path)
 
     if mode == "multitreatment":
         treats = values[:, :3]
-        if np.any(treats != np.round(treats)) or np.any(treats < 0):
-            raise InvalidConfig("treatment levels must be nonnegative integers")
         data = {
             "a1": treats[:, 0].astype(int),
             "a2": treats[:, 1].astype(int),
@@ -147,55 +163,112 @@ def read_dataset(path) -> tuple[dict, str]:
 
 
 # ---------------------------------------------------------------------------
-# scenario configs and ground-truth sidecars
+# models, scenario configs and ground-truth sidecars
 # ---------------------------------------------------------------------------
+#
+# A saved model or scenario holds its dataclass fields under their own names,
+# nested dataclasses as objects, and leaves out fields that are None; each
+# type's __post_init__ checks and coerces what a file gives it.
+
+_MODELS = {"multiproxy": CausalEstimate, "multitreatment": MultiTreatmentModel}
+_SCENARIOS = {"multiproxy": MultiProxyScenario,
+              "multitreatment": MultiTreatmentScenario}
+_NESTED = {"mixture": MixtureEstimate, "kernel": KernelSpec,
+           "treatment": TreatmentModel, "outcome": OutcomeModel,
+           "feature_map": FeatureMap, "xi_map": FeatureMap}
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if obj is None or isinstance(obj, (str, bool)):
+        return obj
+    raise InvalidConfig(f"cannot serialize {type(obj).__name__} values")
+
+
+def _to_doc(obj):
+    """A dataclass as {field: value}, nested ones as dicts, None fields left out."""
+    if not dataclasses.is_dataclass(obj):
+        return obj
+    if isinstance(obj, FeatureMap) and obj.kind == "custom":
+        raise InvalidConfig("custom feature maps cannot be saved to a model file")
+    values = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    return {name: _to_doc(v) for name, v in values if v is not None}
+
+
+def _from_doc(cls, doc):
+    """``cls(**doc)``, with the nested dataclass keys decoded first."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{cls.__name__} needs a JSON object, got {type(doc).__name__}")
+    return cls(**{k: _from_doc(_NESTED[k], v) if k in _NESTED else v
+                  for k, v in doc.items()})
+
+
+def _mode(table, obj, what) -> str:
+    for mode, cls in table.items():
+        if isinstance(obj, cls):
+            return mode
+    raise InvalidConfig(f"not {what}: {type(obj).__name__}")
+
+
+def _object(doc, what) -> dict:
+    """A shallow copy of a JSON object; any other JSON value is malformed."""
+    if not isinstance(doc, dict):
+        raise InvalidConfig(f"malformed {what} document: expected a JSON object, "
+                            f"got {type(doc).__name__}")
+    return dict(doc)
+
+
+def _decode(table, fields: dict, what):
+    """The class ``fields["mode"]`` names in ``table``, built from the other keys."""
+    mode = fields.pop("mode", None)
+    try:
+        if mode not in table:
+            raise ValueError(f"unknown mode {mode!r}")
+        return _from_doc(table[mode], fields)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"malformed {what} document: {exc}") from None
+
 
 def scenario_to_dict(scenario) -> dict:
-    if isinstance(scenario, MultiProxyScenario):
-        return {
-            "mode": "multiproxy",
-            "priors": scenario.priors.tolist(),
-            "means": [m.tolist() for m in scenario.means],
-            "proxy_sigma": scenario.proxy_sigma,
-            "alpha": scenario.alpha.tolist(),
-            "treatment_var": scenario.treatment_var.tolist(),
-            "beta": scenario.beta.tolist(),
-            "outcome_sigma": scenario.outcome_sigma,
-        }
-    if isinstance(scenario, MultiTreatmentScenario):
-        return {
-            "mode": "multitreatment",
-            "priors": scenario.priors.tolist(),
-            "emissions": [e.tolist() for e in scenario.emissions],
-            "gamma": scenario.gamma.tolist(),
-            "noise_sigma": scenario.noise_sigma,
-        }
-    raise InvalidConfig(f"not a scenario: {type(scenario).__name__}")
+    mode = _mode(_SCENARIOS, scenario, "a scenario")
+    return _jsonable({"mode": mode, **_to_doc(scenario)})
 
 
 def scenario_from_dict(doc: dict):
-    mode = doc.get("mode")
-    try:
-        if mode == "multiproxy":
-            return MultiProxyScenario(
-                priors=np.asarray(doc["priors"], dtype=float),
-                means=tuple(np.asarray(m, dtype=float) for m in doc["means"]),
-                proxy_sigma=float(doc["proxy_sigma"]),
-                alpha=np.asarray(doc["alpha"], dtype=float),
-                treatment_var=np.asarray(doc["treatment_var"], dtype=float),
-                beta=np.asarray(doc["beta"], dtype=float),
-                outcome_sigma=float(doc.get("outcome_sigma", 1.0)),
-            )
-        if mode == "multitreatment":
-            return MultiTreatmentScenario(
-                priors=np.asarray(doc["priors"], dtype=float),
-                emissions=tuple(np.asarray(e, dtype=float) for e in doc["emissions"]),
-                gamma=np.asarray(doc["gamma"], dtype=float),
-                noise_sigma=float(doc.get("noise_sigma", 1.0)),
-            )
-    except KeyError as exc:
-        raise InvalidConfig(f"scenario config is missing {exc}") from None
-    raise InvalidConfig(f"scenario config needs a known mode, got {mode!r}")
+    return _decode(_SCENARIOS, _object(doc, "scenario"), "scenario")
+
+
+def model_to_dict(model) -> dict:
+    """Schema-versioned plain-dict form of a fitted pipeline."""
+    mode = _mode(_MODELS, model, "a saveable model")
+    return _jsonable({"schema_version": SCHEMA_VERSION, "mode": mode,
+                      **_to_doc(model)})
+
+
+def model_from_dict(doc: dict):
+    """Rebuild a fitted pipeline from its plain-dict form."""
+    fields = _object(doc, "model")
+    version = fields.pop("schema_version", None)
+    if version != SCHEMA_VERSION:
+        raise InvalidConfig(f"unsupported model schema version {version!r}")
+    return _decode(_MODELS, fields, "model")
+
+
+def save_model(path, model) -> None:
+    _dump_json(path, model_to_dict(model))
+
+
+def load_model(path):
+    return model_from_dict(_load_json(path))
 
 
 def truth_path(dataset_path) -> Path:
@@ -215,197 +288,17 @@ def write_truth(path, scenario, labels, seed: int, n: int) -> None:
 
 
 def read_truth(path) -> dict:
-    doc = _load_json(path)
+    doc = _object(_load_json(path), "truth")
     doc["scenario"] = scenario_from_dict(doc.get("scenario", {}))
-    doc["labels"] = np.asarray(doc.get("labels", []), dtype=int)
-    return doc
-
-
-# ---------------------------------------------------------------------------
-# model artifacts
-# ---------------------------------------------------------------------------
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if obj is None or isinstance(obj, (str, bool)):
-        return obj
-    raise InvalidConfig(f"cannot serialize {type(obj).__name__} values")
-
-
-def _feature_map_to_dict(fm: FeatureMap) -> dict:
-    if fm.kind == "custom":
-        raise InvalidConfig("custom feature maps cannot be saved to a model file")
-    return {
-        "kind": fm.kind,
-        "output_dim": int(fm.output_dim),
-        "include_constant": bool(fm.include_constant),
-    }
-
-
-def _feature_map_from_dict(doc: dict) -> FeatureMap:
-    return FeatureMap(
-        kind=doc["kind"],
-        output_dim=int(doc["output_dim"]),
-        include_constant=bool(doc.get("include_constant", True)),
-    )
-
-
-def _mixture_to_dict(est: MixtureEstimate) -> dict:
-    doc = {
-        "backend": est.backend,
-        "priors": est.priors.tolist(),
-        "priors_raw": est.priors_raw.tolist(),
-        "lambdas": est.lambdas.tolist(),
-        "density_floor": float(est.density_floor),
-        "seed": est.seed,
-        "diagnostics": _jsonable(est.diagnostics),
-    }
-    if est.backend == "kernel":
-        doc["kernel"] = {
-            "family": est.kernel.family,
-            "bandwidth": est.kernel.bandwidth,
-            "rule": est.kernel.rule,
-            "power_c": est.kernel.power_c,
-            "power_b": est.kernel.power_b,
-            "landmark_count": est.kernel.landmark_count,
-        }
-        doc["anchors"] = [a.tolist() for a in est.anchors]
-        doc["coefficients"] = [c.tolist() for c in est.coefficients]
-    else:
-        doc["emissions"] = [e.tolist() for e in est.emissions]
-    return doc
-
-
-def _mixture_from_dict(doc: dict) -> MixtureEstimate:
-    backend = doc["backend"]
-    common = dict(
-        backend=backend,
-        priors=np.asarray(doc["priors"], dtype=float),
-        priors_raw=np.asarray(doc["priors_raw"], dtype=float),
-        lambdas=np.asarray(doc["lambdas"], dtype=float),
-        density_floor=float(doc["density_floor"]),
-        seed=doc.get("seed"),
-        diagnostics=doc.get("diagnostics", {}),
-    )
-    if backend == "kernel":
-        kd = doc["kernel"]
-        return MixtureEstimate(
-            kernel=KernelSpec(
-                family=kd["family"],
-                bandwidth=kd["bandwidth"],
-                rule=kd["rule"],
-                power_c=kd["power_c"],
-                power_b=kd["power_b"],
-                landmark_count=int(kd["landmark_count"]),
-            ),
-            anchors=tuple(np.asarray(a, dtype=float) for a in doc["anchors"]),
-            coefficients=tuple(np.asarray(c, dtype=float)
-                               for c in doc["coefficients"]),
-            **common,
-        )
-    return MixtureEstimate(
-        emissions=tuple(np.asarray(e, dtype=float) for e in doc["emissions"]),
-        **common,
-    )
-
-
-def model_to_dict(model) -> dict:
-    """Schema-versioned plain-dict form of a fitted pipeline."""
-    if isinstance(model, CausalEstimate):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "mode": "multiproxy",
-            "mixture": _mixture_to_dict(model.mixture),
-            "treatment": {
-                "alpha": model.treatment.alpha.tolist(),
-                "sigma2": model.treatment.sigma2.tolist(),
-                "family": model.treatment.family,
-                "feature_map": _feature_map_to_dict(model.treatment.feature_map),
-                "diagnostics": _jsonable(model.treatment.diagnostics),
-            },
-            "outcome": {
-                "beta": model.outcome.beta.tolist(),
-                "feature_map": _feature_map_to_dict(model.outcome.feature_map),
-                "diagnostics": _jsonable(model.outcome.diagnostics),
-            },
-            "z_feature_means": model.z_feature_means.tolist(),
-            "diagnostics": _jsonable(model.diagnostics),
-        }
-    if isinstance(model, MultiTreatmentModel):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "mode": "multitreatment",
-            "mixture": _mixture_to_dict(model.mixture),
-            "gamma": model.gamma.tolist(),
-            "xi_map": _feature_map_to_dict(model.xi_map),
-            "diagnostics": _jsonable(model.diagnostics),
-        }
-    raise InvalidConfig(f"not a saveable model: {type(model).__name__}")
-
-
-def model_from_dict(doc: dict):
-    """Rebuild a fitted pipeline from its plain-dict form."""
     try:
-        version = doc["schema_version"]
-        if version != SCHEMA_VERSION:
-            raise InvalidConfig(f"unsupported model schema version {version!r}")
-        mode = doc["mode"]
-        if mode == "multiproxy":
-            return CausalEstimate(
-                mixture=_mixture_from_dict(doc["mixture"]),
-                treatment=TreatmentModel(
-                    alpha=np.asarray(doc["treatment"]["alpha"], dtype=float),
-                    sigma2=np.asarray(doc["treatment"]["sigma2"], dtype=float),
-                    family=doc["treatment"]["family"],
-                    feature_map=_feature_map_from_dict(
-                        doc["treatment"]["feature_map"]
-                    ),
-                    diagnostics=doc["treatment"].get("diagnostics", {}),
-                ),
-                outcome=OutcomeModel(
-                    beta=np.asarray(doc["outcome"]["beta"], dtype=float),
-                    feature_map=_feature_map_from_dict(
-                        doc["outcome"]["feature_map"]
-                    ),
-                    diagnostics=doc["outcome"].get("diagnostics", {}),
-                ),
-                z_feature_means=np.asarray(doc["z_feature_means"], dtype=float),
-                diagnostics=doc.get("diagnostics", {}),
-            )
-        if mode == "multitreatment":
-            return MultiTreatmentModel(
-                mixture=_mixture_from_dict(doc["mixture"]),
-                gamma=np.asarray(doc["gamma"], dtype=float),
-                xi_map=_feature_map_from_dict(doc["xi_map"]),
-                diagnostics=doc.get("diagnostics", {}),
-            )
-        raise InvalidConfig(f"unknown model mode {mode!r}")
-    except (KeyError, TypeError) as exc:
-        raise InvalidConfig(f"malformed model document: {exc!r}") from None
-
-
-def save_model(path, model) -> None:
-    _dump_json(path, model_to_dict(model))
-
-
-def load_model(path):
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise InvalidConfig(f"{path} does not hold a model document")
-    return model_from_dict(doc)
+        doc["labels"] = np.asarray(doc.get("labels", []), dtype=int)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"malformed truth document: {exc}") from None
+    return doc
 
 
 def _dump_json(path, doc) -> None:
-    text = json.dumps(_jsonable(doc), indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

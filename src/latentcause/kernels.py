@@ -40,6 +40,7 @@ class KernelSpec:
             raise InvalidConfig(f"bandwidth must be positive, got {self.bandwidth}")
         if self.rule not in ("median_heuristic", "power_rule"):
             raise InvalidConfig(f"unknown bandwidth rule: {self.rule!r}")
+        object.__setattr__(self, "landmark_count", int(self.landmark_count))
         if self.landmark_count < 1:
             raise InvalidConfig("landmark_count must be at least 1")
 

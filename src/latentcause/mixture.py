@@ -75,18 +75,41 @@ class MixtureEstimate:
     def __post_init__(self):
         if self.backend not in ("kernel", "discrete"):
             raise InvalidConfig(f"unknown backend {self.backend!r}")
-        p = np.asarray(self.priors, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise DimensionMismatch("priors must be a nonempty vector")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-10:
+        for name in ("priors", "priors_raw", "lambdas"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name in ("anchors", "coefficients", "emissions"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(
+                    np.asarray(a, dtype=float) for a in getattr(self, name)))
+        object.__setattr__(self, "density_floor", float(self.density_floor))
+        p = self.priors
+        if p.ndim != 1 or p.size == 0 or not (
+                p.shape == self.priors_raw.shape == self.lambdas.shape):
+            raise DimensionMismatch("priors, priors_raw and lambdas must be "
+                                    "nonempty vectors of one length")
+        if not np.all(p >= 0) or abs(p.sum() - 1.0) > 1e-10:
             raise InvalidConfig("priors must be nonnegative and sum to 1")
-        if self.backend == "kernel":
-            if self.kernel is None or self.anchors is None or self.coefficients is None:
-                raise UnfittedModel("kernel backend needs kernel, anchors, coefficients")
-        elif self.emissions is None:
-            raise UnfittedModel("discrete backend needs emission matrices")
         if not self.density_floor > 0:
             raise InvalidConfig("density_floor must be positive")
+        k = p.shape[0]
+        if self.backend == "kernel":
+            anchors, coefs = self.anchors, self.coefficients
+            if self.kernel is None or anchors is None or coefs is None:
+                raise UnfittedModel("kernel backend needs kernel, anchors, coefficients")
+            if (len(anchors) != 3 or len(coefs) != 3
+                    or any(a.ndim != 2 or a.shape[1:] != anchors[0].shape[1:]
+                           for a in anchors)
+                    or any(c.shape != (k,) + a.shape[:1] for c, a in zip(coefs, anchors))):
+                raise DimensionMismatch("need three m_v x d anchor sets and three "
+                                        f"{k} x m_v coefficient blocks")
+        else:
+            ems = self.emissions
+            if ems is None:
+                raise UnfittedModel("discrete backend needs emission matrices")
+            if len(ems) != 3 or any(e.shape != ems[0].shape[:1] + (k,) for e in ems):
+                raise DimensionMismatch(f"need three S x {k} emission matrices")
+            if not all(np.all(np.isfinite(e) & (e >= 0)) for e in ems):
+                raise InvalidConfig("emission entries must be finite and nonnegative")
 
     @property
     def n_components(self) -> int:

@@ -69,6 +69,8 @@ class MultiProxyScenario:
             raise DimensionMismatch(f"beta must be {k} x {2 + d}, got {beta.shape}")
         if tvar.shape != (k,) or np.any(tvar <= 0):
             raise InvalidConfig("treatment variances must be positive, one per state")
+        object.__setattr__(self, "proxy_sigma", float(self.proxy_sigma))
+        object.__setattr__(self, "outcome_sigma", float(self.outcome_sigma))
         if not self.proxy_sigma > 0 or not self.outcome_sigma > 0:
             raise InvalidConfig("noise scales must be positive")
         object.__setattr__(self, "priors", p)
@@ -113,6 +115,7 @@ class MultiTreatmentScenario:
         g = np.asarray(self.gamma, dtype=float)
         if g.shape != (k, 4):
             raise DimensionMismatch(f"gamma must be {k} x 4, got {g.shape}")
+        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
         if not self.noise_sigma > 0:
             raise InvalidConfig("noise scale must be positive")
         object.__setattr__(self, "priors", p)

@@ -131,6 +131,26 @@ def test_estimate_rejects_malformed_model(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "malformed model" in err
 
+    data, _ = simulate_multitreatment(two_state_discrete(), 1000, seed=0)
+    model = fit_multitreatment(data["a1"], data["a2"], data["a3"], data["y"],
+                               2, seed=0)
+    good = tmp_path / "good.json"
+    save_model(good, model)
+    edits = [(("mixture", "priors", 0), "half", "malformed model"),
+             (("gamma", 0, 0), "x", "malformed model"),
+             (("mixture", "emissions", 0, 0), [0.5], "malformed model"),
+             (("xi_map", "output_dim"), "four", "output_dim")]
+    for keys, value, message in edits:
+        doc = json.loads(good.read_text())
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        bad.write_text(json.dumps(doc))
+        assert main(["estimate", "--model", str(bad), "ate",
+                     "--a", "1", "1", "1"]) == 2, keys
+        assert message in capsys.readouterr().err, keys
+
 
 def test_rank_selects_three_clusters(proxy_csv, tmp_path, capsys):
     capsys.readouterr()

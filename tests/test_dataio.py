@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from latentcause import (
+    DimensionMismatch,
     InvalidConfig,
     KernelSpec,
     custom_feature_map,
@@ -81,6 +82,28 @@ def test_empty_dataset_round_trip(tmp_path):
     assert back["a"].shape == (0,)
 
 
+def test_write_dataset_checks_columns_before_writing(tmp_path):
+    views = {"z1": np.zeros((3, 1)), "z2": np.zeros((3, 1)), "z3": np.zeros((3, 1)),
+             "a": np.zeros(3)}
+    nan_view = {**views, "z1": np.array([[0.0], [np.nan], [0.0]]), "y": np.zeros(3)}
+    cases = [
+        ({**views, "y": np.zeros(2)}, DimensionMismatch),
+        ({**views, "y": np.zeros(4)}, DimensionMismatch),
+        ({**views, "z2": np.zeros((3, 2)), "y": np.zeros(3)}, DimensionMismatch),
+        (nan_view, InvalidConfig),
+        ({**views, "y": ["a", "b", "c"]}, InvalidConfig),
+        ({"a1": np.array([2.7]), "a2": np.array([0]), "a3": np.array([1]),
+          "y": np.zeros(1)}, InvalidConfig),
+        ({"a1": np.array([-1]), "a2": np.array([0]), "a3": np.array([1]),
+          "y": np.zeros(1)}, InvalidConfig),
+    ]
+    for i, (data, error) in enumerate(cases):
+        path = tmp_path / f"bad{i}.csv"
+        with pytest.raises(error):
+            write_dataset(path, data)
+        assert not path.exists()
+
+
 def test_read_dataset_rejects_malformed_files(tmp_path):
     bad_header = tmp_path / "h.csv"
     bad_header.write_text("w1,w2\n1,2\n")
@@ -117,6 +140,20 @@ def test_model_round_trip_multiproxy(tmp_path, proxy_case):
     save_model(again, loaded)
     assert path.read_bytes() == again.read_bytes()
 
+    # a SeedSequence seed is not a number, so the file leaves the key out
+    seeded = fit_effects(data, fit_multiview(
+        data["z1"][:600], data["z2"][:600], data["z3"][:600], 3,
+        kernel=KernelSpec(bandwidth=1.0, landmark_count=200),
+        seed=np.random.SeedSequence(3)))
+    path = tmp_path / "seq.json"
+    save_model(path, seeded)
+    assert "seed" not in json.loads(path.read_text())["mixture"]
+    loaded = load_model(path)
+    assert loaded.mixture.seed is None
+    assert estimate_ate(loaded, 1.0) == estimate_ate(seeded, 1.0)
+    save_model(again, loaded)
+    assert path.read_bytes() == again.read_bytes()
+
 
 def test_model_round_trip_multitreatment(tmp_path, discrete_case):
     _, data, _ = discrete_case
@@ -142,13 +179,50 @@ def test_model_document_is_schema_versioned(discrete_case):
     assert np.array_equal(round_tripped.gamma, model.gamma)
 
 
-def test_malformed_model_documents_rejected():
+def test_malformed_model_documents_rejected(tmp_path, discrete_case):
     with pytest.raises(InvalidConfig):
         model_from_dict({"schema_version": 1})
     with pytest.raises(InvalidConfig):
         model_from_dict({"schema_version": 99, "mode": "multiproxy"})
     with pytest.raises(InvalidConfig):
         model_from_dict({"schema_version": 1, "mode": "bogus"})
+    with pytest.raises(InvalidConfig):
+        model_from_dict([1, 2])
+
+    _, data, _ = discrete_case
+    doc = model_to_dict(fit_multitreatment(data["a1"], data["a2"], data["a3"],
+                                           data["y"], 2, seed=0))
+
+    ems = doc["mixture"]["emissions"]
+    cases = [
+        (("mixture", "priors", 0), "half", InvalidConfig),
+        (("gamma", 0, 0), "x", InvalidConfig),
+        (("xi_map", "output_dim"), "four", InvalidConfig),
+        (("mixture", "bogus"), 1, InvalidConfig),              # unknown key
+        (("mixture", "emissions", 0, 0), [0.5], InvalidConfig),  # ragged
+        (("mixture", "emissions"), [[row[:1] for row in e] for e in ems],
+         DimensionMismatch),                                   # S x 1 for K = 2
+        (("mixture", "emissions"), ems[:2], DimensionMismatch),
+        (("mixture", "emissions", 1, 0, 0), -0.1, InvalidConfig),
+        (("xi_map",), [1, 2], InvalidConfig),
+    ]
+    path = tmp_path / "bad.json"
+    for keys, value, error in cases:
+        bad = json.loads(json.dumps(doc))
+        target = bad
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        with pytest.raises(error):
+            model_from_dict(bad)
+        path.write_text(json.dumps(bad))
+        with pytest.raises(error):
+            load_model(path)
+
+    listed = tmp_path / "list.truth.json"
+    listed.write_text("[1, 2]")
+    with pytest.raises(InvalidConfig):
+        read_truth(listed)
 
 
 def test_custom_feature_map_models_refuse_serialization(proxy_case, tmp_path):
@@ -177,6 +251,13 @@ def test_truth_sidecar_round_trip(tmp_path):
     assert np.array_equal(restored_mt.gamma, mt.gamma)
     for v in range(3):
         assert np.array_equal(restored_mt.emissions[v], mt.emissions[v])
+
+    config = scenario_to_dict(scenario)
+    config["proxy_sigma"] = 2
+    restored = scenario_from_dict(json.loads(json.dumps(config)))
+    assert type(restored.proxy_sigma) is float and restored.proxy_sigma == 2.0
+    rebuilt = dataclasses.replace(scenario, proxy_sigma=2)
+    assert json.dumps(scenario_to_dict(rebuilt)["proxy_sigma"]) == "2.0"
 
 
 def test_scenario_dict_rejects_unknown_mode():

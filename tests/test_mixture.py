@@ -289,6 +289,30 @@ def _discrete_posteriors_with_level(bad):
     posteriors(est, a1, data["a2"], data["a3"])
 
 
+def _discrete_estimate_with(emissions):
+    est, _ = _discrete_fit()
+    ems = est.emissions
+    dataclasses.replace(est, emissions={
+        "one_column": tuple(e[:, :1] for e in ems),
+        "two_views": ems[:2],
+        "mixed_levels": (ems[0], ems[1][:-1], ems[2]),
+        "negative": (ems[0], -ems[1], ems[2]),
+        "nan": (ems[0], ems[1] * np.nan, ems[2]),
+    }[emissions])
+
+
+def _kernel_estimate_with(parts):
+    est, _ = _proxy_fit()
+    an, co = est.anchors, est.coefficients
+    dataclasses.replace(est, **{
+        "two_views": dict(anchors=an[:2], coefficients=co[:2]),
+        "mixed_dims": dict(anchors=(an[0], an[1][:, :2], an[2])),
+        "short_block": dict(coefficients=(co[0], co[1][:, :-1], co[2])),
+        "k_minus_1_rows": dict(coefficients=tuple(c[:2] for c in co)),
+        "short_lambdas": dict(lambdas=est.lambdas[:2]),
+    }[parts])
+
+
 @pytest.mark.parametrize("build, bad", [
     (_fit_with_bad_value, np.nan),
     (_fit_with_bad_value, np.inf),
@@ -313,6 +337,16 @@ def _discrete_posteriors_with_level(bad):
     (_discrete_fit_with_level, None),
     (_discrete_posteriors_with_level, "a"),
     (_discrete_posteriors_with_level, None),
+    (_discrete_estimate_with, "one_column"),
+    (_discrete_estimate_with, "two_views"),
+    (_discrete_estimate_with, "mixed_levels"),
+    (_discrete_estimate_with, "negative"),
+    (_discrete_estimate_with, "nan"),
+    (_kernel_estimate_with, "two_views"),
+    (_kernel_estimate_with, "mixed_dims"),
+    (_kernel_estimate_with, "short_block"),
+    (_kernel_estimate_with, "k_minus_1_rows"),
+    (_kernel_estimate_with, "short_lambdas"),
 ])
 def test_non_finite_input_raises_typed_error(build, bad):
     with pytest.raises(LatentCauseError):
