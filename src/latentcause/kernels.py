@@ -40,6 +40,15 @@ class KernelSpec:
             raise InvalidConfig(f"bandwidth must be positive, got {self.bandwidth}")
         if self.rule not in ("median_heuristic", "power_rule"):
             raise InvalidConfig(f"unknown bandwidth rule: {self.rule!r}")
+        for name in ("power_c", "power_b"):
+            try:
+                value = float(getattr(self, name))
+            except (TypeError, ValueError):
+                raise InvalidConfig(f"{name} must be a number, got "
+                                    f"{getattr(self, name)!r}") from None
+            if not (np.isfinite(value) and value > 0):
+                raise InvalidConfig(f"{name} must be finite and positive, got {value}")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "landmark_count", int(self.landmark_count))
         if self.landmark_count < 1:
             raise InvalidConfig("landmark_count must be at least 1")
@@ -86,10 +95,12 @@ def power_rule_bandwidth(c: float, b: float, n: int, d: int) -> float:
 
 
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    xx = np.sum(x * x, axis=1)[:, None]
-    yy = np.sum(y * y, axis=1)[None, :]
-    sq = xx + yy - 2.0 * (x @ y.T)
-    return np.maximum(sq, 0.0)
+    """Clamped squared distances, built in the one array ``x @ y.T`` allocates."""
+    sq = x @ y.T
+    sq *= -2.0
+    sq += np.sum(x * x, axis=1)[:, None]
+    sq += np.sum(y * y, axis=1)[None, :]
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def gram(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -98,5 +109,6 @@ def gram(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise InvalidConfig("bandwidth not resolved; call KernelSpec.resolve first")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    s2 = kernel.bandwidth ** 2
-    return np.exp(_sq_dists(x, y) / (-2.0 * s2))
+    sq = _sq_dists(x, y)
+    sq /= -2.0 * kernel.bandwidth ** 2
+    return np.exp(sq, out=sq)

@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpstrf, dtrtri
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import ArpackError, svds
 
@@ -236,9 +237,9 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
                   seed=0) -> MixtureEstimate:
     """Mixture fit allowing each view its own component distributions.
 
-    Maps views 1 and 2 into view 3's coordinate system through Nystroem
-    features and the two-view cross-moment transformations, then runs one
-    whitened decomposition; it handles arbitrarily view-specific components,
+    Maps views 1 and 2 into view 3's coordinate system through factored
+    Nystroem features and the two-view cross-moment transformations, then
+    runs one whitened decomposition; it handles arbitrarily view-specific components,
     and identically distributed views are the special case. It raises
     RankDeficiency when the views do not carry k components. Deterministic
     for a fixed seed.
@@ -251,9 +252,11 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
     kernel = kernel.resolve(np.vstack(views), n, np.random.default_rng(band_ss))
 
     rng = np.random.default_rng(sub_ss)
-    feats, bases, anchor_sets = zip(*(_nystrom_features(v, kernel, rng) for v in views))
-    lam, raw, priors, means, info = _cross_moment_core(feats, k, power_ss)
-    info.update(method="crossmoment", anchor_count=min(n, kernel.landmark_count))
+    grams, factors, anchor_sets = zip(*(_nystrom_features(v, kernel, rng) for v in views))
+    lam, raw, priors, means, info = _cross_moment_core(list(zip(grams, factors)), k,
+                                                       power_ss)
+    info.update(method="crossmoment", anchor_count=min(n, kernel.landmark_count),
+                landmark_rank=[a.shape[0] for a in anchor_sets])
     return MixtureEstimate(
         backend="kernel",
         priors=priors,
@@ -261,7 +264,7 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
         lambdas=lam,
         kernel=kernel,
         anchors=anchor_sets,
-        coefficients=tuple((b @ m).T for b, m in zip(bases, means)),
+        coefficients=tuple((a @ m).T for a, m in zip(factors, means)),
         seed=_seed_value(seed),
         diagnostics=info,
     )
@@ -272,21 +275,26 @@ fit_symmetric_spectral = fit_multiview
 
 
 def _nystrom_features(view, kernel, rng):
-    """Whitened landmark features for one view: (features, basis, landmarks).
+    """Whitened landmark features of one view, factored: (gram, factor, anchors).
 
-    The basis diagonalizes the landmark gram and rescales by inverse root
-    eigenvalues, so the features have near-identity second moment and the
-    view's density coefficients are ``basis @ feature_means``.
+    The features are ``gram @ factor`` and are never multiplied out. A pivoted
+    Cholesky of the landmark gram stops at the first pivot at or below
+    RANK_FLOOR_REL (the kernel diagonal is 1); its r pivot landmarks are the
+    anchors, ``gram`` is the n x r kernel against them and ``factor`` the
+    inverse transpose of the r x r triangle. The features then have identity
+    second moment over the anchors, and the view's density coefficients are
+    ``factor @ feature_means``.
     """
     n = view.shape[0]
     n_a = min(n, kernel.landmark_count)
     idx = np.sort(rng.choice(n, size=n_a, replace=False)) if n_a < n else np.arange(n)
     landmarks = view[idx]
     kmm = gram(kernel, landmarks, landmarks)
-    vals, vecs = np.linalg.eigh((kmm + kmm.T) / 2.0)
-    keep = vals > max(float(vals[-1]), 0.0) * RANK_FLOOR_REL
-    basis = vecs[:, keep] / np.sqrt(vals[keep])[None, :]
-    return gram(kernel, view, landmarks) @ basis, basis, landmarks
+    chol, piv, r, _ = dpstrf(kmm, lower=1, tol=RANK_FLOOR_REL)
+    keep = piv[:r] - 1
+    inv_l = dtrtri(np.tril(chol[:r, :r]), lower=1)[0]    # dpstrf keeps kmm's upper part
+    k_v = kmm[:, keep] if n_a == n else gram(kernel, view, landmarks[keep])
+    return k_v, inv_l.T, landmarks[keep]
 
 
 def _top_singular(c: np.ndarray, k: int):
@@ -313,48 +321,57 @@ def _top_singular(c: np.ndarray, k: int):
     return u[:, :k], s[:k], vt[:k].T, margin
 
 
-def _cross_moment_core(feats, k, power_ss):
+def _cross_moment(view1, view2):
+    """(k1 a1)'(k2 a2) / n for two factored views, without forming either."""
+    (k1, a1), (k2, a2) = view1, view2
+    return a1.T @ (k1.T @ k2 / k1.shape[0]) @ a2
+
+
+def _cross_moment_core(views, k, power_ss):
     """Shared third-order decomposition over arbitrary per-view features.
 
-    Views 1 and 2 are mapped into view 3's coordinates with the two-view
-    cross-moment transformations, after which the problem is symmetric and
-    one whitened decomposition recovers priors and all three conditional
-    feature means. Only c12 = U S V' is formed at feature size: the maps are
-    x1 = (f1 U S^-1)(V' c23) and x2 = (f2 V S^-1)(U' c13), whose cross moment
-    lies in the 2k-dim row span of [V' c23; U' c13], where it is whitened.
+    Each view is a pair (k_v, a_v) whose features f_v = k_v a_v are never
+    formed. Views 1 and 2 are mapped into view 3's coordinates with the
+    two-view cross-moment transformations, after which the problem is
+    symmetric and one whitened decomposition recovers priors and all three
+    conditional feature means. Only c12 = a1'(k1'k2/n)a2 = U S V' is formed at
+    feature size: the maps are x1 = (f1 U S^-1)(V' c23) and
+    x2 = (f2 V S^-1)(U' c13), whose cross moment lies in the 2k-dim row span
+    of [V' c23; U' c13], where it is whitened; every other product goes
+    through n x k or k x r factors.
     """
-    f1, f2, f3 = feats
-    n = f1.shape[0]
-    u, s, v, margin = _top_singular(f1.T @ f2 / n, k)
-    g1, g2 = f1 @ u, f2 @ v                          # n x k
-    b1, b2 = g2.T @ f3 / n, g1.T @ f3 / n            # V' c23, U' c13
-    q = np.linalg.qr(np.vstack((b1, b2)).T)[0]       # m3 x 2k orthonormal
+    (k1, a1), (k2, a2), (k3, a3) = views
+    n = k1.shape[0]
+    u, s, v, margin = _top_singular(_cross_moment(*views[:2]), k)
+    g1, g2 = k1 @ (a1 @ u), k2 @ (a2 @ v)            # n x k
+    b1, b2 = (g2.T @ k3) @ a3 / n, (g1.T @ k3) @ a3 / n   # V' c23, U' c13
+    q = np.linalg.qr(np.vstack((b1, b2)).T)[0]       # r3 x 2k orthonormal
     e1, e2 = b1 @ q / s[:, None], b2 @ q / s[:, None]   # x1 q = g1 e1, x2 q = g2 e2
     cross = e1.T @ (g1.T @ g2 / n) @ e2
     whitener = build_whitener(Moment2((cross + cross.T) / 2.0, n), k)
 
     w = q @ whitener.map
     t_hat = whitened_third_moment(g1 @ (e1 @ whitener.map), g2 @ (e2 @ whitener.map),
-                                  f3 @ w)
+                                  k3 @ (a3 @ w))
     eig = robust_power_method(t_hat, k, seed=power_ss)
     raw, priors = priors_from_lambdas(eig.lambdas)
 
     m3 = (w * whitener.spectrum[None, :]) @ (eig.vectors.T * eig.lambdas[None, :])
-    h = f3 @ (np.linalg.pinv(m3).T / (n * priors[None, :]))
+    h = k3 @ (a3 @ (np.linalg.pinv(m3).T / (n * priors[None, :])))
     info = {"power_residual": eig.residual,
             "moment_spectrum": np.sqrt(whitener.spectrum),
             "rank_margin": margin}
-    return eig.lambdas, raw, priors, [f1.T @ h, f2.T @ h, m3], info
+    return eig.lambdas, raw, priors, [a1.T @ (k1.T @ h), a2.T @ (k2.T @ h), m3], info
 
 
 def fit_discrete_multiview(a1, a2, a3, k: int, seed=0,
                            levels: int | None = None) -> MixtureEstimate:
     """Mixture fit for three categorical views coded 0..S-1.
 
-    One-hot features feed the shared cross-moment decomposition; recovered
-    conditional means are clamped at the density floor and renormalized into
-    column-stochastic emission matrices. k = 1 short-circuits to empirical
-    marginals.
+    One-hot features, paired with an identity factor, feed the shared
+    cross-moment decomposition; recovered conditional means are clamped at the
+    density floor and renormalized into column-stochastic emission matrices.
+    k = 1 short-circuits to empirical marginals.
     """
     _check_k(k)
     views, s = _as_levels(a1, a2, a3, levels=levels)
@@ -376,9 +393,9 @@ def fit_discrete_multiview(a1, a2, a3, k: int, seed=0,
         )
 
     eye = np.eye(s)
-    feats = [eye[v] for v in views]
     power_ss = _root_seq(seed).spawn(1)[0]
-    lam, raw, priors, means, info = _cross_moment_core(feats, k, power_ss)
+    lam, raw, priors, means, info = _cross_moment_core([(eye[v], eye) for v in views], k,
+                                                       power_ss)
     emissions = tuple(_stochastic_columns(m) for m in means)
     info.update(method="discrete_cross_moment", levels=s)
     return MixtureEstimate(
@@ -479,17 +496,17 @@ def scree(z1, z2, kernel: KernelSpec | None = None, max_k: int = 10,
     constant direction plus K - 1 mixture directions), so the spectrum
     drops off right after the true component count.
     """
-    a1, a2 = _as_views(z1, z2)
-    n = a1.shape[0]
+    z1, z2 = _as_views(z1, z2)
+    n = z1.shape[0]
     if max_k < 1 or max_k > n:
         raise InvalidConfig(f"max_k must lie in 1..n, got {max_k}")
 
     kernel = kernel if kernel is not None else KernelSpec()
     band_ss, sub_ss = _root_seq(seed).spawn(2)
-    kernel = kernel.resolve(np.vstack((a1, a2)), n, np.random.default_rng(band_ss))
+    kernel = kernel.resolve(np.vstack((z1, z2)), n, np.random.default_rng(band_ss))
     rng = np.random.default_rng(sub_ss)
-    f1, f2 = (_nystrom_features(a, kernel, rng)[0] for a in (a1, a2))
-    sv = np.linalg.svd(f1.T @ f2 / n, compute_uv=False)
+    f1, f2 = (_nystrom_features(z, kernel, rng)[:2] for z in (z1, z2))
+    sv = np.linalg.svd(_cross_moment(f1, f2), compute_uv=False)
     return sv[: min(max_k, sv.shape[0])]
 
 

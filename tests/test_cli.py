@@ -81,6 +81,8 @@ def test_fit_emits_diagnostics_and_is_deterministic(tmp_path, proxy_csv,
     assert diagnostics["mode"] == "multiproxy" and diagnostics["k"] == 3
     assert abs(sum(diagnostics["priors"]) - 1.0) <= 1e-10
     assert diagnostics["mixture"]["rank_margin"] >= 1.0
+    assert len(diagnostics["mixture"]["landmark_rank"]) == 3
+    assert all(0 < r <= 800 for r in diagnostics["mixture"]["landmark_rank"])
     assert refit.read_bytes() == proxy_model.read_bytes()
 
 

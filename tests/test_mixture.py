@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from latentcause import (
     three_cluster_gaussian,
     two_state_discrete,
 )
+from latentcause.kernels import gram
 from latentcause.mixture import _cross_moment_core, _nystrom_features
 from latentcause.tensor_spectral import (
     Moment2,
@@ -206,6 +208,12 @@ def _fit_with_bad_value(bad):
                   seed=0)
 
 
+def _power_rule_fit_with(bad):
+    data, _ = simulate_multiproxy(three_cluster_gaussian(), 200, seed=5)   # d = 3
+    fit_multiview(data["z1"], data["z2"], data["z3"], 3,
+                  kernel=KernelSpec(rule="power_rule", **bad), seed=0)
+
+
 def _posteriors_with_bad_value(bad):
     views, _ = symmetric_views([0.5, 0.5], 300, seed=15)
     est = fit_multiview(*views, 2, kernel=KernelSpec(bandwidth=0.6), seed=0)
@@ -347,6 +355,11 @@ def _kernel_estimate_with(parts):
     (_kernel_estimate_with, "short_block"),
     (_kernel_estimate_with, "k_minus_1_rows"),
     (_kernel_estimate_with, "short_lambdas"),
+    (_power_rule_fit_with, {"power_c": "x"}),
+    (_power_rule_fit_with, {"power_c": None}),
+    (_power_rule_fit_with, {"power_b": -10.5}),         # 2b + 7d = 0 at d = 3
+    (_power_rule_fit_with, {"power_b": np.inf}),
+    (_power_rule_fit_with, {"power_b": 0.0}),
 ])
 def test_non_finite_input_raises_typed_error(build, bad):
     with pytest.raises(LatentCauseError):
@@ -419,21 +432,22 @@ def _overlap_features():
     data, _ = simulate_multiproxy(scenario, 1500, seed=3)
     kernel = KernelSpec(bandwidth=1.0)
     rng = np.random.default_rng(0)
-    return [_nystrom_features(data[f"z{v}"], kernel, rng)[0] for v in (1, 2, 3)], 3
+    return [_nystrom_features(data[f"z{v}"], kernel, rng)[:2] for v in (1, 2, 3)], 3
 
 
 def _one_hot_features():
     data, _ = simulate_multitreatment(two_state_discrete(), 2000, seed=3)
     eye = np.eye(LEVELS)
-    return [eye[data[f"a{v}"]] for v in (1, 2, 3)], 2
+    return [(eye[data[f"a{v}"]], eye) for v in (1, 2, 3)], 2
 
 
 @pytest.mark.parametrize("features", [_overlap_features, _one_hot_features])
 def test_rank_k_core_matches_dense_reference(features):
-    feats, k = features()
+    views, k = features()
+    feats = [k_v @ a_v for k_v, a_v in views]
     assert min(feats[0].shape[1], feats[1].shape[1]) > k + 1   # the ARPACK branch
     ss = np.random.SeedSequence(11)
-    lam, _, priors, means, info = _cross_moment_core(feats, k, ss)
+    lam, _, priors, means, info = _cross_moment_core(views, k, ss)
     want_lam, want_priors, want_means = _dense_cross_moment_core(feats, k, ss)
     assert _relative_gap(priors, want_priors) <= 1e-8
     assert _relative_gap(lam, want_lam) <= 1e-8
@@ -464,7 +478,7 @@ def test_rank_deficient_features_raise_through_truncated_svd(monkeypatch):
 
     monkeypatch.setattr("latentcause.mixture.svds", counting_svds)
     with pytest.raises(RankDeficiency):
-        _cross_moment_core(feats, k, np.random.SeedSequence(0))
+        _cross_moment_core([(f, np.eye(m)) for f in feats], k, np.random.SeedSequence(0))
     assert calls == [(m, m)]
 
 
@@ -476,3 +490,42 @@ def test_arpack_failure_surfaces_as_typed_error(monkeypatch):
     views, _ = symmetric_views([0.5, 0.5], 300, seed=15)
     with pytest.raises(LatentCauseError):
         fit_multiview(*views, 2, kernel=KernelSpec(bandwidth=0.6), seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the pivoted-Cholesky landmark factor
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("landmark_count", [60, 200])   # a subsample, and every row
+def test_landmark_factor_drops_near_duplicates_and_whitens_the_rest(landmark_count):
+    rng = np.random.default_rng(21)
+    base = rng.uniform(-3.0, 3.0, size=(40, 2))
+    view = np.vstack((base, base + 1e-9 * rng.standard_normal(base.shape)))
+    kernel = KernelSpec(bandwidth=0.5, landmark_count=landmark_count)
+    k_v, a, anchors = _nystrom_features(view, kernel, np.random.default_rng(0))
+    r = anchors.shape[0]
+    assert r < min(landmark_count, view.shape[0]) and a.shape == (r, r)
+    assert np.array_equal(k_v, gram(kernel, view, anchors))
+    whitened = a.T @ gram(kernel, anchors, anchors) @ a
+    assert np.max(np.abs(whitened - np.eye(r))) <= 1e-8
+
+
+def test_fit_records_the_landmarks_kept_per_view():
+    est, _ = _proxy_fit()
+    rank = est.diagnostics["landmark_rank"]
+    assert rank == [a.shape[0] for a in est.anchors]
+    assert all(isinstance(r, int) and 0 < r <= est.diagnostics["anchor_count"]
+               for r in rank)
+
+
+def test_fit_multiview_peak_memory_stays_near_three_landmark_grams():
+    n, m = 20000, 250
+    data, _ = simulate_multiproxy(three_cluster_gaussian(), n, seed=5)
+    kernel = KernelSpec(bandwidth=1.0, landmark_count=m)
+    tracemalloc.start()
+    try:
+        fit_multiview(data["z1"], data["z2"], data["z3"], 3, kernel=kernel, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * n * m * 8
