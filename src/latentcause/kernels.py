@@ -13,6 +13,7 @@ import numpy as np
 from .errors import InvalidConfig
 
 MEDIAN_SUBSAMPLE = 1000
+_BLOCK_CELLS = 1 << 17      # kernel entries per row block: 1 MiB of float64
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,8 @@ def median_heuristic(points: np.ndarray, rng: np.random.Generator) -> float:
     if pts.shape[0] > MEDIAN_SUBSAMPLE:
         idx = rng.choice(pts.shape[0], size=MEDIAN_SUBSAMPLE, replace=False)
         pts = pts[idx]
-    sq = _sq_dists(pts, pts)
+    norms = np.sum(pts * pts, axis=1)
+    sq = _to_sq_dists(pts @ pts.T, norms, norms)
     iu = np.triu_indices(pts.shape[0], k=1)
     if iu[0].size == 0:
         return 1.0
@@ -94,21 +96,52 @@ def power_rule_bandwidth(c: float, b: float, n: int, d: int) -> float:
     return float(c) * float(n) ** (-1.0 / (2.0 * b + 7.0 * d))
 
 
-def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Clamped squared distances, built in the one array ``x @ y.T`` allocates."""
-    sq = x @ y.T
-    sq *= -2.0
-    sq += np.sum(x * x, axis=1)[:, None]
-    sq += np.sum(y * y, axis=1)[None, :]
-    return np.maximum(sq, 0.0, out=sq)
+def _to_sq_dists(prod: np.ndarray, x_sq: np.ndarray, y_sq: np.ndarray) -> np.ndarray:
+    """Clamped squared distances from the inner products ``x @ y.T``, in place."""
+    prod *= -2.0
+    prod += x_sq[:, None]
+    prod += y_sq[None, :]
+    return np.maximum(prod, 0.0, out=prod)
 
 
 def gram(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Kernel matrix with entry (i, j) = k(x_i, y_j)."""
+    return _blocked_gram(kernel, x, y)
+
+
+def _blocked_gram(kernel: KernelSpec, x: np.ndarray, y: np.ndarray,
+                  coefficients: np.ndarray | None = None) -> np.ndarray:
+    """``gram(kernel, x, y)``, or its product with ``coefficients`` (m x p).
+
+    The elementwise passes run on row blocks of about _BLOCK_CELLS entries,
+    in the one-shot order, so each block stays in cache between passes. A
+    gram takes ``x @ y.T`` in one product, since BLAS may round an entry
+    differently when given a block of rows; its entries are then bit-identical
+    to a one-shot evaluation. With ``coefficients``, each block's products go
+    into one reused buffer that is reduced into the n x p result, so no n x m
+    array is formed.
+    """
     if not kernel.is_resolved:
         raise InvalidConfig("bandwidth not resolved; call KernelSpec.resolve first")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    sq = _sq_dists(x, y)
-    sq /= -2.0 * kernel.bandwidth ** 2
-    return np.exp(sq, out=sq)
+    n, m = x.shape[0], y.shape[0]
+    rows = max(1, _BLOCK_CELLS // max(m, 1))
+    x_sq, y_sq = np.sum(x * x, axis=1), np.sum(y * y, axis=1)
+    if coefficients is None:
+        out = x @ y.T
+    else:
+        out, buf = np.empty((n, coefficients.shape[1])), np.empty((min(rows, n), m))
+    scale = -2.0 * kernel.bandwidth ** 2
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        if coefficients is None:
+            block = out[lo:hi]
+        else:
+            block = np.matmul(x[lo:hi], y.T, out=buf[:hi - lo])
+        _to_sq_dists(block, x_sq[lo:hi], y_sq)
+        block /= scale
+        np.exp(block, out=block)
+        if coefficients is not None:
+            np.matmul(block, coefficients, out=out[lo:hi])
+    return out

@@ -33,7 +33,7 @@ from .errors import (
     RankDeficiency,
     UnfittedModel,
 )
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, _blocked_gram, gram
 from .tensor_spectral import (
     Moment2,
     build_whitener,
@@ -45,6 +45,7 @@ DENSITY_FLOOR = 1e-12
 PRIOR_MIN = 1e-6
 PRIOR_MAX = 1.0
 RANK_FLOOR_REL = 1e-10
+DENSE_SVD_MAX = 64
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +301,11 @@ def _nystrom_features(view, kernel, rng):
 def _top_singular(c: np.ndarray, k: int):
     """Top k singular triplets (u, s, v) of c, fails loudly when s_k dies.
 
-    ARPACK finds k + 1 triplets where c allows (few one-hot levels take a dense
-    SVD); the margin s_k / s_(k+1) is None without a nonzero (k+1)-th value.
+    ARPACK finds k + 1 triplets where c allows and is wider than DENSE_SVD_MAX
+    on its smaller side (few one-hot levels take a dense SVD, which is faster
+    there); the margin s_k / s_(k+1) is None without a nonzero (k+1)-th value.
     """
-    if min(c.shape) > k + 1:
+    if min(c.shape) > max(k + 1, DENSE_SVD_MAX):
         v0 = np.random.default_rng(0).standard_normal(min(c.shape))
         try:
             u, s, vt = svds(c, k=k + 1, v0=v0, tol=0)
@@ -439,12 +441,16 @@ def density(est: MixtureEstimate, view: int, component: int, z) -> float:
 
 
 def _density_matrix(est: MixtureEstimate, view: int, z) -> np.ndarray:
-    """n x K matrix of clamped per-component densities for one checked view."""
+    """n x K matrix of clamped per-component densities for one checked view.
+
+    Kernel densities are reduced one row block of the gram at a time, so no
+    n x m array is formed.
+    """
     if est.backend == "discrete":
         dm = est.emissions[view][z, :]
     else:
-        dm = gram(est.kernel, z, est.anchors[view]) @ est.coefficients[view].T
-    return np.maximum(dm, est.density_floor)
+        dm = _blocked_gram(est.kernel, z, est.anchors[view], est.coefficients[view].T)
+    return np.maximum(dm, est.density_floor, out=dm)
 
 
 def posteriors(est: MixtureEstimate, z1, z2, z3) -> PosteriorMatrix:

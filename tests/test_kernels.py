@@ -6,18 +6,45 @@ import numpy as np
 import pytest
 
 from latentcause import InvalidConfig, KernelSpec, gram, median_heuristic, power_rule_bandwidth
+from latentcause.kernels import _BLOCK_CELLS, _blocked_gram
 
 
-def test_gram_matches_direct_formula():
+def _one_shot_gram(bandwidth, x, y):
+    """The kernel's steps, in order, over the whole n x m array at once."""
+    sq = x @ y.T
+    sq *= -2.0
+    sq += np.sum(x * x, axis=1)[:, None]
+    sq += np.sum(y * y, axis=1)[None, :]
+    np.maximum(sq, 0.0, out=sq)
+    sq /= -2.0 * bandwidth ** 2
+    return np.exp(sq, out=sq)
+
+
+ROWS_PER_BLOCK = _BLOCK_CELLS // 5      # against five points
+
+
+@pytest.mark.parametrize("n, m", [
+    pytest.param(7, 5, id="n_below_one_block"),
+    pytest.param(ROWS_PER_BLOCK + 1, 5, id="one_row_remainder"),
+    pytest.param(3, _BLOCK_CELLS + 1, id="one_row_per_block"),     # m above the budget
+    pytest.param(1, 5, id="single_point"),
+])
+def test_gram_matches_direct_formula(n, m):
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((7, 3))
-    y = rng.standard_normal((5, 3))
+    x = rng.standard_normal((n, 3))
+    y = rng.standard_normal((m, 3))
     spec = KernelSpec(bandwidth=1.3)
     got = gram(spec, x, y)
-    for i in range(7):
-        for j in range(5):
+    assert np.array_equal(got, _one_shot_gram(1.3, x, y))
+    block = max(1, _BLOCK_CELLS // m)
+    for i in {0, block - 1, block, n - 1} & set(range(n)):
+        for j in {0, m // 2, m - 1}:
             want = math.exp(-float(np.sum((x[i] - y[j]) ** 2)) / (2.0 * 1.3 ** 2))
             assert abs(got[i, j] - want) <= 1e-14
+    coefficients = rng.standard_normal((3, m))
+    reduced = _blocked_gram(spec, x, y, coefficients.T)
+    want = got @ coefficients.T
+    assert np.max(np.abs(reduced - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_gram_diagonal_is_one_on_shared_points():

@@ -32,7 +32,7 @@ from latentcause import (
     two_state_discrete,
 )
 from latentcause.kernels import gram
-from latentcause.mixture import _cross_moment_core, _nystrom_features
+from latentcause.mixture import DENSE_SVD_MAX, _cross_moment_core, _nystrom_features
 from latentcause.tensor_spectral import (
     Moment2,
     build_whitener,
@@ -436,8 +436,12 @@ def _overlap_features():
 
 
 def _one_hot_features():
-    data, _ = simulate_multitreatment(two_state_discrete(), 2000, seed=3)
-    eye = np.eye(LEVELS)
+    levels = 80                                      # above DENSE_SVD_MAX
+    rng = np.random.default_rng(3)
+    emissions = tuple(rng.dirichlet(np.full(levels, 0.5), size=2).T for _ in range(3))
+    scenario = dataclasses.replace(two_state_discrete(), emissions=emissions)
+    data, _ = simulate_multitreatment(scenario, 20000, seed=3)
+    eye = np.eye(levels)
     return [(eye[data[f"a{v}"]], eye) for v in (1, 2, 3)], 2
 
 
@@ -445,7 +449,7 @@ def _one_hot_features():
 def test_rank_k_core_matches_dense_reference(features):
     views, k = features()
     feats = [k_v @ a_v for k_v, a_v in views]
-    assert min(feats[0].shape[1], feats[1].shape[1]) > k + 1   # the ARPACK branch
+    assert min(feats[0].shape[1], feats[1].shape[1]) > max(k + 1, DENSE_SVD_MAX)  # ARPACK
     ss = np.random.SeedSequence(11)
     lam, _, priors, means, info = _cross_moment_core(views, k, ss)
     want_lam, want_priors, want_means = _dense_cross_moment_core(feats, k, ss)
@@ -467,7 +471,7 @@ def test_rank_margin_is_none_without_a_further_singular_value():
 
 def test_rank_deficient_features_raise_through_truncated_svd(monkeypatch):
     rng = np.random.default_rng(17)
-    k, n, m = 3, 800, 40
+    k, n, m = 3, 800, 80                                 # m above DENSE_SVD_MAX
     hidden = rng.standard_normal((n, k - 1))
     feats = [hidden @ rng.standard_normal((k - 1, m)) for _ in range(3)]
     calls = []
@@ -488,8 +492,9 @@ def test_arpack_failure_surfaces_as_typed_error(monkeypatch):
 
     monkeypatch.setattr("latentcause.mixture.svds", fail)
     views, _ = symmetric_views([0.5, 0.5], 300, seed=15)
+    kernel = KernelSpec(bandwidth=0.15)      # keeps about 80 landmarks, above DENSE_SVD_MAX
     with pytest.raises(LatentCauseError):
-        fit_multiview(*views, 2, kernel=KernelSpec(bandwidth=0.6), seed=0)
+        fit_multiview(*views, 2, kernel=kernel, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -529,3 +534,17 @@ def test_fit_multiview_peak_memory_stays_near_three_landmark_grams():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * n * m * 8
+
+
+def test_posteriors_peak_memory_stays_far_below_one_landmark_gram():
+    n, m = 20000, 250
+    data, _ = simulate_multiproxy(three_cluster_gaussian(), n, seed=5)
+    kernel = KernelSpec(bandwidth=1.0, landmark_count=m)
+    est = fit_multiview(data["z1"], data["z2"], data["z3"], 3, kernel=kernel, seed=0)
+    tracemalloc.start()
+    try:
+        posteriors(est, data["z1"], data["z2"], data["z3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * n * m * 8
