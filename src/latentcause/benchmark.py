@@ -2,12 +2,14 @@
 
 Each trial simulates a fresh dataset, runs the full pipeline, aligns the
 fitted components to the generating truth, and reports per-component
-errors. Trials are independent and seed-split up front, so results are
-identical whether they run inline or across a process pool.
+errors. Trials are independent and seed-split up front. Pool workers run
+BLAS on one thread, so pooled rows can differ from inline ones by BLAS
+rounding, which depends on the thread count (about 1e-12 relative).
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -45,12 +47,40 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: each worker has a core, so cap every loaded OpenBLAS at one thread."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        for lib in map(ctypes.CDLL, paths):
+            for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                           "openblas_set_num_threads64_", "openblas_set_num_threads"):
+                if hasattr(lib, symbol):
+                    setter = getattr(lib, symbol)
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    setter(1)
+    except OSError:
+        pass
+
+
 def _error_row(label, n, trial, seed_val, message):
     return [{
         "scenario": label, "n": n, "trial": trial, "seed": seed_val,
         "component": "", "parameter": "", "estimate": "", "truth": "",
         "aligned_abs_error": "", "wall_ms": "", "error": message,
     }]
+
+
+def _rows(label, n, trial, seed_val, wall_ms, parameters, estimates, truths):
+    """One row per component and parameter, from aligned K x P estimates and truths."""
+    return [{
+        "scenario": label, "n": n, "trial": trial, "seed": seed_val,
+        "component": u, "parameter": parameter,
+        "estimate": float(estimate), "truth": float(truth),
+        "aligned_abs_error": float(abs(estimate - truth)),
+        "wall_ms": wall_ms, "error": "",
+    } for u in range(len(truths))
+        for parameter, estimate, truth in zip(parameters, estimates[u], truths[u])]
 
 
 def _multiproxy_trial(payload) -> list[dict]:
@@ -67,20 +97,9 @@ def _multiproxy_trial(payload) -> list[dict]:
         return _error_row(label, n, trial, data_seed, str(exc))
     wall_ms = (time.perf_counter() - start) * 1000.0
     perm = align_permutation(ce.outcome.beta, scenario.beta)
-    rows = []
-    for u in range(scenario.n_states):
-        for parameter, estimate, truth in (
-            ("beta_a", ce.outcome.beta[perm[u], 1], scenario.beta[u, 1]),
-            ("prior", ce.priors[perm[u]], scenario.priors[u]),
-        ):
-            rows.append({
-                "scenario": label, "n": n, "trial": trial, "seed": data_seed,
-                "component": u, "parameter": parameter,
-                "estimate": float(estimate), "truth": float(truth),
-                "aligned_abs_error": float(abs(estimate - truth)),
-                "wall_ms": wall_ms, "error": "",
-            })
-    return rows
+    return _rows(label, n, trial, data_seed, wall_ms, ("beta_a", "prior"),
+                 np.column_stack([ce.outcome.beta[perm, 1], ce.priors[perm]]),
+                 np.column_stack([scenario.beta[:, 1], scenario.priors]))
 
 
 def _multitreatment_trial(payload) -> list[dict]:
@@ -95,22 +114,10 @@ def _multitreatment_trial(payload) -> list[dict]:
         return _error_row(label, n, trial, data_seed, str(exc))
     wall_ms = (time.perf_counter() - start) * 1000.0
     perm = align_permutation(model.gamma, scenario.gamma)
-    truth_norms = np.linalg.norm(scenario.gamma, axis=1)
-    rows = []
-    for u in range(scenario.n_states):
-        norm_est = float(np.linalg.norm(model.gamma[perm[u]]))
-        for parameter, estimate, truth in (
-            ("gamma_norm", norm_est, float(truth_norms[u])),
-            ("prior", float(model.priors[perm[u]]), float(scenario.priors[u])),
-        ):
-            rows.append({
-                "scenario": label, "n": n, "trial": trial, "seed": data_seed,
-                "component": u, "parameter": parameter,
-                "estimate": estimate, "truth": truth,
-                "aligned_abs_error": float(abs(estimate - truth)),
-                "wall_ms": wall_ms, "error": "",
-            })
-    return rows
+    norms = [np.linalg.norm(g) for g in model.gamma[perm]]
+    return _rows(label, n, trial, data_seed, wall_ms, ("gamma_norm", "prior"),
+                 np.column_stack([norms, model.priors[perm]]),
+                 np.column_stack([np.linalg.norm(scenario.gamma, axis=1), scenario.priors]))
 
 
 def run_benchmark(mode: str, ns, trials: int, seed=0, workers: int | None = None,
@@ -148,7 +155,7 @@ def run_benchmark(mode: str, ns, trials: int, seed=0, workers: int | None = None
     if workers <= 1 or len(payloads) == 1:
         results = [trial_fn(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             results = list(pool.map(trial_fn, payloads))
     return [row for rows in results for row in rows]
 

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import InvalidConfig
 
 MEDIAN_SUBSAMPLE = 1000
-_BLOCK_CELLS = 1 << 17      # kernel entries per row block: 1 MiB of float64
+_BLOCK_CELLS = 1 << 16      # kernel entries per row block: 512 KiB of float64
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,11 @@ def median_heuristic(points: np.ndarray, rng: np.random.Generator) -> float:
     if pts.shape[0] > MEDIAN_SUBSAMPLE:
         idx = rng.choice(pts.shape[0], size=MEDIAN_SUBSAMPLE, replace=False)
         pts = pts[idx]
-    norms = np.sum(pts * pts, axis=1)
-    sq = _to_sq_dists(pts @ pts.T, norms, norms)
     iu = np.triu_indices(pts.shape[0], k=1)
     if iu[0].size == 0:
         return 1.0
-    med = float(np.median(np.sqrt(np.maximum(sq[iu], 0.0))))
+    xa, ya = _augmented(pts, pts, -2.0)
+    med = float(np.median(np.sqrt(np.maximum((xa @ ya)[iu], 0.0))))
     if med <= 0.0:
         raise InvalidConfig("median pairwise distance is zero; supply a bandwidth")
     return med
@@ -96,12 +95,16 @@ def power_rule_bandwidth(c: float, b: float, n: int, d: int) -> float:
     return float(c) * float(n) ** (-1.0 / (2.0 * b + 7.0 * d))
 
 
-def _to_sq_dists(prod: np.ndarray, x_sq: np.ndarray, y_sq: np.ndarray) -> np.ndarray:
-    """Clamped squared distances from the inner products ``x @ y.T``, in place."""
-    prod *= -2.0
-    prod += x_sq[:, None]
-    prod += y_sq[None, :]
-    return np.maximum(prod, 0.0, out=prod)
+def _augmented(x: np.ndarray, y: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Factors with ``xa @ ya = -c ||x_i - y_j||^2 / 2``; c = -2 gives squared distances.
+
+    x is padded with ``[||x||^2, 1]``, and c*y with ``[-c/2, -c ||y||^2 / 2]``.
+    """
+    x, y = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (x, y))
+    xa = np.column_stack([x, np.sum(x * x, axis=1), np.ones(x.shape[0])])
+    half = -0.5 * c
+    ya = np.vstack([c * y.T, np.full(y.shape[0], half), half * np.sum(y * y, axis=1)])
+    return xa, ya
 
 
 def gram(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -113,34 +116,24 @@ def _blocked_gram(kernel: KernelSpec, x: np.ndarray, y: np.ndarray,
                   coefficients: np.ndarray | None = None) -> np.ndarray:
     """``gram(kernel, x, y)``, or its product with ``coefficients`` (m x p).
 
-    The elementwise passes run on row blocks of about _BLOCK_CELLS entries,
-    in the one-shot order, so each block stays in cache between passes. A
-    gram takes ``x @ y.T`` in one product, since BLAS may round an entry
-    differently when given a block of rows; its entries are then bit-identical
-    to a one-shot evaluation. With ``coefficients``, each block's products go
-    into one reused buffer that is reduced into the n x p result, so no n x m
-    array is formed.
+    Each row block of about _BLOCK_CELLS entries is one product of the
+    augmented factors, -||x - y||^2 / (2 s^2), then clamped at 0 (rounding
+    can leave a tiny positive value where x = y) and exponentiated in cache.
+    Blocks go into the gram's rows or, with ``coefficients``, into one reused
+    buffer reduced into the n x p result, so no n x m array is formed.
     """
     if not kernel.is_resolved:
         raise InvalidConfig("bandwidth not resolved; call KernelSpec.resolve first")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    n, m = x.shape[0], y.shape[0]
+    xa, ya = _augmented(x, y, kernel.bandwidth ** -2)
+    n, m = xa.shape[0], ya.shape[1]
     rows = max(1, _BLOCK_CELLS // max(m, 1))
-    x_sq, y_sq = np.sum(x * x, axis=1), np.sum(y * y, axis=1)
-    if coefficients is None:
-        out = x @ y.T
-    else:
-        out, buf = np.empty((n, coefficients.shape[1])), np.empty((min(rows, n), m))
-    scale = -2.0 * kernel.bandwidth ** 2
+    out = np.empty((n, m if coefficients is None else coefficients.shape[1]))
+    buf = None if coefficients is None else np.empty((min(rows, n), m))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        if coefficients is None:
-            block = out[lo:hi]
-        else:
-            block = np.matmul(x[lo:hi], y.T, out=buf[:hi - lo])
-        _to_sq_dists(block, x_sq[lo:hi], y_sq)
-        block /= scale
+        block = out[lo:hi] if coefficients is None else buf[:hi - lo]
+        np.matmul(xa[lo:hi], ya, out=block)
+        np.minimum(block, 0.0, out=block)
         np.exp(block, out=block)
         if coefficients is not None:
             np.matmul(block, coefficients, out=out[lo:hi])

@@ -1,10 +1,13 @@
 """Trial sweep harness: seeding, parallelism, and error isolation."""
 
+import ctypes
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
 from latentcause import InvalidConfig, run_benchmark, summarize
-from latentcause.benchmark import WORKERS_ENV, default_workers
+from latentcause.benchmark import WORKERS_ENV, _one_blas_thread, default_workers
 
 
 def strip_wall(rows):
@@ -95,3 +98,30 @@ def test_default_workers_env_override(monkeypatch):
         default_workers()
     monkeypatch.delenv(WORKERS_ENV)
     assert default_workers() >= 1
+
+
+def _openblas_thread_counts():
+    """Thread count of each OpenBLAS loaded in this process."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    counts = []
+    for lib in map(ctypes.CDLL, paths):
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, symbol):
+                getter = getattr(lib, symbol)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts.append(getter())
+    return counts
+
+
+def test_pool_workers_run_one_blas_thread():
+    try:
+        inline = _openblas_thread_counts()
+    except OSError:
+        pytest.skip("no process map to find OpenBLAS in")
+    if not inline:
+        pytest.skip("numpy and scipy do not use OpenBLAS here")
+    with ProcessPoolExecutor(max_workers=1, initializer=_one_blas_thread) as pool:
+        pooled = pool.submit(_openblas_thread_counts).result()
+    assert pooled == [1] * len(inline)

@@ -1,7 +1,5 @@
 """Kernel configuration, Gram matrices, and bandwidth rules."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,15 +7,11 @@ from latentcause import InvalidConfig, KernelSpec, gram, median_heuristic, power
 from latentcause.kernels import _BLOCK_CELLS, _blocked_gram
 
 
-def _one_shot_gram(bandwidth, x, y):
-    """The kernel's steps, in order, over the whole n x m array at once."""
-    sq = x @ y.T
-    sq *= -2.0
-    sq += np.sum(x * x, axis=1)[:, None]
-    sq += np.sum(y * y, axis=1)[None, :]
-    np.maximum(sq, 0.0, out=sq)
-    sq /= -2.0 * bandwidth ** 2
-    return np.exp(sq, out=sq)
+def _direct_gram(bandwidth, x, y):
+    """exp(-||x - y||^2 / (2 s^2)) entry by entry, in extended precision."""
+    x, y = x.astype(np.longdouble), y.astype(np.longdouble)
+    sq = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)
+    return np.exp(-sq / (2 * np.longdouble(bandwidth) ** 2))
 
 
 ROWS_PER_BLOCK = _BLOCK_CELLS // 5      # against five points
@@ -33,18 +27,16 @@ def test_gram_matches_direct_formula(n, m):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, 3))
     y = rng.standard_normal((m, 3))
-    spec = KernelSpec(bandwidth=1.3)
-    got = gram(spec, x, y)
-    assert np.array_equal(got, _one_shot_gram(1.3, x, y))
-    block = max(1, _BLOCK_CELLS // m)
-    for i in {0, block - 1, block, n - 1} & set(range(n)):
-        for j in {0, m // 2, m - 1}:
-            want = math.exp(-float(np.sum((x[i] - y[j]) ** 2)) / (2.0 * 1.3 ** 2))
-            assert abs(got[i, j] - want) <= 1e-14
-    coefficients = rng.standard_normal((3, m))
-    reduced = _blocked_gram(spec, x, y, coefficients.T)
-    want = got @ coefficients.T
-    assert np.max(np.abs(reduced - want)) <= 1e-13 * np.max(np.abs(want))
+    for bandwidth in (1.3, 0.7):
+        spec = KernelSpec(bandwidth=bandwidth)
+        got = gram(spec, x, y)
+        assert np.max(np.abs(got - _direct_gram(bandwidth, x, y))) <= 1e-14
+        assert np.array_equal(gram(spec, x, y), got)
+        assert got.min() >= 0.0 and got.max() <= 1.0
+        coefficients = rng.standard_normal((3, m))
+        reduced = _blocked_gram(spec, x, y, coefficients.T)
+        want = got @ coefficients.T
+        assert np.max(np.abs(reduced - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_gram_diagonal_is_one_on_shared_points():
