@@ -86,15 +86,10 @@ from .scenarios import (
     two_state_discrete,
 )
 from .tensor_spectral import (
-    Moment2,
-    SymTensor3,
     TensorEigenSet,
     Whitener,
     build_whitener,
     robust_power_method,
-    symmetrize3,
-    tensor_contract,
-    top_k_eigh,
     whitened_third_moment,
 )
 

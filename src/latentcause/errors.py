@@ -24,7 +24,7 @@ class DimensionMismatch(LatentCauseError):
 
 
 class NonConvergence(LatentCauseError):
-    """An iterative solver (power iteration, ARPACK) did not converge."""
+    """An iterative solver (the tensor eigenvector polish, ARPACK) did not converge."""
 
 
 class RankDeficiency(LatentCauseError):

@@ -4,8 +4,9 @@ A hidden categorical variable U with K states generates three views that are
 independent given U. This module recovers the mixing weights and the
 per-view, per-component densities from samples alone, using second- and
 third-order moments: whiten the cross-view second moment, decompose the
-whitened third moment with the tensor power method, and read off weights and
-component embeddings from the eigenpairs.
+whitened third moment orthogonally (one slice eigendecomposition polished by
+deflated power steps), and read off weights and component embeddings from the
+eigenpairs.
 
 Continuous views are handled in a reproducing-kernel space (component
 densities are represented by coefficient vectors over anchor points);
@@ -34,12 +35,7 @@ from .errors import (
     UnfittedModel,
 )
 from .kernels import KernelSpec, _blocked_gram, gram
-from .tensor_spectral import (
-    Moment2,
-    build_whitener,
-    robust_power_method,
-    whitened_third_moment,
-)
+from .tensor_spectral import build_whitener, robust_power_method, whitened_third_moment
 
 DENSITY_FLOOR = 1e-12
 PRIOR_MIN = 1e-6
@@ -350,7 +346,7 @@ def _cross_moment_core(views, k, power_ss):
     q = np.linalg.qr(np.vstack((b1, b2)).T)[0]       # r3 x 2k orthonormal
     e1, e2 = b1 @ q / s[:, None], b2 @ q / s[:, None]   # x1 q = g1 e1, x2 q = g2 e2
     cross = e1.T @ (g1.T @ g2 / n) @ e2
-    whitener = build_whitener(Moment2((cross + cross.T) / 2.0, n), k)
+    whitener = build_whitener((cross + cross.T) / 2.0, k)
 
     w = q @ whitener.map
     t_hat = whitened_third_moment(g1 @ (e1 @ whitener.map), g2 @ (e2 @ whitener.map),

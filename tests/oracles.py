@@ -18,19 +18,6 @@ import numpy as np
 # tensor oracles
 # ---------------------------------------------------------------------------
 
-def contract_triple_loop(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """T(I, v, v) by explicit triple loop."""
-    k = t.shape[0]
-    out = np.zeros(k)
-    for i in range(k):
-        acc = 0.0
-        for j in range(k):
-            for l in range(k):
-                acc += t[i, j, l] * v[j] * v[l]
-        out[i] = acc
-    return out
-
-
 def third_moment_loop(xi1: np.ndarray, xi2: np.ndarray, xi3: np.ndarray) -> np.ndarray:
     """Fully symmetrized third moment: sum of all 6 orderings over samples / 6n."""
     n, k = xi1.shape

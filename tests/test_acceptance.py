@@ -38,20 +38,17 @@ from latentcause import (
 from latentcause.causal import outcome_feature_map
 from latentcause.cli import main
 from latentcause.tensor_spectral import (
-    Moment2,
-    SymTensor3,
     build_whitener,
     robust_power_method,
-    symmetrize3,
-    tensor_contract,
+    whitened_third_moment,
 )
 
 import frozen
 from oracles import (
-    contract_triple_loop,
     discrete_posteriors_loop,
     per_group_ols,
     planted_orthogonal_tensor,
+    third_moment_loop,
 )
 
 
@@ -169,8 +166,8 @@ def test_criterion_5_priors_are_inverse_square_eigenvalues(proxy_case,
 def test_criterion_6_oracle_equivalence_suite(proxy_case, discrete_case,
                                               one_hot_weights):
     # posterior formula vs loop oracle <= 1e-12; one-hot weighted
-    # regressions vs per-group OLS <= 1e-10; tensor contraction vs
-    # triple loop <= 1e-12 on 100 random instances
+    # regressions vs per-group OLS <= 1e-10; whitened third moment vs
+    # loop oracle <= 1e-12 on 100 random instances
     _, mt_data, _ = discrete_case
     est = fit_discrete_multiview(mt_data["a1"], mt_data["a2"], mt_data["a3"],
                                  2, seed=0)
@@ -194,17 +191,16 @@ def test_criterion_6_oracle_equivalence_suite(proxy_case, discrete_case,
     assert regression_dev <= 1e-10
 
     rng = np.random.default_rng(99)
-    contract_dev = 0.0
+    moment_dev = 0.0
     for _ in range(100):
-        k = int(rng.integers(2, 6))
-        t = SymTensor3(entries=symmetrize3(rng.standard_normal((k, k, k))))
-        v = rng.standard_normal(k)
-        contract_dev = max(contract_dev, float(np.max(np.abs(
-            tensor_contract(t, v) - contract_triple_loop(t.entries, v)))))
-    assert contract_dev <= 1e-12
+        n, k = int(rng.integers(1, 8)), int(rng.integers(2, 6))
+        xi = [rng.standard_normal((n, k)) for _ in range(3)]
+        moment_dev = max(moment_dev, float(np.max(np.abs(
+            whitened_third_moment(*xi) - third_moment_loop(*xi)))))
+    assert moment_dev <= 1e-12
     print(f"oracle equivalence: posteriors {posterior_dev:.2e} (1e-12), "
           f"regressions {regression_dev:.2e} (1e-10), "
-          f"contraction {contract_dev:.2e} (1e-12)")
+          f"third moment {moment_dev:.2e} (1e-12)")
 
 
 def test_criterion_7_invariant_suite(proxy_case):
@@ -220,15 +216,14 @@ def test_criterion_7_invariant_suite(proxy_case):
     # whitener identity W' M W = I
     rng = np.random.default_rng(1)
     x = rng.standard_normal((400, 5))
-    m = Moment2(matrix=x.T @ x / 400, n_samples=400)
+    m = x.T @ x / 400
     wh = build_whitener(m, 3)
-    white_dev = float(np.max(np.abs(wh.map.T @ m.matrix @ wh.map - np.eye(3))))
+    white_dev = float(np.max(np.abs(wh.map.T @ m @ wh.map - np.eye(3))))
     assert white_dev <= 1e-8
 
     # rank-1 tensor recovery
     v = np.array([2.0, -1.0, 2.0]) / 3.0
-    eig = robust_power_method(
-        SymTensor3(entries=planted_orthogonal_tensor([1.7], [v])), 1, seed=0)
+    eig = robust_power_method(planted_orthogonal_tensor([1.7], [v]), 1, seed=0)
     vec = eig.vectors[0] if eig.vectors[0] @ v > 0 else -eig.vectors[0]
     rank1_dev = max(abs(float(eig.lambdas[0]) - 1.7),
                     float(np.max(np.abs(vec - v))))

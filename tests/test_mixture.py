@@ -34,7 +34,6 @@ from latentcause import (
 from latentcause.kernels import gram
 from latentcause.mixture import DENSE_SVD_MAX, _cross_moment_core, _nystrom_features
 from latentcause.tensor_spectral import (
-    Moment2,
     build_whitener,
     robust_power_method,
     whitened_third_moment,
@@ -411,7 +410,7 @@ def _dense_cross_moment_core(feats, k, power_ss):
     x1 = f1 @ p1.T
     x2 = f2 @ p2.T
     m2 = (x1.T @ x2 + x2.T @ x1) / (2.0 * n)
-    whitener = build_whitener(Moment2(m2, n), k)
+    whitener = build_whitener(m2, k)
     t_hat = whitened_third_moment(x1 @ whitener.map, x2 @ whitener.map,
                                   f3 @ whitener.map)
     eig = robust_power_method(t_hat, k, seed=power_ss)
