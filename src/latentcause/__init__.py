@@ -58,7 +58,6 @@ from .mixture import (
     density,
     fit_discrete_multiview,
     fit_multiview,
-    fit_symmetric_spectral,
     map_assign,
     posteriors,
     priors_from_lambdas,

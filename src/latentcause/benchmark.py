@@ -122,7 +122,8 @@ def _multitreatment_trial(payload) -> list[dict]:
 
 def run_benchmark(mode: str, ns, trials: int, seed=0, workers: int | None = None,
                   k: int | None = None, bandwidth: float | None = 1.0,
-                  landmarks: int = 1000, label: str | None = None) -> list[dict]:
+                  landmarks: int = KernelSpec.landmark_count,
+                  label: str | None = None) -> list[dict]:
     """All trial rows for one design over the given sample sizes.
 
     Trials are seeded from one root, so the output is a pure function of

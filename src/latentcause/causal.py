@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import norm
 
 from .errors import (
     DegenerateCluster,
@@ -33,7 +32,8 @@ from .mixture import MixtureEstimate, PosteriorMatrix, _check_component, posteri
 SIGMA_FLOOR = 1e-6
 CLUSTER_FLOOR = 1e-8
 RIDGE_LADDER = (1e-8, 1e-6)
-FEATURE_KINDS = ("constant_plus_linear_z", "constant_treat_linear", "custom")
+FEATURE_KINDS = ("linear_z", "constant_treat_linear", "custom")
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -44,9 +44,8 @@ FEATURE_KINDS = ("constant_plus_linear_z", "constant_treat_linear", "custom")
 class FeatureMap:
     """Deterministic regressor builder for the treatment and outcome stages.
 
-    Three kinds are supported. "constant_plus_linear_z" maps z to [1, z]
-    (or plain z when ``include_constant`` is off, for designs whose
-    treatment mean has no intercept). "constant_treat_linear" maps (a, z)
+    Three kinds are supported. "linear_z" maps z to itself, for treatment
+    means with no intercept. "constant_treat_linear" maps (a, z)
     to [1, a, z]; the z block is simply absent when no z is supplied, which
     is how the basis [1, a1, a2, a3] over three treatments arises. "custom"
     evaluates a tuple of callables f(a, z) -> column, one output column
@@ -55,7 +54,6 @@ class FeatureMap:
 
     kind: str
     output_dim: int
-    include_constant: bool = True
     basis: tuple | None = None
 
     def __post_init__(self):
@@ -63,7 +61,6 @@ class FeatureMap:
             raise InvalidConfig(f"unknown feature map kind {self.kind!r}")
         if not isinstance(self.output_dim, (int, np.integer)) or self.output_dim < 1:
             raise InvalidConfig("output_dim must be a positive integer")
-        object.__setattr__(self, "include_constant", bool(self.include_constant))
         if self.kind == "custom":
             if not self.basis or any(not callable(f) for f in self.basis):
                 raise InvalidConfig("custom maps need a tuple of callables")
@@ -107,12 +104,10 @@ class FeatureMap:
         if z_rows is not None and z_rows.shape[0] == 1 and n > 1:
             z_rows = np.repeat(z_rows, n, axis=0)
 
-        if self.kind == "constant_plus_linear_z":
+        if self.kind == "linear_z":
             if z_rows is None:
                 raise InvalidConfig("this feature map needs a z input")
             blocks = [z_rows]
-            if self.include_constant:
-                blocks.insert(0, np.ones((n, 1)))
         elif self.kind == "constant_treat_linear":
             if a_cols is None:
                 raise InvalidConfig("this feature map needs a treatment input")
@@ -142,13 +137,9 @@ class FeatureMap:
         return out
 
 
-def treatment_feature_map(dim: int, include_constant: bool = False) -> FeatureMap:
-    """Linear-in-z treatment regressors; the intercept is off by default."""
-    return FeatureMap(
-        kind="constant_plus_linear_z",
-        output_dim=int(dim) + int(bool(include_constant)),
-        include_constant=bool(include_constant),
-    )
+def treatment_feature_map(dim: int) -> FeatureMap:
+    """Linear-in-z treatment regressors, with no intercept."""
+    return FeatureMap(kind="linear_z", output_dim=int(dim))
 
 
 def outcome_feature_map(z_dim: int, treat_dim: int = 1) -> FeatureMap:
@@ -176,12 +167,9 @@ class TreatmentModel:
     alpha: np.ndarray                        # K x L mean coefficients
     sigma2: np.ndarray                       # K noise variances, floored
     feature_map: FeatureMap
-    family: str = "gaussian"
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family != "gaussian":
-            raise InvalidConfig(f"unsupported treatment family {self.family!r}")
         alpha = np.asarray(self.alpha, dtype=float)
         sigma2 = np.asarray(self.sigma2, dtype=float)
         if alpha.ndim != 2:
@@ -265,15 +253,13 @@ class CausalEstimate:
 # stacked weighted least squares
 # ---------------------------------------------------------------------------
 
-def _solve_normal_equations(gram_m, rhs, ridge):
+def _solve_normal_equations(gram_m, rhs):
     """Positive-definite solve with an escalating ridge.
 
-    Starts at the caller's ridge and climbs the ladder whenever the
-    Cholesky factorization refuses the matrix, warning on each escalation.
+    Starts with no ridge and climbs the ladder whenever the Cholesky
+    factorization refuses the matrix, warning on each escalation.
     """
-    if ridge < 0:
-        raise InvalidConfig("ridge must be nonnegative")
-    ladder = [float(ridge)] + [r for r in RIDGE_LADDER if r > ridge]
+    ladder = (0.0,) + RIDGE_LADDER
     eye = np.eye(gram_m.shape[0])
     for step, r in enumerate(ladder):
         try:
@@ -293,7 +279,7 @@ def _solve_normal_equations(gram_m, rhs, ridge):
     )
 
 
-def _stacked_regression(feats, weights, target, ridge):
+def _stacked_regression(feats, weights, target):
     """Solve the component-stacked weighted normal equations.
 
     Every sample contributes the block vector (w_i1 phi_i, ..., w_iK phi_i);
@@ -303,9 +289,7 @@ def _stacked_regression(feats, weights, target, ridge):
     n, l = feats.shape
     k = weights.shape[1]
     stacked = (weights[:, :, None] * feats[:, None, :]).reshape(n, k * l)
-    sol, used = _solve_normal_equations(
-        stacked.T @ stacked, stacked.T @ target, ridge
-    )
+    sol, used = _solve_normal_equations(stacked.T @ stacked, stacked.T @ target)
     return sol.reshape(k, l), used
 
 
@@ -350,8 +334,8 @@ def _expect_flavor(w: PosteriorMatrix, flavor: str, stage: str):
 # stage two: treatment model
 # ---------------------------------------------------------------------------
 
-def fit_treatment(a, z, w: PosteriorMatrix, feature_map: FeatureMap | None = None,
-                  ridge: float = 0.0) -> TreatmentModel:
+def fit_treatment(a, z, w: PosteriorMatrix,
+                  feature_map: FeatureMap | None = None) -> TreatmentModel:
     """Per-component Gaussian treatment model: mean coefficients, then variances.
 
     The means solve the stacked weighted normal equations for all components
@@ -369,15 +353,13 @@ def fit_treatment(a, z, w: PosteriorMatrix, feature_map: FeatureMap | None = Non
     if fm is None:
         fm = treatment_feature_map(np.atleast_2d(np.asarray(z)).shape[1])
     feats = fm.evaluate(z=z)
-    alpha, used = _stacked_regression(feats, w.weights, a_vec, ridge)
+    alpha, used = _stacked_regression(feats, w.weights, a_vec)
 
     means = feats @ alpha.T                                 # n x K
     mixed = np.einsum("nk,nk->n", w.weights, means)
     spread = np.einsum("nk,nk->n", w.weights, means ** 2) - mixed ** 2
     target = (a_vec - mixed) ** 2 - spread
-    sol, var_used = _solve_normal_equations(
-        w.weights.T @ w.weights, w.weights.T @ target, 0.0
-    )
+    sol, var_used = _solve_normal_equations(w.weights.T @ w.weights, w.weights.T @ target)
     clamped = int(np.sum(sol < SIGMA_FLOOR))
     if clamped:
         warnings.warn(
@@ -406,9 +388,9 @@ def treatment_density(tm: TreatmentModel, u: int, a, z):
     feats = tm.feature_map.evaluate(z=z)
     mean = feats @ tm.alpha[int(u)]
     a_arr = np.asarray(a, dtype=float)
-    vals = norm.pdf(a_arr.ravel() if a_arr.ndim else a_arr,
-                    loc=mean, scale=np.sqrt(tm.sigma2[int(u)]))
-    vals = np.asarray(vals, dtype=float).ravel()
+    sd = np.sqrt(tm.sigma2[int(u)])
+    z_score = ((a_arr.ravel() if a_arr.ndim else a_arr) - mean) / sd
+    vals = np.ravel(np.exp(-z_score ** 2 / 2.0) / _SQRT_2PI / sd)
     if a_arr.ndim == 0 and vals.shape[0] == 1:
         return float(vals[0])
     return vals
@@ -430,11 +412,11 @@ def update_posteriors(w: PosteriorMatrix, tm: TreatmentModel, a, z) -> Posterior
     _check_rows(a_vec.shape[0], z, w.weights)
     feats = tm.feature_map.evaluate(z=z)
     means = feats @ tm.alpha.T                              # n x K
+    sd = np.sqrt(tm.sigma2)[None, :]
+    z_score = (a_vec[:, None] - means) / sd
     with np.errstate(divide="ignore"):
         log_w = np.log(w.weights)
-    log_w = log_w + norm.logpdf(
-        a_vec[:, None], loc=means, scale=np.sqrt(tm.sigma2)[None, :]
-    )
+    log_w = log_w + ((-z_score ** 2 / 2.0 - np.log(_SQRT_2PI)) - np.log(sd))
 
     shift = log_w.max(axis=1, keepdims=True)
     bad = ~np.isfinite(shift.ravel())
@@ -456,8 +438,8 @@ def update_posteriors(w: PosteriorMatrix, tm: TreatmentModel, a, z) -> Posterior
                            fallback_count=count)
 
 
-def fit_outcome(a, z, y, w: PosteriorMatrix, feature_map: FeatureMap | None = None,
-                ridge: float = 0.0) -> OutcomeModel:
+def fit_outcome(a, z, y, w: PosteriorMatrix,
+                feature_map: FeatureMap | None = None) -> OutcomeModel:
     """Per-component outcome coefficients from treatment-updated weights."""
     _expect_flavor(w, "treatment_updated", "the outcome fit")
     y_vec = _scalar_target(y, "outcome")
@@ -468,7 +450,7 @@ def fit_outcome(a, z, y, w: PosteriorMatrix, feature_map: FeatureMap | None = No
             raise InvalidConfig("give a feature map or a z input")
         fm = outcome_feature_map(np.atleast_2d(np.asarray(z)).shape[1])
     feats = fm.evaluate(a=a, z=z)
-    beta, used = _stacked_regression(feats, w.weights, y_vec, ridge)
+    beta, used = _stacked_regression(feats, w.weights, y_vec)
     return OutcomeModel(beta=beta, feature_map=fm, diagnostics={"ridge": used})
 
 
@@ -497,28 +479,29 @@ def estimate_ate(ce: CausalEstimate, a, z=None, w: PosteriorMatrix | None = None
     them, the training averages stored on the estimate are used, which is
     what a persisted artifact reproduces.
     """
+    return float(ce.priors @ _ate_by_component(ce, a, z, w))
+
+
+def _ate_by_component(ce: CausalEstimate, a, z=None, w=None) -> np.ndarray:
+    """Each component's expected outcome at level a; ``estimate_ate`` mixes them."""
     if (z is None) != (w is None):
         raise InvalidConfig("supply z and w together, or neither")
-    beta = ce.outcome.beta
     if z is None:
         if ce.outcome.feature_map.kind == "custom":
             raise InvalidConfig(
                 "custom outcome features need data rows to average over"
             )
         feats = ce.outcome.feature_map.evaluate(a=float(a), z=ce.z_feature_means)
-        per_component = np.einsum("km,km->k", beta, feats)
     else:
         _check_rows(w.weights.shape[0], z)
-        feats = ce.outcome.feature_map.evaluate(a=float(a), z=z)
-        cond = _component_means(w.weights, feats)
-        per_component = np.einsum("km,km->k", beta, cond)
-    return float(ce.priors @ per_component)
+        feats = _component_means(
+            w.weights, ce.outcome.feature_map.evaluate(a=float(a), z=z))
+    return np.einsum("km,km->k", ce.outcome.beta, feats)
 
 
 def fit_effects(data: dict, mixture: MixtureEstimate,
                 treatment_map: FeatureMap | None = None,
-                outcome_map: FeatureMap | None = None,
-                ridge: float = 0.0) -> CausalEstimate:
+                outcome_map: FeatureMap | None = None) -> CausalEstimate:
     """Run the full pipeline on a dataset with a fitted mixture.
 
     ``data`` is a mapping with keys z1, z2, z3, a, y. Both regression
@@ -537,12 +520,11 @@ def fit_effects(data: dict, mixture: MixtureEstimate,
     _check_rows(a_vec.shape[0], z1, y_vec[:, None])
 
     w = posteriors(mixture, data["z1"], data["z2"], data["z3"])
-    tm = fit_treatment(a_vec, z1, w, treatment_map, ridge)
+    tm = fit_treatment(a_vec, z1, w, treatment_map)
     w_updated = update_posteriors(w, tm, a_vec, z1)
     om = fit_outcome(
         a_vec, z1, y_vec, w_updated,
         outcome_map if outcome_map is not None else outcome_feature_map(z1.shape[1]),
-        ridge,
     )
 
     z_feature_means = _component_means(w.weights, z1)

@@ -14,9 +14,10 @@ import sys
 import numpy as np
 
 from .benchmark import run_benchmark, summarize
-from .causal import estimate_ate, estimate_cate, fit_effects
+from .causal import _ate_by_component, estimate_cate, fit_effects
 from .dataio import (
     _jsonable,
+    _load_json,
     load_model,
     read_dataset,
     save_model,
@@ -80,11 +81,9 @@ def cmd_simulate(args) -> int:
     if args.n < 0:
         raise InvalidConfig(f"sample count must be nonnegative, got {args.n}")
     if args.scenario_config is not None:
-        with open(args.scenario_config, encoding="utf-8") as fh:
-            scenario = scenario_from_dict(json.load(fh))
-        expected = {"multiproxy": "MultiProxyScenario",
-                    "multitreatment": "MultiTreatmentScenario"}[args.mode]
-        if type(scenario).__name__ != expected:
+        doc = _load_json(args.scenario_config)
+        scenario = scenario_from_dict(doc)
+        if doc["mode"] != args.mode:
             raise InvalidConfig(
                 f"scenario config describes the other mode; expected {args.mode}"
             )
@@ -94,7 +93,7 @@ def cmd_simulate(args) -> int:
         data, labels = simulate_multiproxy(scenario, args.n, seed=args.seed)
     else:
         data, labels = simulate_multitreatment(scenario, args.n, seed=args.seed)
-    write_dataset(args.out, data, mode=args.mode)
+    write_dataset(args.out, data)
     sidecar = truth_path(args.out)
     write_truth(sidecar, scenario, labels, seed=args.seed, n=args.n)
     print(f"wrote {args.n} rows to {args.out} (truth sidecar: {sidecar})")
@@ -103,28 +102,23 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     data, mode = read_dataset(args.input)
-    if mode != args.mode:
-        raise InvalidConfig(
-            f"{args.input} holds a {mode} dataset, not {args.mode}"
-        )
     try:
-        if args.mode == "multiproxy":
+        if mode == "multiproxy":
             kernel = KernelSpec(bandwidth=args.bandwidth,
                                 landmark_count=args.landmarks)
             mixture = fit_multiview(data["z1"], data["z2"], data["z3"], args.k,
                                     kernel=kernel, seed=args.seed)
-            model = fit_effects(data, mixture, ridge=args.ridge)
+            model = fit_effects(data, mixture)
         else:
             model = fit_multitreatment(data["a1"], data["a2"], data["a3"],
-                                       data["y"], args.k, seed=args.seed,
-                                       ridge=args.ridge)
+                                       data["y"], args.k, seed=args.seed)
     except DegenerateSpectrum as exc:
         raise DegenerateSpectrum(
             f"mixture stage: degenerate spectrum at k={args.k}: {exc}"
         ) from None
     save_model(args.out, model)
     diagnostics = {
-        "mode": args.mode,
+        "mode": mode,
         "k": args.k,
         "priors": [float(p) for p in model.priors],
         "mixture": model.mixture.diagnostics,
@@ -149,19 +143,12 @@ def _estimate_ate_doc(model, points: list[float]) -> dict:
             "per_component": [mt_cate(model, u, points)
                               for u in range(model.n_components)],
         }
-    values = [estimate_ate(model, a) for a in points]
-    k = model.z_feature_means.shape[0]
-    per_component = []
-    for a in points:
-        feats = model.outcome.feature_map.evaluate(
-            a=np.full(k, float(a)), z=model.z_feature_means)
-        per_component.append(
-            [float(feats[u] @ model.outcome.beta[u]) for u in range(k)])
+    per_component = [_ate_by_component(model, a) for a in points]
     return {
         "estimand": "ate",
         "inputs": {"a": points},
-        "value": values,
-        "per_component": per_component,
+        "value": [float(model.priors @ pc) for pc in per_component],
+        "per_component": [pc.tolist() for pc in per_component],
     }
 
 
@@ -254,12 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit the mixture and effect models")
-    p.add_argument("mode", choices=("multiproxy", "multitreatment"))
     p.add_argument("--input", required=True, help="dataset CSV path")
     p.add_argument("--k", type=int, required=True, help="component count")
     p.add_argument("--bandwidth", type=float, default=1.0)
-    p.add_argument("--landmarks", type=int, default=1000)
-    p.add_argument("--ridge", type=float, default=0.0)
+    p.add_argument("--landmarks", type=int, default=KernelSpec.landmark_count)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output model JSON path")
     p.set_defaults(handler=cmd_fit)
@@ -282,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="dataset CSV path")
     p.add_argument("--max-k", type=int, default=10, dest="max_k")
     p.add_argument("--bandwidth", type=float, default=1.0)
-    p.add_argument("--landmarks", type=int, default=1000)
+    p.add_argument("--landmarks", type=int, default=KernelSpec.landmark_count)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="optional CSV of the spectrum")
     p.set_defaults(handler=cmd_rank)
@@ -295,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--bandwidth", type=float, default=1.0)
-    p.add_argument("--landmarks", type=int, default=1000)
+    p.add_argument("--landmarks", type=int, default=KernelSpec.landmark_count)
     p.add_argument("--out", required=True, help="report CSV path")
     p.set_defaults(handler=cmd_benchmark)
 

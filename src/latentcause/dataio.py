@@ -22,7 +22,7 @@ from .mixture import MixtureEstimate
 from .multitreatment import MultiTreatmentModel
 from .scenarios import MultiProxyScenario, MultiTreatmentScenario
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 REPORT_COLUMNS = ("scenario", "n", "trial", "seed", "component", "parameter",
                   "estimate", "truth", "aligned_abs_error", "wall_ms", "error")
 
@@ -70,13 +70,13 @@ def _check_values(values: np.ndarray, n_levels: int, path) -> None:
         raise InvalidConfig(f"{path}: treatment levels must be nonnegative integers")
 
 
-def write_dataset(path, data: dict, mode: str | None = None) -> None:
+def write_dataset(path, data: dict) -> None:
     """Write one dataset as CSV; the column layout encodes the mode.
 
     The columns are checked before the file is opened: one row count, finite
     values, and nonnegative integer treatment levels.
     """
-    mode = mode if mode is not None else dataset_mode(data)
+    mode = dataset_mode(data)
     if mode == "multiproxy":
         views = [_float_column(data, k) for k in ("z1", "z2", "z3")]
         views = [v[:, None] if v.ndim == 1 else v for v in views]
@@ -85,11 +85,9 @@ def write_dataset(path, data: dict, mode: str | None = None) -> None:
                                     f"{[v.shape for v in views]}")
         header = _multiproxy_header(views[0].shape[1])
         columns = views + [_float_column(data, k).reshape(-1, 1) for k in ("a", "y")]
-    elif mode == "multitreatment":
+    else:
         header = list(_MULTITREATMENT_KEYS)
         columns = [_float_column(data, k).reshape(-1, 1) for k in header]
-    else:
-        raise InvalidConfig(f"unknown dataset mode {mode!r}")
     if any(c.shape[0] != columns[0].shape[0] for c in columns):
         raise DimensionMismatch(f"columns disagree on the row count: "
                                 f"{[c.shape[0] for c in columns]}")
@@ -107,13 +105,14 @@ def write_dataset(path, data: dict, mode: str | None = None) -> None:
 def read_dataset(path) -> tuple[dict, str]:
     """Read a dataset CSV back; returns (data dict, mode)."""
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidConfig(f"{path} is empty, expected a CSV header") from None
-        rows = list(reader)
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidConfig(f"{path} is not a UTF-8 CSV file: {exc}") from None
+    if not rows:
+        raise InvalidConfig(f"{path} is empty, expected a CSV header")
+    header, rows = rows[0], rows[1:]
 
     if header[:1] == ["a1"]:
         if header != list(_MULTITREATMENT_KEYS):
@@ -259,7 +258,8 @@ def model_from_dict(doc: dict):
     fields = _object(doc, "model")
     version = fields.pop("schema_version", None)
     if version != SCHEMA_VERSION:
-        raise InvalidConfig(f"unsupported model schema version {version!r}")
+        raise InvalidConfig(f"malformed model document: schema version {version!r} "
+                            f"is not the supported version {SCHEMA_VERSION}")
     return _decode(_MODELS, fields, "model")
 
 
@@ -292,7 +292,7 @@ def read_truth(path) -> dict:
     doc["scenario"] = scenario_from_dict(doc.get("scenario", {}))
     try:
         doc["labels"] = np.asarray(doc.get("labels", []), dtype=int)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"malformed truth document: {exc}") from None
     return doc
 
@@ -305,8 +305,8 @@ def _dump_json(path, doc) -> None:
 def _load_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"{path} is not valid JSON: {exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidConfig(f"{path} is not valid UTF-8 JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ class KernelSpec:
     ``landmark_count`` caps the anchor set used by the spectral fits.
     """
 
-    family: str = "gaussian_rbf"
     bandwidth: float | None = None
     rule: str = "median_heuristic"
     power_c: float = 1.0
@@ -35,13 +34,10 @@ class KernelSpec:
     landmark_count: int = 1000
 
     def __post_init__(self):
-        if self.family != "gaussian_rbf":
-            raise InvalidConfig(f"unsupported kernel family: {self.family!r}")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise InvalidConfig(f"bandwidth must be positive, got {self.bandwidth}")
         if self.rule not in ("median_heuristic", "power_rule"):
             raise InvalidConfig(f"unknown bandwidth rule: {self.rule!r}")
-        for name in ("power_c", "power_b"):
+        given = ("power_c", "power_b") + (("bandwidth",) if self.is_resolved else ())
+        for name in given:
             try:
                 value = float(getattr(self, name))
             except (TypeError, ValueError):
@@ -50,9 +46,11 @@ class KernelSpec:
             if not (np.isfinite(value) and value > 0):
                 raise InvalidConfig(f"{name} must be finite and positive, got {value}")
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "landmark_count", int(self.landmark_count))
-        if self.landmark_count < 1:
-            raise InvalidConfig("landmark_count must be at least 1")
+        count = self.landmark_count
+        if not isinstance(count, (int, np.integer)) or count < 1:
+            raise InvalidConfig(f"landmark_count must be an integer of at least 1, "
+                                f"got {count!r}")
+        object.__setattr__(self, "landmark_count", int(count))
 
     @property
     def is_resolved(self) -> bool:

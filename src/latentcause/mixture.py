@@ -53,16 +53,14 @@ class MixtureEstimate:
     """Fitted mixture: priors plus per-view component representations.
 
     ``backend`` is "kernel" (densities are anchor-coefficient expansions) or
-    "discrete" (densities are emission matrices). ``priors_raw`` keeps the
+    "discrete" (densities are emission matrices). ``priors_raw`` gives the
     inverse-square tensor eigenvalues before clamping and renormalization so
     the eigenvalue-to-weight map stays checkable after the fact.
     """
 
     backend: str
     priors: np.ndarray                       # K, clamped + renormalized
-    priors_raw: np.ndarray                   # K, lambdas ** -2 exactly
     lambdas: np.ndarray                      # K tensor eigenvalues
-    density_floor: float = DENSITY_FLOOR
     kernel: KernelSpec | None = None
     anchors: tuple | None = None             # per view: m_v x d anchor points
     coefficients: tuple | None = None        # per view: K x m_v rows
@@ -73,22 +71,18 @@ class MixtureEstimate:
     def __post_init__(self):
         if self.backend not in ("kernel", "discrete"):
             raise InvalidConfig(f"unknown backend {self.backend!r}")
-        for name in ("priors", "priors_raw", "lambdas"):
+        for name in ("priors", "lambdas"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         for name in ("anchors", "coefficients", "emissions"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, tuple(
                     np.asarray(a, dtype=float) for a in getattr(self, name)))
-        object.__setattr__(self, "density_floor", float(self.density_floor))
         p = self.priors
-        if p.ndim != 1 or p.size == 0 or not (
-                p.shape == self.priors_raw.shape == self.lambdas.shape):
-            raise DimensionMismatch("priors, priors_raw and lambdas must be "
-                                    "nonempty vectors of one length")
+        if p.ndim != 1 or p.size == 0 or p.shape != self.lambdas.shape:
+            raise DimensionMismatch("priors and lambdas must be nonempty vectors "
+                                    "of one length")
         if not np.all(p >= 0) or abs(p.sum() - 1.0) > 1e-10:
             raise InvalidConfig("priors must be nonnegative and sum to 1")
-        if not self.density_floor > 0:
-            raise InvalidConfig("density_floor must be positive")
         k = p.shape[0]
         if self.backend == "kernel":
             anchors, coefs = self.anchors, self.coefficients
@@ -100,6 +94,8 @@ class MixtureEstimate:
                     or any(c.shape != (k,) + a.shape[:1] for c, a in zip(coefs, anchors))):
                 raise DimensionMismatch("need three m_v x d anchor sets and three "
                                         f"{k} x m_v coefficient blocks")
+            if not all(np.all(np.isfinite(a)) for a in anchors + coefs):
+                raise InvalidConfig("anchors and coefficients must be finite")
         else:
             ems = self.emissions
             if ems is None:
@@ -112,6 +108,11 @@ class MixtureEstimate:
     @property
     def n_components(self) -> int:
         return self.priors.shape[0]
+
+    @property
+    def priors_raw(self) -> np.ndarray:
+        """The raw weights lambdas ** -2, before clamping and renormalization."""
+        return priors_from_lambdas(self.lambdas)[0]
 
 
 @dataclass(frozen=True)
@@ -250,14 +251,12 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
 
     rng = np.random.default_rng(sub_ss)
     grams, factors, anchor_sets = zip(*(_nystrom_features(v, kernel, rng) for v in views))
-    lam, raw, priors, means, info = _cross_moment_core(list(zip(grams, factors)), k,
-                                                       power_ss)
+    lam, _, priors, means, info = _cross_moment_core(list(zip(grams, factors)), k, power_ss)
     info.update(method="crossmoment", anchor_count=min(n, kernel.landmark_count),
                 landmark_rank=[a.shape[0] for a in anchor_sets])
     return MixtureEstimate(
         backend="kernel",
         priors=priors,
-        priors_raw=raw,
         lambdas=lam,
         kernel=kernel,
         anchors=anchor_sets,
@@ -265,10 +264,6 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
         seed=_seed_value(seed),
         diagnostics=info,
     )
-
-
-# Public name kept for symmetric-view callers; the cross-moment core covers them.
-fit_symmetric_spectral = fit_multiview
 
 
 def _nystrom_features(view, kernel, rng):
@@ -383,21 +378,20 @@ def fit_discrete_multiview(a1, a2, a3, k: int, seed=0,
             for v in views
         )
         lam = np.ones(1)
-        raw, priors = priors_from_lambdas(lam)
         return MixtureEstimate(
-            backend="discrete", priors=priors, priors_raw=raw, lambdas=lam,
+            backend="discrete", priors=priors_from_lambdas(lam)[1], lambdas=lam,
             emissions=emissions, seed=_seed_value(seed),
             diagnostics={"method": "discrete_marginal", "levels": s},
         )
 
     eye = np.eye(s)
     power_ss = _root_seq(seed).spawn(1)[0]
-    lam, raw, priors, means, info = _cross_moment_core([(eye[v], eye) for v in views], k,
-                                                       power_ss)
+    lam, _, priors, means, info = _cross_moment_core([(eye[v], eye) for v in views], k,
+                                                     power_ss)
     emissions = tuple(_stochastic_columns(m) for m in means)
     info.update(method="discrete_cross_moment", levels=s)
     return MixtureEstimate(
-        backend="discrete", priors=priors, priors_raw=raw, lambdas=lam,
+        backend="discrete", priors=priors, lambdas=lam,
         emissions=emissions, seed=_seed_value(seed), diagnostics=info,
     )
 
@@ -446,7 +440,7 @@ def _density_matrix(est: MixtureEstimate, view: int, z) -> np.ndarray:
         dm = est.emissions[view][z, :]
     else:
         dm = _blocked_gram(est.kernel, z, est.anchors[view], est.coefficients[view].T)
-    return np.maximum(dm, est.density_floor, out=dm)
+    return np.maximum(dm, DENSITY_FLOOR, out=dm)
 
 
 def posteriors(est: MixtureEstimate, z1, z2, z3) -> PosteriorMatrix:
@@ -465,7 +459,7 @@ def posteriors(est: MixtureEstimate, z1, z2, z3) -> PosteriorMatrix:
     at_floor = np.ones((n, k), dtype=bool)
     for v in range(3):
         dm = _density_matrix(est, v, zs[v])
-        at_floor &= dm <= est.density_floor
+        at_floor &= dm <= DENSITY_FLOOR
         log_w += np.log(dm)
 
     log_w -= log_w.max(axis=1, keepdims=True)

@@ -65,8 +65,7 @@ class MultiTreatmentModel:
 
 
 def fit_multitreatment(a1, a2, a3, y, k: int, xi_map: FeatureMap | None = None,
-                       seed=0, levels: int | None = None,
-                       ridge: float = 0.0) -> MultiTreatmentModel:
+                       seed=0, levels: int | None = None) -> MultiTreatmentModel:
     """Recover the hidden state from the treatments and fit the outcome.
 
     The default basis is [1, a1, a2, a3], matching a linear structural
@@ -80,7 +79,7 @@ def fit_multitreatment(a1, a2, a3, y, k: int, xi_map: FeatureMap | None = None,
     treats = np.column_stack([np.asarray(a, dtype=float).ravel()
                               for a in (a1, a2, a3)])
     feats = fm.evaluate(a=treats)
-    gamma, used = _stacked_regression(feats, w.weights, y_vec, ridge)
+    gamma, used = _stacked_regression(feats, w.weights, y_vec)
     return MultiTreatmentModel(
         mixture=est,
         gamma=gamma,

@@ -20,7 +20,6 @@ from latentcause import (
     fit_multitreatment,
     fit_multiview,
     fit_outcome,
-    fit_symmetric_spectral,
     fit_treatment,
     load_model,
     mt_ate,
@@ -126,9 +125,7 @@ def test_criterion_4_prior_recovery_symmetric_mixture():
         u = rng.choice(2, size=10000, p=priors)
         locs = np.array([-2.0, 2.0])[u]
         views = [locs + 0.6 * rng.standard_normal(10000) for _ in range(3)]
-        est = fit_symmetric_spectral(*views, 2,
-                                     kernel=KernelSpec(bandwidth=0.6),
-                                     seed=trial)
+        est = fit_multiview(*views, 2, kernel=KernelSpec(bandwidth=0.6), seed=trial)
         err = float(np.max(np.abs(np.sort(est.priors) - priors)))
         worst = max(worst, err)
         hits += (err <= 0.05)
@@ -152,8 +149,7 @@ def test_criterion_5_priors_are_inverse_square_eigenvalues(proxy_case,
     rng = np.random.default_rng(0)
     sym = [rng.standard_normal(3000) + 2.0 * rng.choice([-1, 1], size=3000)
            for _ in range(3)]
-    fits.append(fit_symmetric_spectral(*sym, 2,
-                                       kernel=KernelSpec(bandwidth=1.0), seed=1))
+    fits.append(fit_multiview(*sym, 2, kernel=KernelSpec(bandwidth=1.0), seed=1))
     worst = 0.0
     for est in fits:
         dev = float(np.max(np.abs(est.priors_raw - est.lambdas ** -2.0)))
@@ -234,7 +230,6 @@ def test_criterion_7_invariant_suite(proxy_case):
     shuffled = dataclasses.replace(
         mixture,
         priors=mixture.priors[perm],
-        priors_raw=mixture.priors_raw[perm],
         lambdas=mixture.lambdas[perm],
         coefficients=tuple(c[perm] for c in mixture.coefficients),
     )

@@ -1,6 +1,9 @@
 """Weighted regression stages and effect estimation."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -46,11 +49,6 @@ def test_treatment_feature_map_shapes():
     fm = treatment_feature_map(3)
     z = np.arange(12.0).reshape(4, 3)
     assert np.array_equal(fm.evaluate(z=z), z)
-    with_const = treatment_feature_map(3, include_constant=True)
-    out = with_const.evaluate(z=z)
-    assert out.shape == (4, 4)
-    assert np.array_equal(out[:, 0], np.ones(4))
-    assert np.array_equal(out[:, 1:], z)
 
 
 def test_outcome_feature_map_layout():
@@ -142,6 +140,16 @@ def test_treatment_density_matches_normal_formula(proxy_case):
     assert abs(treatment_density(tm, 1, a, z) - want) <= 1e-12
     rows = treatment_density(tm, 1, data["a"][:5], data["z1"][:5])
     assert rows.shape == (5,)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # the Gaussian densities are written out, so importing the package
+    # need not pay for loading scipy.stats
+    code = "import sys, latentcause; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_update_posteriors_matches_loop_oracle(proxy_case):
@@ -249,7 +257,6 @@ def test_pipeline_is_permutation_equivariant(proxy_case):
     shuffled = dataclasses.replace(
         mixture,
         priors=mixture.priors[perm],
-        priors_raw=mixture.priors_raw[perm],
         lambdas=mixture.lambdas[perm],
         coefficients=tuple(c[perm] for c in mixture.coefficients),
     )

@@ -29,7 +29,7 @@ def proxy_csv(tmp_path_factory):
 @pytest.fixture(scope="module")
 def proxy_model(tmp_path_factory, proxy_csv):
     path = tmp_path_factory.mktemp("cli-model") / "m.json"
-    code = main(["fit", "multiproxy", "--input", str(proxy_csv), "--k", "3",
+    code = main(["fit", "--input", str(proxy_csv), "--k", "3",
                  "--bandwidth", "1.0", "--landmarks", "800", "--seed", "1",
                  "--out", str(path)])
     assert code == 0
@@ -73,7 +73,7 @@ def test_fit_emits_diagnostics_and_is_deterministic(tmp_path, proxy_csv,
                                                     proxy_model, capsys):
     capsys.readouterr()
     refit = tmp_path / "refit.json"
-    assert main(["fit", "multiproxy", "--input", str(proxy_csv), "--k", "3",
+    assert main(["fit", "--input", str(proxy_csv), "--k", "3",
                  "--bandwidth", "1.0", "--landmarks", "800", "--seed", "1",
                  "--out", str(refit)]) == 0
     captured = capsys.readouterr()
@@ -179,7 +179,7 @@ def test_rank_clips_oversized_max_k(tmp_path, capsys):
 
 def test_fit_reports_degenerate_spectrum(proxy_csv, tmp_path, capsys):
     capsys.readouterr()
-    code = main(["fit", "multiproxy", "--input", str(proxy_csv), "--k", "60",
+    code = main(["fit", "--input", str(proxy_csv), "--k", "60",
                  "--landmarks", "100", "--out", str(tmp_path / "bad.json")])
     assert code == 2
     assert "degenerate spectrum at k=60" in capsys.readouterr().err
@@ -188,7 +188,7 @@ def test_fit_reports_degenerate_spectrum(proxy_csv, tmp_path, capsys):
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1
-    assert main(["fit", "multiproxy", "--input", "x.csv"]) == 1
+    assert main(["fit", "--input", "x.csv"]) == 1
     assert main(["benchmark", "--scenario", "paper-7.1", "--ns", "5,x",
                  "--trials", "1", "--out", str(tmp_path / "r.csv")]) == 1
     assert main(["benchmark", "--scenario", "mystery", "--ns", "5",
@@ -197,15 +197,34 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 
 
 def test_missing_input_exits_one(tmp_path, capsys):
-    assert main(["fit", "multiproxy", "--input", str(tmp_path / "nope.csv"),
+    assert main(["fit", "--input", str(tmp_path / "nope.csv"),
                  "--k", "3", "--out", str(tmp_path / "m.json")]) == 1
     capsys.readouterr()
 
 
-def test_mode_mismatch_exits_two(proxy_csv, tmp_path, capsys):
-    assert main(["fit", "multitreatment", "--input", str(proxy_csv),
-                 "--k", "2", "--out", str(tmp_path / "m.json")]) == 2
+def test_fit_takes_the_mode_from_the_dataset(tmp_path, capsys):
+    data = tmp_path / "mt.csv"
+    assert main(["simulate", "multitreatment", "--n", "2000", "--out", str(data)]) == 0
     capsys.readouterr()
+    assert main(["fit", "--input", str(data), "--k", "2",
+                 "--out", str(tmp_path / "mt.json")]) == 0
+    diagnostics = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostics["mode"] == "multitreatment"
+
+
+def test_malformed_input_files_exit_two(tmp_path, capsys):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text("{")
+    utf16 = tmp_path / "utf16.csv"
+    utf16.write_bytes(b"\xff\xfe" + "z1_0,z2_0,z3_0,a,y\n".encode("utf-16-le"))
+    out = str(tmp_path / "out")
+    for bad in (truncated, utf16):
+        assert main(["simulate", "multiproxy", "--n", "5", "--scenario-config",
+                     str(bad), "--out", out + ".csv"]) == 2, bad
+    assert main(["fit", "--input", str(utf16), "--k", "2", "--out", out + ".json"]) == 2
+    assert main(["rank", "--input", str(utf16)]) == 2
+    assert main(["estimate", "--model", str(utf16), "ate", "--a", "1"]) == 2
+    assert "UTF-8" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):

@@ -10,6 +10,7 @@ from latentcause import (
     DimensionMismatch,
     InvalidConfig,
     KernelSpec,
+    LatentCauseError,
     custom_feature_map,
     estimate_ate,
     fit_effects,
@@ -173,13 +174,54 @@ def test_model_document_is_schema_versioned(discrete_case):
     model = fit_multitreatment(data["a1"], data["a2"], data["a3"], data["y"],
                                2, seed=0)
     doc = model_to_dict(model)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["mode"] == "multitreatment"
     round_tripped = model_from_dict(json.loads(json.dumps(doc)))
     assert np.array_equal(round_tripped.gamma, model.gamma)
 
 
-def test_malformed_model_documents_rejected(tmp_path, discrete_case):
+def _small_proxy_model(proxy_case):
+    _, data, _ = proxy_case
+    part = {key: value[:600] for key, value in data.items()}
+    mixture = fit_multiview(part["z1"], part["z2"], part["z3"], 3,
+                            kernel=KernelSpec(bandwidth=1.0, landmark_count=100), seed=0)
+    return fit_effects(part, mixture)
+
+
+def _leaf_paths(doc, prefix=()):
+    """Key paths to the scalar leaves of a JSON document, first list item only."""
+    if isinstance(doc, dict):
+        return [p for key, v in doc.items() for p in _leaf_paths(v, prefix + (key,))]
+    if isinstance(doc, list):
+        return _leaf_paths(doc[0], prefix + (0,)) if doc else []
+    return [prefix]
+
+
+def _replaced(doc, keys, value):
+    """A deep copy of doc with the value at the key path ``keys`` replaced."""
+    out = json.loads(json.dumps(doc))
+    target = out
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return out
+
+
+def test_schema_2_documents_drop_fixed_fields(proxy_case, discrete_case):
+    _, data, _ = discrete_case
+    docs = [model_to_dict(_small_proxy_model(proxy_case)),
+            model_to_dict(fit_multitreatment(data["a1"], data["a2"], data["a3"],
+                                             data["y"], 2, seed=0))]
+    for doc in docs:
+        keys = {key for path in _leaf_paths(doc) for key in path}
+        assert keys.isdisjoint({"family", "density_floor", "priors_raw",
+                                "include_constant"})
+        with pytest.raises(InvalidConfig, match="version 1 "):
+            model_from_dict({**doc, "schema_version": 1})
+    assert docs[0]["treatment"]["feature_map"]["kind"] == "linear_z"
+
+
+def test_malformed_model_documents_rejected(tmp_path, discrete_case, proxy_case):
     with pytest.raises(InvalidConfig):
         model_from_dict({"schema_version": 1})
     with pytest.raises(InvalidConfig):
@@ -206,13 +248,19 @@ def test_malformed_model_documents_rejected(tmp_path, discrete_case):
         (("mixture", "emissions", 1, 0, 0), -0.1, InvalidConfig),
         (("xi_map",), [1, 2], InvalidConfig),
     ]
+    kernel_doc = model_to_dict(_small_proxy_model(proxy_case))
+    kernel_cases = [
+        (("mixture", "kernel", "landmark_count"), 1e400, InvalidConfig),
+        (("mixture", "kernel", "landmark_count"), 2.5, InvalidConfig),
+        (("mixture", "kernel", "bandwidth"), 1e400, InvalidConfig),
+        (("mixture", "kernel", "bandwidth"), "wide", InvalidConfig),
+        (("mixture", "coefficients", 1, 2, 0), float("nan"), InvalidConfig),
+        (("mixture", "anchors", 0, 0, 0), 1e400, InvalidConfig),
+    ]
     path = tmp_path / "bad.json"
-    for keys, value, error in cases:
-        bad = json.loads(json.dumps(doc))
-        target = bad
-        for key in keys[:-1]:
-            target = target[key]
-        target[keys[-1]] = value
+    for base, keys, value, error in ([(doc, *c) for c in cases]
+                                     + [(kernel_doc, *c) for c in kernel_cases]):
+        bad = _replaced(base, keys, value)
         with pytest.raises(error):
             model_from_dict(bad)
         path.write_text(json.dumps(bad))
@@ -223,6 +271,53 @@ def test_malformed_model_documents_rejected(tmp_path, discrete_case):
     listed.write_text("[1, 2]")
     with pytest.raises(InvalidConfig):
         read_truth(listed)
+    huge = tmp_path / "huge.truth.json"
+    write_truth(huge, two_state_discrete(), [0], seed=0, n=1)
+    huge.write_text(json.dumps({**json.loads(huge.read_text()), "labels": [1e400]}))
+    with pytest.raises(InvalidConfig):
+        read_truth(huge)
+
+
+def test_every_file_failure_is_a_latentcause_error(tmp_path, proxy_case, discrete_case):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    _, data, _ = discrete_case
+    docs = [model_to_dict(_small_proxy_model(proxy_case)),
+            model_to_dict(fit_multitreatment(data["a1"], data["a2"], data["a3"],
+                                             data["y"], 2, seed=0))]
+    leaves = [(i, keys) for i, doc in enumerate(docs) for keys in _leaf_paths(doc)]
+    path = tmp_path / "drawn"
+
+    def loads_or_raises_typed(reader):
+        try:
+            reader(path)
+        except LatentCauseError:
+            pass
+
+    starts = [b"", b"z1_0,z2_0,z3_0,a,y\n", b"a1,a2,a3,y\n1,0,",
+              b'{"schema_version": 2, "mode": "multitreatment", ']
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.sampled_from(starts), st.binary(max_size=40))
+    def arbitrary_bytes(start, tail):
+        path.write_bytes(start + tail)
+        for reader in (read_dataset, load_model, read_truth):
+            loads_or_raises_typed(reader)
+
+    values = st.one_of(st.text(max_size=4), st.sampled_from([1e400, -1e400]),
+                       st.lists(st.integers(-3, 3), max_size=2),
+                       st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+                       st.none())
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.sampled_from(leaves), values)
+    def one_leaf_replaced(leaf, value):
+        i, keys = leaf
+        path.write_text(json.dumps(_replaced(docs[i], keys, value)))
+        loads_or_raises_typed(load_model)
+
+    arbitrary_bytes()
+    one_leaf_replaced()
 
 
 def test_custom_feature_map_models_refuse_serialization(proxy_case, tmp_path):

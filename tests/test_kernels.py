@@ -86,8 +86,14 @@ def test_resolve_median_and_power_rules():
 
 def test_kernel_spec_validation():
     with pytest.raises(InvalidConfig):
-        KernelSpec(family="laplace")
-    with pytest.raises(InvalidConfig):
         KernelSpec(bandwidth=-1.0)
     with pytest.raises(InvalidConfig):
         KernelSpec(rule="guess")
+    for bad in (1e400, float("nan"), 0.0, "x", [1.0]):
+        with pytest.raises(InvalidConfig, match="bandwidth"):
+            KernelSpec(bandwidth=bad)
+    assert KernelSpec(bandwidth="1.0").bandwidth == 1.0
+    for bad in (1e400, 2.5, 0, "10", None):
+        with pytest.raises(InvalidConfig, match="landmark_count"):
+            KernelSpec(landmark_count=bad)
+    assert type(KernelSpec(landmark_count=np.int64(7)).landmark_count) is int

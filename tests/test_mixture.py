@@ -20,7 +20,6 @@ from latentcause import (
     density,
     fit_discrete_multiview,
     fit_multiview,
-    fit_symmetric_spectral,
     map_assign,
     oracle_posteriors,
     posteriors,
@@ -59,14 +58,14 @@ def test_priors_from_lambdas_spot_value():
 
 def test_symmetric_fit_recovers_priors_and_raw_contract():
     views, _ = symmetric_views([0.4, 0.6], 6000, seed=0)
-    est = fit_symmetric_spectral(*views, 2, kernel=KernelSpec(bandwidth=0.6), seed=1)
+    est = fit_multiview(*views, 2, kernel=KernelSpec(bandwidth=0.6), seed=1)
     assert np.max(np.abs(np.sort(est.priors) - np.array([0.4, 0.6]))) <= 0.05
     assert np.max(np.abs(est.priors_raw - est.lambdas ** -2.0)) <= 1e-12
 
 
 def test_symmetric_fit_posterior_separation():
     views, labels = symmetric_views([0.5, 0.5], 4000, seed=3)
-    est = fit_symmetric_spectral(*views, 2, kernel=KernelSpec(bandwidth=0.6), seed=0)
+    est = fit_multiview(*views, 2, kernel=KernelSpec(bandwidth=0.6), seed=0)
     w = posteriors(est, *views)
     hard = map_assign(w)
     flips = min(np.mean(hard != labels), np.mean(hard != 1 - labels))
@@ -89,7 +88,7 @@ def test_crossmoment_fit_on_three_cluster_design():
 
 def test_posteriors_rows_are_stochastic():
     views, _ = symmetric_views([0.3, 0.7], 2000, seed=8)
-    est = fit_symmetric_spectral(*views, 2, kernel=KernelSpec(bandwidth=0.6), seed=0)
+    est = fit_multiview(*views, 2, kernel=KernelSpec(bandwidth=0.6), seed=0)
     w = posteriors(est, *views)
     assert w.flavor == "proxy_only"
     assert np.all(w.weights >= 0.0)
@@ -142,7 +141,7 @@ def test_density_discrete_lookup_and_kernel_positivity():
     assert abs(val - est.emissions[0][1, 0]) <= 1e-15
 
     cont, _ = symmetric_views([1.0], 500, seed=1, means=(0.0,), sigma=1.0)
-    kest = fit_symmetric_spectral(*cont, 1, kernel=KernelSpec(bandwidth=1.0), seed=0)
+    kest = fit_multiview(*cont, 1, kernel=KernelSpec(bandwidth=1.0), seed=0)
     assert density(kest, 0, 0, np.array([0.0])) > 0.0
 
 
@@ -150,7 +149,7 @@ def test_recovered_density_mass_is_component_independent():
     # every recovered component density carries the same total mass,
     # sqrt(2 pi) * bandwidth, regardless of its mixing weight
     views, _ = symmetric_views([0.25, 0.75], 8000, seed=12)
-    est = fit_symmetric_spectral(*views, 2, kernel=KernelSpec(bandwidth=0.6), seed=0)
+    est = fit_multiview(*views, 2, kernel=KernelSpec(bandwidth=0.6), seed=0)
     grid = np.linspace(-6.0, 6.0, 481)
     masses = []
     for c in range(2):
