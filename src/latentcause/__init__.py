@@ -9,18 +9,13 @@ then estimated by posterior-weighted regressions.
 from .benchmark import default_workers, run_benchmark, summarize
 from .causal import (
     CausalEstimate,
-    FeatureMap,
     OutcomeModel,
     TreatmentModel,
-    custom_feature_map,
     estimate_ate,
     estimate_cate,
     fit_effects,
     fit_outcome,
     fit_treatment,
-    outcome_feature_map,
-    treatment_density,
-    treatment_feature_map,
     update_posteriors,
 )
 from .dataio import (
@@ -58,7 +53,6 @@ from .mixture import (
     density,
     fit_discrete_multiview,
     fit_multiview,
-    map_assign,
     posteriors,
     priors_from_lambdas,
     scree,
@@ -74,7 +68,6 @@ from .multitreatment import (
 from .scenarios import (
     MultiProxyScenario,
     MultiTreatmentScenario,
-    oracle_ate,
     oracle_discrete_posteriors,
     oracle_posteriors,
     simulate_multiproxy,

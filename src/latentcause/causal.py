@@ -1,14 +1,16 @@
 """Treatment and outcome stages on top of a recovered mixture.
 
 Stage one scores every sample with mixture posteriors. Stage two fits a
-per-component Gaussian treatment model: one stacked weighted least-squares
-solve for the mean coefficients, then a residual decomposition for the
-per-component noise variances. Stage three folds the treatment likelihood
-back into the weights and fits the outcome coefficients the same stacked
-way. Dose-response summaries average the outcome features with posterior
+per-component Gaussian treatment model whose mean is linear in z with no
+intercept: one stacked weighted least-squares solve for the mean
+coefficients, then a residual decomposition for the per-component noise
+variances. Stage three folds the treatment likelihood back into the weights
+and fits outcome coefficients on the affine regressors [1, a, z] the same
+stacked way. These layouts are fixed, and one private helper builds both.
+Dose-response summaries average the outcome regressors with posterior
 weights, so no explicit integration over the proxy distribution is needed.
 
-All fits are pure functions of (data, weights, config) and are safe to run
+All fits are pure functions of (data, weights) and are safe to run
 concurrently on disjoint datasets.
 """
 
@@ -32,128 +34,43 @@ from .mixture import MixtureEstimate, PosteriorMatrix, _check_component, posteri
 SIGMA_FLOOR = 1e-6
 CLUSTER_FLOOR = 1e-8
 RIDGE_LADDER = (1e-8, 1e-6)
-FEATURE_KINDS = ("linear_z", "constant_treat_linear", "custom")
 _SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 # ---------------------------------------------------------------------------
-# feature maps
+# regressors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FeatureMap:
-    """Deterministic regressor builder for the treatment and outcome stages.
+def _regressors(a, z, width: int | None = None) -> np.ndarray:
+    """Stage regressors, one row per sample: z alone when a is None, else [1, a, z].
 
-    Three kinds are supported. "linear_z" maps z to itself, for treatment
-    means with no intercept. "constant_treat_linear" maps (a, z)
-    to [1, a, z]; the z block is simply absent when no z is supplied, which
-    is how the basis [1, a1, a2, a3] over three treatments arises. "custom"
-    evaluates a tuple of callables f(a, z) -> column, one output column
-    each; they must be pure and deterministic.
+    A 1-d ``a`` holds one scalar treatment per row and a 2-d ``a`` one column
+    per treatment; z may be left out after a treatment, which is how the
+    basis [1, a1, a2, a3] arises. A single-row argument is repeated to the
+    other's rows, which is how a fixed intervention level is paired with
+    many samples. ``width`` is the column count fitted coefficients expect.
     """
-
-    kind: str
-    output_dim: int
-    basis: tuple | None = None
-
-    def __post_init__(self):
-        if self.kind not in FEATURE_KINDS:
-            raise InvalidConfig(f"unknown feature map kind {self.kind!r}")
-        if not isinstance(self.output_dim, (int, np.integer)) or self.output_dim < 1:
-            raise InvalidConfig("output_dim must be a positive integer")
-        if self.kind == "custom":
-            if not self.basis or any(not callable(f) for f in self.basis):
-                raise InvalidConfig("custom maps need a tuple of callables")
-            if len(self.basis) != self.output_dim:
-                raise DimensionMismatch(
-                    f"{len(self.basis)} basis functions but output_dim "
-                    f"{self.output_dim}"
-                )
-            object.__setattr__(self, "basis", tuple(self.basis))
-
-    def evaluate(self, a=None, z=None) -> np.ndarray:
-        """Feature matrix, one row per sample.
-
-        1-d treatment input means one scalar treatment per row; pass a 2-d
-        array for multi-column treatments. A single-row argument is repeated
-        to match the other argument's rows, which is how a fixed
-        intervention level is paired with many samples.
-        """
-        a_cols = None
-        if a is not None:
-            a_cols = np.asarray(a, dtype=float)
-            if a_cols.ndim == 0:
-                a_cols = a_cols.reshape(1, 1)
-            elif a_cols.ndim == 1:
-                a_cols = a_cols[:, None]
-            elif a_cols.ndim != 2:
-                raise DimensionMismatch("treatment input must be at most 2-d")
-        z_rows = None
-        if z is not None:
-            z_rows = np.atleast_2d(np.asarray(z, dtype=float))
-            if z_rows.ndim != 2:
-                raise DimensionMismatch("z input must be at most 2-d")
-        parts = [p for p in (a_cols, z_rows) if p is not None]
-        if not parts:
-            raise InvalidConfig("feature map evaluated with no inputs")
-        n = max(p.shape[0] for p in parts)
-        if any(p.shape[0] not in (1, n) for p in parts):
-            raise DimensionMismatch("treatment and z inputs disagree on rows")
-        if a_cols is not None and a_cols.shape[0] == 1 and n > 1:
-            a_cols = np.repeat(a_cols, n, axis=0)
-        if z_rows is not None and z_rows.shape[0] == 1 and n > 1:
-            z_rows = np.repeat(z_rows, n, axis=0)
-
-        if self.kind == "linear_z":
-            if z_rows is None:
-                raise InvalidConfig("this feature map needs a z input")
-            blocks = [z_rows]
-        elif self.kind == "constant_treat_linear":
-            if a_cols is None:
-                raise InvalidConfig("this feature map needs a treatment input")
-            blocks = [np.ones((n, 1)), a_cols]
-            if z_rows is not None:
-                blocks.append(z_rows)
-        else:
-            a_arg = a_cols
-            if a_cols is not None and a_cols.shape[1] == 1:
-                a_arg = a_cols[:, 0]
-            cols = []
-            for fn in self.basis:
-                col = np.asarray(fn(a_arg, z_rows), dtype=float).ravel()
-                if col.shape[0] != n:
-                    raise DimensionMismatch(
-                        f"basis function returned {col.shape[0]} values for "
-                        f"{n} rows"
-                    )
-                cols.append(col)
-            blocks = [np.column_stack(cols)]
-        out = np.hstack(blocks)
-        if out.shape[1] != self.output_dim:
-            raise DimensionMismatch(
-                f"feature map built {out.shape[1]} columns, declared "
-                f"{self.output_dim}"
-            )
-        return out
-
-
-def treatment_feature_map(dim: int) -> FeatureMap:
-    """Linear-in-z treatment regressors, with no intercept."""
-    return FeatureMap(kind="linear_z", output_dim=int(dim))
-
-
-def outcome_feature_map(z_dim: int, treat_dim: int = 1) -> FeatureMap:
-    """Affine regressors [1, a, z] for the outcome stage."""
-    return FeatureMap(
-        kind="constant_treat_linear",
-        output_dim=1 + int(treat_dim) + int(z_dim),
-    )
-
-
-def custom_feature_map(basis) -> FeatureMap:
-    """Feature map from explicit basis callables f(a, z) -> column."""
-    fns = tuple(basis)
-    return FeatureMap(kind="custom", output_dim=len(fns), basis=fns)
+    parts = []
+    if a is not None:
+        a_cols = np.asarray(a, dtype=float)
+        parts.append(a_cols.reshape(-1, 1) if a_cols.ndim < 2 else a_cols)
+    if z is not None:
+        parts.append(np.atleast_2d(np.asarray(z, dtype=float)))
+    if not parts:
+        raise InvalidConfig("the treatment regressors need a z input")
+    if any(p.ndim != 2 for p in parts):
+        raise DimensionMismatch("treatment and z inputs must be at most 2-d")
+    n = max(p.shape[0] for p in parts)
+    if any(p.shape[0] not in (1, n) for p in parts):
+        raise DimensionMismatch("treatment and z inputs disagree on rows")
+    blocks = [np.ones((n, 1))] if a is not None else []
+    feats = np.hstack(blocks + [np.broadcast_to(p, (n, p.shape[1])) for p in parts])
+    if width is not None and feats.shape[1] != width:
+        raise DimensionMismatch(
+            f"the inputs give {feats.shape[1]} regressor columns, the model "
+            f"has {width}"
+        )
+    return feats
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +81,8 @@ def custom_feature_map(basis) -> FeatureMap:
 class TreatmentModel:
     """Per-component Gaussian treatment model: mean coefficients and noise."""
 
-    alpha: np.ndarray                        # K x L mean coefficients
+    alpha: np.ndarray                        # K x d_z mean coefficients on z
     sigma2: np.ndarray                       # K noise variances, floored
-    feature_map: FeatureMap
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -180,8 +96,6 @@ class TreatmentModel:
             raise InvalidConfig("treatment parameters must be finite")
         if np.any(sigma2 < SIGMA_FLOOR):
             raise InvalidConfig(f"variances must be at least {SIGMA_FLOOR:g}")
-        if alpha.shape[1] != self.feature_map.output_dim:
-            raise DimensionMismatch("alpha columns must match the feature map")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "sigma2", sigma2)
 
@@ -192,10 +106,9 @@ class TreatmentModel:
 
 @dataclass(frozen=True)
 class OutcomeModel:
-    """Per-component outcome coefficients over a shared feature map."""
+    """Per-component outcome coefficients over the regressors [1, a, z]."""
 
-    beta: np.ndarray                         # K x M
-    feature_map: FeatureMap
+    beta: np.ndarray                         # K x (2 + d_z)
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -204,8 +117,6 @@ class OutcomeModel:
             raise DimensionMismatch("beta must be K x M")
         if not np.all(np.isfinite(beta)):
             raise InvalidConfig("outcome coefficients must be finite")
-        if beta.shape[1] != self.feature_map.output_dim:
-            raise DimensionMismatch("beta columns must match the feature map")
         object.__setattr__(self, "beta", beta)
 
     @property
@@ -218,7 +129,7 @@ class CausalEstimate:
     """Complete fitted pipeline over one dataset.
 
     ``z_feature_means`` holds the posterior-weighted training averages of
-    the outcome map's z argument, one row per component. Dose-response
+    the regressor z, one row per component. Dose-response
     summaries evaluated from these stored rows are reproducible from the
     persisted artifact alone, with no training data at hand.
     """
@@ -238,6 +149,13 @@ class CausalEstimate:
             raise InvalidConfig("stored feature averages must be finite")
         if self.treatment.n_components != k or self.outcome.n_components != k:
             raise DimensionMismatch("stage models disagree on component count")
+        d_z = zbar.shape[1]
+        widths = (self.treatment.alpha.shape[1], self.outcome.beta.shape[1])
+        if widths != (d_z, 2 + d_z):
+            raise DimensionMismatch(
+                f"with {d_z} z columns, alpha needs {d_z} columns and beta "
+                f"{2 + d_z}, got {widths[0]} and {widths[1]}"
+            )
         object.__setattr__(self, "z_feature_means", zbar)
 
     @property
@@ -334,25 +252,22 @@ def _expect_flavor(w: PosteriorMatrix, flavor: str, stage: str):
 # stage two: treatment model
 # ---------------------------------------------------------------------------
 
-def fit_treatment(a, z, w: PosteriorMatrix,
-                  feature_map: FeatureMap | None = None) -> TreatmentModel:
+def fit_treatment(a, z, w: PosteriorMatrix) -> TreatmentModel:
     """Per-component Gaussian treatment model: mean coefficients, then variances.
 
-    The means solve the stacked weighted normal equations for all components
-    at once; with one-hot weights this is exactly independent per-component
-    least squares. The variances come from the pooled squared residuals: the
-    squared residual against the posterior-mixed mean overshoots the
-    within-component noise by the spread of the component means, so that
-    spread is subtracted from the target before the K x K solve. Variances
-    below the floor are clamped to it.
+    The means are linear in z with no intercept and solve the stacked
+    weighted normal equations for all components at once; with one-hot
+    weights this is exactly independent per-component least squares. The
+    variances come from the pooled squared residuals: the squared residual
+    against the posterior-mixed mean overshoots the within-component noise
+    by the spread of the component means, so that spread is subtracted from
+    the target before the K x K solve. Variances below the floor are clamped
+    to it.
     """
     _expect_flavor(w, "proxy_only", "the treatment fit")
     a_vec = _scalar_target(a, "treatment")
     _check_rows(a_vec.shape[0], z, w.weights)
-    fm = feature_map
-    if fm is None:
-        fm = treatment_feature_map(np.atleast_2d(np.asarray(z)).shape[1])
-    feats = fm.evaluate(z=z)
+    feats = _regressors(None, z)
     alpha, used = _stacked_regression(feats, w.weights, a_vec)
 
     means = feats @ alpha.T                                 # n x K
@@ -370,30 +285,12 @@ def fit_treatment(a, z, w: PosteriorMatrix,
     return TreatmentModel(
         alpha=alpha,
         sigma2=np.maximum(sol, SIGMA_FLOOR),
-        feature_map=fm,
         diagnostics={
             "ridge": used,
             "variance_ridge": var_used,
             "variance_clamped": clamped,
         },
     )
-
-
-def treatment_density(tm: TreatmentModel, u: int, a, z):
-    """Gaussian treatment likelihood under component u.
-
-    Scalar inputs give a float; row inputs give one density per row.
-    """
-    _check_component(u, tm.n_components)
-    feats = tm.feature_map.evaluate(z=z)
-    mean = feats @ tm.alpha[int(u)]
-    a_arr = np.asarray(a, dtype=float)
-    sd = np.sqrt(tm.sigma2[int(u)])
-    z_score = ((a_arr.ravel() if a_arr.ndim else a_arr) - mean) / sd
-    vals = np.ravel(np.exp(-z_score ** 2 / 2.0) / _SQRT_2PI / sd)
-    if a_arr.ndim == 0 and vals.shape[0] == 1:
-        return float(vals[0])
-    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +307,7 @@ def update_posteriors(w: PosteriorMatrix, tm: TreatmentModel, a, z) -> Posterior
     _expect_flavor(w, "proxy_only", "the posterior update")
     a_vec = _scalar_target(a, "treatment")
     _check_rows(a_vec.shape[0], z, w.weights)
-    feats = tm.feature_map.evaluate(z=z)
-    means = feats @ tm.alpha.T                              # n x K
+    means = _regressors(None, z, tm.alpha.shape[1]) @ tm.alpha.T    # n x K
     sd = np.sqrt(tm.sigma2)[None, :]
     z_score = (a_vec[:, None] - means) / sd
     with np.errstate(divide="ignore"):
@@ -438,20 +334,13 @@ def update_posteriors(w: PosteriorMatrix, tm: TreatmentModel, a, z) -> Posterior
                            fallback_count=count)
 
 
-def fit_outcome(a, z, y, w: PosteriorMatrix,
-                feature_map: FeatureMap | None = None) -> OutcomeModel:
-    """Per-component outcome coefficients from treatment-updated weights."""
+def fit_outcome(a, z, y, w: PosteriorMatrix) -> OutcomeModel:
+    """Per-component outcome coefficients on [1, a, z], from updated weights."""
     _expect_flavor(w, "treatment_updated", "the outcome fit")
     y_vec = _scalar_target(y, "outcome")
     _check_rows(y_vec.shape[0], a, z, w.weights)
-    fm = feature_map
-    if fm is None:
-        if z is None:
-            raise InvalidConfig("give a feature map or a z input")
-        fm = outcome_feature_map(np.atleast_2d(np.asarray(z)).shape[1])
-    feats = fm.evaluate(a=a, z=z)
-    beta, used = _stacked_regression(feats, w.weights, y_vec)
-    return OutcomeModel(beta=beta, feature_map=fm, diagnostics={"ridge": used})
+    beta, used = _stacked_regression(_regressors(a, z), w.weights, y_vec)
+    return OutcomeModel(beta=beta, diagnostics={"ridge": used})
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +353,7 @@ def estimate_cate(om: OutcomeModel, u: int, a, z=None):
     Scalar inputs give a float; row inputs give one value per row.
     """
     _check_component(u, om.n_components)
-    feats = om.feature_map.evaluate(a=a, z=z)
-    vals = feats @ om.beta[int(u)]
+    vals = _regressors(a, z, om.beta.shape[1]) @ om.beta[int(u)]
     if np.ndim(a) == 0 and vals.shape[0] == 1:
         return float(vals[0])
     return vals
@@ -486,28 +374,26 @@ def _ate_by_component(ce: CausalEstimate, a, z=None, w=None) -> np.ndarray:
     """Each component's expected outcome at level a; ``estimate_ate`` mixes them."""
     if (z is None) != (w is None):
         raise InvalidConfig("supply z and w together, or neither")
+    level = np.asarray(a, dtype=float).ravel()
+    if level.shape != (1,):
+        raise DimensionMismatch(f"the dose response takes one treatment level, "
+                                f"got {level.size}")
+    width = ce.outcome.beta.shape[1]
     if z is None:
-        if ce.outcome.feature_map.kind == "custom":
-            raise InvalidConfig(
-                "custom outcome features need data rows to average over"
-            )
-        feats = ce.outcome.feature_map.evaluate(a=float(a), z=ce.z_feature_means)
+        feats = _regressors(level, ce.z_feature_means, width)
     else:
         _check_rows(w.weights.shape[0], z)
-        feats = _component_means(
-            w.weights, ce.outcome.feature_map.evaluate(a=float(a), z=z))
+        feats = _component_means(w.weights, _regressors(level, z, width))
     return np.einsum("km,km->k", ce.outcome.beta, feats)
 
 
-def fit_effects(data: dict, mixture: MixtureEstimate,
-                treatment_map: FeatureMap | None = None,
-                outcome_map: FeatureMap | None = None) -> CausalEstimate:
+def fit_effects(data: dict, mixture: MixtureEstimate) -> CausalEstimate:
     """Run the full pipeline on a dataset with a fitted mixture.
 
     ``data`` is a mapping with keys z1, z2, z3, a, y. Both regression
-    stages consume the first view: the default treatment map is linear in
-    z1 with no intercept and the default outcome map is affine in (a, z1),
-    matching the built-in Gaussian design. Pass explicit maps to override.
+    stages consume the first view: the treatment mean is linear in z1 with
+    no intercept and the outcome is affine in (a, z1), matching the
+    built-in Gaussian design.
     """
     for key in ("z1", "z2", "z3", "a", "y"):
         if key not in data:
@@ -520,12 +406,9 @@ def fit_effects(data: dict, mixture: MixtureEstimate,
     _check_rows(a_vec.shape[0], z1, y_vec[:, None])
 
     w = posteriors(mixture, data["z1"], data["z2"], data["z3"])
-    tm = fit_treatment(a_vec, z1, w, treatment_map)
+    tm = fit_treatment(a_vec, z1, w)
     w_updated = update_posteriors(w, tm, a_vec, z1)
-    om = fit_outcome(
-        a_vec, z1, y_vec, w_updated,
-        outcome_map if outcome_map is not None else outcome_feature_map(z1.shape[1]),
-    )
+    om = fit_outcome(a_vec, z1, y_vec, w_updated)
 
     z_feature_means = _component_means(w.weights, z1)
 

@@ -15,14 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .causal import CausalEstimate, FeatureMap, OutcomeModel, TreatmentModel
+from .causal import CausalEstimate, OutcomeModel, TreatmentModel
 from .errors import DimensionMismatch, InvalidConfig
 from .kernels import KernelSpec
 from .mixture import MixtureEstimate
 from .multitreatment import MultiTreatmentModel
 from .scenarios import MultiProxyScenario, MultiTreatmentScenario
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 REPORT_COLUMNS = ("scenario", "n", "trial", "seed", "component", "parameter",
                   "estimate", "truth", "aligned_abs_error", "wall_ms", "error")
 
@@ -173,8 +173,7 @@ _MODELS = {"multiproxy": CausalEstimate, "multitreatment": MultiTreatmentModel}
 _SCENARIOS = {"multiproxy": MultiProxyScenario,
               "multitreatment": MultiTreatmentScenario}
 _NESTED = {"mixture": MixtureEstimate, "kernel": KernelSpec,
-           "treatment": TreatmentModel, "outcome": OutcomeModel,
-           "feature_map": FeatureMap, "xi_map": FeatureMap}
+           "treatment": TreatmentModel, "outcome": OutcomeModel}
 
 
 def _jsonable(obj):
@@ -197,8 +196,6 @@ def _to_doc(obj):
     """A dataclass as {field: value}, nested ones as dicts, None fields left out."""
     if not dataclasses.is_dataclass(obj):
         return obj
-    if isinstance(obj, FeatureMap) and obj.kind == "custom":
-        raise InvalidConfig("custom feature maps cannot be saved to a model file")
     values = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
     return {name: _to_doc(v) for name, v in values if v is not None}
 

@@ -50,17 +50,17 @@ DENSE_SVD_MAX = 64
 
 @dataclass(frozen=True)
 class MixtureEstimate:
-    """Fitted mixture: priors plus per-view component representations.
+    """Fitted mixture: tensor eigenvalues plus per-view component representations.
 
     ``backend`` is "kernel" (densities are anchor-coefficient expansions) or
-    "discrete" (densities are emission matrices). ``priors_raw`` gives the
-    inverse-square tensor eigenvalues before clamping and renormalization so
-    the eigenvalue-to-weight map stays checkable after the fact.
+    "discrete" (densities are emission matrices). The mixing weights are
+    derived from the eigenvalues: ``priors_raw`` gives their inverse squares
+    and ``priors`` those clamped and renormalized, so the eigenvalue-to-weight
+    map holds in every estimate, loaded ones included.
     """
 
     backend: str
-    priors: np.ndarray                       # K, clamped + renormalized
-    lambdas: np.ndarray                      # K tensor eigenvalues
+    lambdas: np.ndarray                      # K positive tensor eigenvalues
     kernel: KernelSpec | None = None
     anchors: tuple | None = None             # per view: m_v x d anchor points
     coefficients: tuple | None = None        # per view: K x m_v rows
@@ -71,19 +71,19 @@ class MixtureEstimate:
     def __post_init__(self):
         if self.backend not in ("kernel", "discrete"):
             raise InvalidConfig(f"unknown backend {self.backend!r}")
-        for name in ("priors", "lambdas"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "lambdas", np.asarray(self.lambdas, dtype=float))
         for name in ("anchors", "coefficients", "emissions"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, tuple(
                     np.asarray(a, dtype=float) for a in getattr(self, name)))
-        p = self.priors
-        if p.ndim != 1 or p.size == 0 or p.shape != self.lambdas.shape:
-            raise DimensionMismatch("priors and lambdas must be nonempty vectors "
-                                    "of one length")
-        if not np.all(p >= 0) or abs(p.sum() - 1.0) > 1e-10:
-            raise InvalidConfig("priors must be nonnegative and sum to 1")
-        k = p.shape[0]
+        lam = self.lambdas
+        if lam.ndim != 1 or lam.size == 0:
+            raise DimensionMismatch("lambdas must be a nonempty vector")
+        if not np.all(np.isfinite(lam) & (lam > 0)):
+            raise InvalidConfig("lambdas must be finite and positive")
+        if self.seed is not None and not isinstance(self.seed, (int, np.integer)):
+            raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
+        k = lam.shape[0]
         if self.backend == "kernel":
             anchors, coefs = self.anchors, self.coefficients
             if self.kernel is None or anchors is None or coefs is None:
@@ -107,7 +107,12 @@ class MixtureEstimate:
 
     @property
     def n_components(self) -> int:
-        return self.priors.shape[0]
+        return self.lambdas.shape[0]
+
+    @property
+    def priors(self) -> np.ndarray:
+        """Mixing weights: ``priors_raw`` clamped to [1e-6, 1] and renormalized."""
+        return priors_from_lambdas(self.lambdas)[1]
 
     @property
     def priors_raw(self) -> np.ndarray:
@@ -251,12 +256,11 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
 
     rng = np.random.default_rng(sub_ss)
     grams, factors, anchor_sets = zip(*(_nystrom_features(v, kernel, rng) for v in views))
-    lam, _, priors, means, info = _cross_moment_core(list(zip(grams, factors)), k, power_ss)
+    lam, means, info = _cross_moment_core(list(zip(grams, factors)), k, power_ss)
     info.update(method="crossmoment", anchor_count=min(n, kernel.landmark_count),
                 landmark_rank=[a.shape[0] for a in anchor_sets])
     return MixtureEstimate(
         backend="kernel",
-        priors=priors,
         lambdas=lam,
         kernel=kernel,
         anchors=anchor_sets,
@@ -326,9 +330,9 @@ def _cross_moment_core(views, k, power_ss):
     Each view is a pair (k_v, a_v) whose features f_v = k_v a_v are never
     formed. Views 1 and 2 are mapped into view 3's coordinates with the
     two-view cross-moment transformations, after which the problem is
-    symmetric and one whitened decomposition recovers priors and all three
-    conditional feature means. Only c12 = a1'(k1'k2/n)a2 = U S V' is formed at
-    feature size: the maps are x1 = (f1 U S^-1)(V' c23) and
+    symmetric and one whitened decomposition recovers the eigenvalues and all
+    three conditional feature means. Only c12 = a1'(k1'k2/n)a2 = U S V' is
+    formed at feature size: the maps are x1 = (f1 U S^-1)(V' c23) and
     x2 = (f2 V S^-1)(U' c13), whose cross moment lies in the 2k-dim row span
     of [V' c23; U' c13], where it is whitened; every other product goes
     through n x k or k x r factors.
@@ -347,14 +351,14 @@ def _cross_moment_core(views, k, power_ss):
     t_hat = whitened_third_moment(g1 @ (e1 @ whitener.map), g2 @ (e2 @ whitener.map),
                                   k3 @ (a3 @ w))
     eig = robust_power_method(t_hat, k, seed=power_ss)
-    raw, priors = priors_from_lambdas(eig.lambdas)
+    priors = priors_from_lambdas(eig.lambdas)[1]
 
     m3 = (w * whitener.spectrum[None, :]) @ (eig.vectors.T * eig.lambdas[None, :])
     h = k3 @ (a3 @ (np.linalg.pinv(m3).T / (n * priors[None, :])))
     info = {"power_residual": eig.residual,
             "moment_spectrum": np.sqrt(whitener.spectrum),
             "rank_margin": margin}
-    return eig.lambdas, raw, priors, [a1.T @ (k1.T @ h), a2.T @ (k2.T @ h), m3], info
+    return eig.lambdas, [a1.T @ (k1.T @ h), a2.T @ (k2.T @ h), m3], info
 
 
 def fit_discrete_multiview(a1, a2, a3, k: int, seed=0,
@@ -377,22 +381,20 @@ def fit_discrete_multiview(a1, a2, a3, k: int, seed=0,
             _stochastic_columns(np.bincount(v, minlength=s)[:, None] / n)
             for v in views
         )
-        lam = np.ones(1)
         return MixtureEstimate(
-            backend="discrete", priors=priors_from_lambdas(lam)[1], lambdas=lam,
-            emissions=emissions, seed=_seed_value(seed),
+            backend="discrete", lambdas=np.ones(1), emissions=emissions,
+            seed=_seed_value(seed),
             diagnostics={"method": "discrete_marginal", "levels": s},
         )
 
     eye = np.eye(s)
     power_ss = _root_seq(seed).spawn(1)[0]
-    lam, _, priors, means, info = _cross_moment_core([(eye[v], eye) for v in views], k,
-                                                     power_ss)
+    lam, means, info = _cross_moment_core([(eye[v], eye) for v in views], k, power_ss)
     emissions = tuple(_stochastic_columns(m) for m in means)
     info.update(method="discrete_cross_moment", levels=s)
     return MixtureEstimate(
-        backend="discrete", priors=priors, lambdas=lam,
-        emissions=emissions, seed=_seed_value(seed), diagnostics=info,
+        backend="discrete", lambdas=lam, emissions=emissions,
+        seed=_seed_value(seed), diagnostics=info,
     )
 
 
@@ -569,10 +571,3 @@ def _component_blocks(obj) -> np.ndarray:
     if a.ndim != 2:
         raise DimensionMismatch(f"summary blocks must be 2-d, got {a.shape}")
     return a
-
-
-def map_assign(p: PosteriorMatrix) -> np.ndarray:
-    """Hard labels: per-row argmax component, ties to the smallest index."""
-    if not isinstance(p, PosteriorMatrix):
-        raise UnfittedModel("expected a PosteriorMatrix")
-    return np.argmax(p.weights, axis=1)

@@ -3,8 +3,9 @@
 No proxies here: the treatments themselves are the three views. The hidden
 state is recovered from them with the discrete mixture backend, every sample
 is scored with its posterior weights, and the per-state outcome coefficients
-come from the same stacked weighted regression the proxy pipeline uses.
-Effect summaries are then plain dot products, since the treatment levels are
+come from the same stacked weighted regression the proxy pipeline uses, on
+the fixed regressors [1, a1, a2, a3] of a linear structural model. Effect
+summaries are then plain dot products, since the treatment levels are
 set by intervention rather than averaged over.
 """
 
@@ -14,13 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .causal import (
-    FeatureMap,
-    _check_rows,
-    _scalar_target,
-    _stacked_regression,
-    outcome_feature_map,
-)
+from .causal import _check_rows, _regressors, _scalar_target, _stacked_regression
 from .errors import DimensionMismatch, InvalidConfig
 from .mixture import (
     MixtureEstimate,
@@ -35,20 +30,19 @@ class MultiTreatmentModel:
     """Fitted treatment-only pipeline: mixture plus outcome coefficients."""
 
     mixture: MixtureEstimate
-    gamma: np.ndarray                        # K x M outcome coefficients
-    xi_map: FeatureMap
+    gamma: np.ndarray                        # K x 4 coefficients on [1, a1, a2, a3]
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.mixture.backend != "discrete":
             raise InvalidConfig("the treatment-only pipeline is categorical")
         g = np.asarray(self.gamma, dtype=float)
-        if g.ndim != 2 or g.shape[0] != self.mixture.n_components:
-            raise DimensionMismatch("need one gamma row per component")
+        k = self.mixture.n_components
+        if g.shape != (k, 4):
+            raise DimensionMismatch(f"gamma must be {k} x 4, one row per component "
+                                    f"over [1, a1, a2, a3], got {g.shape}")
         if not np.all(np.isfinite(g)):
             raise InvalidConfig("outcome coefficients must be finite")
-        if g.shape[1] != self.xi_map.output_dim:
-            raise DimensionMismatch("gamma columns must match the feature map")
         object.__setattr__(self, "gamma", g)
 
     @property
@@ -64,33 +58,29 @@ class MultiTreatmentModel:
         return self.mixture.n_components
 
 
-def fit_multitreatment(a1, a2, a3, y, k: int, xi_map: FeatureMap | None = None,
-                       seed=0, levels: int | None = None) -> MultiTreatmentModel:
+def fit_multitreatment(a1, a2, a3, y, k: int, seed=0,
+                       levels: int | None = None) -> MultiTreatmentModel:
     """Recover the hidden state from the treatments and fit the outcome.
 
-    The default basis is [1, a1, a2, a3], matching a linear structural
-    model. Rank or alignment failures from the mixture stage propagate.
+    Rank or alignment failures from the mixture stage propagate.
     """
     est = fit_discrete_multiview(a1, a2, a3, k, seed=seed, levels=levels)
     w = posteriors(est, a1, a2, a3)
     y_vec = _scalar_target(y, "outcome")
     _check_rows(y_vec.shape[0], w.weights)
-    fm = xi_map if xi_map is not None else outcome_feature_map(0, treat_dim=3)
     treats = np.column_stack([np.asarray(a, dtype=float).ravel()
                               for a in (a1, a2, a3)])
-    feats = fm.evaluate(a=treats)
-    gamma, used = _stacked_regression(feats, w.weights, y_vec)
+    gamma, used = _stacked_regression(_regressors(treats, None), w.weights, y_vec)
     return MultiTreatmentModel(
         mixture=est,
         gamma=gamma,
-        xi_map=fm,
         diagnostics={"ridge": used, "fallbacks": w.fallback_count},
     )
 
 
 def _point_features(m: MultiTreatmentModel, a) -> np.ndarray:
     point = np.asarray(a, dtype=float).reshape(1, -1)
-    return m.xi_map.evaluate(a=point)[0]
+    return _regressors(point, None, m.gamma.shape[1])[0]
 
 
 def mt_cate(m: MultiTreatmentModel, u: int, a) -> float:

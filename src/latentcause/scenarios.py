@@ -282,23 +282,6 @@ def oracle_discrete_posteriors(s: MultiTreatmentScenario, data: dict) -> Posteri
     return PosteriorMatrix(weights=w, flavor="proxy_only")
 
 
-def oracle_ate(s: MultiProxyScenario, a: float, draws: int = 200_000, seed=0):
-    """Monte-Carlo dose response at treatment level a, with standard error.
-
-    Averages beta_u . psi(a, Z1) over fresh draws of (U, Z1) from the true
-    measure; the intervention fixes the treatment, so only the outcome
-    model is involved.
-    """
-    if draws < 100_000:
-        raise InvalidConfig("use at least 1e5 draws for a stable oracle")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    u = rng.choice(s.n_states, size=draws, p=s.priors)
-    z1 = s.means[0][u] + s.proxy_sigma * rng.standard_normal((draws, s.dim))
-    psi = outcome_features_multiproxy(np.full(draws, float(a)), z1)
-    vals = np.einsum("nf,nf->n", s.beta[u], psi)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(draws))
-
-
 def true_ate_multiproxy(s: MultiProxyScenario, a: float) -> float:
     """Closed-form dose response for the Gaussian design."""
     psi_mean = np.column_stack([

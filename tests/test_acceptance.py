@@ -30,11 +30,9 @@ from latentcause import (
     simulate_multiproxy,
     simulate_multitreatment,
     three_cluster_gaussian,
-    treatment_feature_map,
     two_state_discrete,
     write_dataset,
 )
-from latentcause.causal import outcome_feature_map
 from latentcause.cli import main
 from latentcause.tensor_spectral import (
     build_whitener,
@@ -175,8 +173,7 @@ def test_criterion_6_oracle_equivalence_suite(proxy_case, discrete_case,
 
     scenario, data, labels = proxy_case
     hot = one_hot_weights(labels, 3)
-    alpha = fit_treatment(data["a"], data["z1"], hot,
-                          treatment_feature_map(3)).alpha
+    alpha = fit_treatment(data["a"], data["z1"], hot).alpha
     ols_alpha = per_group_ols(data["z1"], data["a"], labels, 3)
     hot_out = one_hot_weights(labels, 3, flavor="treatment_updated")
     om = fit_outcome(data["a"], data["z1"], data["y"], hot_out)
@@ -229,7 +226,6 @@ def test_criterion_7_invariant_suite(proxy_case):
     perm = np.array([1, 2, 0])
     shuffled = dataclasses.replace(
         mixture,
-        priors=mixture.priors[perm],
         lambdas=mixture.lambdas[perm],
         coefficients=tuple(c[perm] for c in mixture.coefficients),
     )

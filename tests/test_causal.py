@@ -13,26 +13,25 @@ from latentcause import (
     DegenerateCluster,
     DimensionMismatch,
     EmptyInput,
-    FeatureMap,
     InvalidConfig,
     KernelSpec,
     PosteriorMatrix,
     SingularSystem,
     align_permutation,
-    custom_feature_map,
     estimate_ate,
     estimate_cate,
     fit_effects,
+    fit_multitreatment,
     fit_multiview,
     fit_outcome,
     fit_treatment,
+    mt_ate,
+    mt_cate,
     oracle_posteriors,
-    outcome_feature_map,
-    treatment_density,
-    treatment_feature_map,
     true_ate_multiproxy,
     update_posteriors,
 )
+from latentcause.causal import _regressors
 
 from oracles import (
     per_group_mean_sq_residual,
@@ -42,58 +41,67 @@ from oracles import (
 
 
 # --------------------------------------------------------------------------
-# feature maps
+# regressor layouts
 # --------------------------------------------------------------------------
 
 def test_treatment_feature_map_shapes():
-    fm = treatment_feature_map(3)
     z = np.arange(12.0).reshape(4, 3)
-    assert np.array_equal(fm.evaluate(z=z), z)
+    assert np.array_equal(_regressors(None, z), z)
 
 
 def test_outcome_feature_map_layout():
-    fm = outcome_feature_map(2)
     a = np.array([1.0, 2.0])
     z = np.array([[3.0, 4.0], [5.0, 6.0]])
-    out = fm.evaluate(a=a, z=z)
     want = np.array([[1.0, 1.0, 3.0, 4.0], [1.0, 2.0, 5.0, 6.0]])
-    assert np.array_equal(out, want)
+    assert np.array_equal(_regressors(a, z), want)
 
 
 def test_outcome_feature_map_broadcasts_fixed_intervention():
-    fm = outcome_feature_map(1)
-    out = fm.evaluate(a=np.array([2.0]), z=np.array([[1.0], [2.0], [3.0]]))
+    out = _regressors(np.array([2.0]), np.array([[1.0], [2.0], [3.0]]))
     assert out.shape == (3, 3)
     assert np.allclose(out[:, 1], 2.0)
 
 
 def test_outcome_feature_map_three_treatments():
-    fm = outcome_feature_map(0, treat_dim=3)
     a = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    out = fm.evaluate(a=a)
-    assert np.array_equal(out, np.column_stack([np.ones(2), a]))
+    assert np.array_equal(_regressors(a, None), np.column_stack([np.ones(2), a]))
 
 
-def test_custom_feature_map_basis_and_errors():
-    fm = custom_feature_map((lambda a, z: np.ones_like(a),
-                             lambda a, z: a * z[:, 0]))
-    out = fm.evaluate(a=np.array([2.0, 3.0]), z=np.array([[4.0], [5.0]]))
-    assert np.array_equal(out, np.array([[1.0, 8.0], [1.0, 15.0]]))
+@pytest.fixture(scope="module")
+def small_models(proxy_case, discrete_case):
+    _, data, _ = proxy_case
+    part = {key: value[:600] for key, value in data.items()}
+    mixture = fit_multiview(part["z1"], part["z2"], part["z3"], 3,
+                            kernel=KernelSpec(bandwidth=1.0, landmark_count=100), seed=0)
+    ce = fit_effects(part, mixture)
+    _, mt_data, _ = discrete_case
+    mt = fit_multitreatment(mt_data["a1"], mt_data["a2"], mt_data["a3"],
+                            mt_data["y"], 2, seed=0)
+    w = PosteriorMatrix(weights=np.full((5, 3), 1.0 / 3.0), flavor="proxy_only")
+    return ce, mt, part["z1"][:5], part["a"][:5], w
 
-    bad = custom_feature_map((lambda a, z: np.column_stack([a, a]),))
+
+# each case gets (CausalEstimate, MultiTreatmentModel, z rows, a rows, weights)
+PREDICTION_EDGES = {
+    "regressor_rows": lambda ce, mt, z, a, w: _regressors(np.ones(3), np.ones((4, 1))),
+    "cate_without_z": lambda ce, mt, z, a, w: estimate_cate(ce.outcome, 0, 1.0),
+    "cate_wide_z": lambda ce, mt, z, a, w: estimate_cate(ce.outcome, 0, 1.0,
+                                                         z=np.zeros(4)),
+    "update_narrow_z": lambda ce, mt, z, a, w: update_posteriors(w, ce.treatment,
+                                                                 a, z[:, :2]),
+    "ate_rows": lambda ce, mt, z, a, w: estimate_ate(ce, 1.0, z=z[:4], w=w),
+    "ate_wide_z": lambda ce, mt, z, a, w: estimate_ate(ce, 1.0, z=np.hstack([z, z]),
+                                                       w=w),
+    "ate_two_levels": lambda ce, mt, z, a, w: estimate_ate(ce, [1.0, 2.0]),
+    "mt_cate_two_treatments": lambda ce, mt, z, a, w: mt_cate(mt, 0, (1, 1)),
+    "mt_ate_four_treatments": lambda ce, mt, z, a, w: mt_ate(mt, (1, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(PREDICTION_EDGES))
+def test_prediction_inputs_raise_typed_errors(small_models, case):
     with pytest.raises(DimensionMismatch):
-        bad.evaluate(a=np.array([1.0]), z=np.array([[1.0]]))
-
-    with pytest.raises(InvalidConfig):
-        FeatureMap(kind="mystery", output_dim=2)
-    with pytest.raises(InvalidConfig):
-        custom_feature_map(())
-
-
-def test_feature_map_row_mismatch():
-    fm = outcome_feature_map(1)
-    with pytest.raises(DimensionMismatch):
-        fm.evaluate(a=np.ones(3), z=np.ones((4, 1)))
+        PREDICTION_EDGES[case](*small_models)
 
 
 # --------------------------------------------------------------------------
@@ -103,8 +111,7 @@ def test_feature_map_row_mismatch():
 def test_one_hot_treatment_mean_equals_per_group_ols(proxy_case, one_hot_weights):
     scenario, data, labels = proxy_case
     w = one_hot_weights(labels, 3)
-    fm = treatment_feature_map(3)
-    alpha = fit_treatment(data["a"], data["z1"], w, fm).alpha
+    alpha = fit_treatment(data["a"], data["z1"], w).alpha
     want = per_group_ols(data["z1"], data["a"], labels, 3)
     assert np.max(np.abs(alpha - want)) <= 1e-10
 
@@ -112,8 +119,7 @@ def test_one_hot_treatment_mean_equals_per_group_ols(proxy_case, one_hot_weights
 def test_one_hot_variance_equals_per_group_residual(proxy_case, one_hot_weights):
     scenario, data, labels = proxy_case
     w = one_hot_weights(labels, 3)
-    fm = treatment_feature_map(3)
-    tm = fit_treatment(data["a"], data["z1"], w, fm)
+    tm = fit_treatment(data["a"], data["z1"], w)
     alpha, sigma2 = tm.alpha, tm.sigma2
     want = per_group_mean_sq_residual(data["z1"], data["a"], labels, alpha, 3)
     assert np.max(np.abs(sigma2 - want)) <= 1e-10
@@ -129,17 +135,21 @@ def test_fit_treatment_recovers_generating_coefficients(proxy_case):
 
 
 def test_treatment_density_matches_normal_formula(proxy_case):
+    # update_posteriors weighs each component by the normal density of a
+    # around alpha_u . z with variance sigma2_u
     scenario, data, _ = proxy_case
     w = oracle_posteriors(scenario, data)
     tm = fit_treatment(data["a"], data["z1"], w)
-    z = data["z1"][0]
-    a = float(data["a"][0])
-    mean = float(tm.alpha[1] @ z)
-    var = float(tm.sigma2[1])
-    want = np.exp(-0.5 * (a - mean) ** 2 / var) / np.sqrt(2 * np.pi * var)
-    assert abs(treatment_density(tm, 1, a, z) - want) <= 1e-12
-    rows = treatment_density(tm, 1, data["a"][:5], data["z1"][:5])
-    assert rows.shape == (5,)
+    z, a = data["z1"], data["a"]
+    updated = update_posteriors(w, tm, a, z).weights
+    for i in range(5):
+        means = z[i] @ tm.alpha.T
+        dens = (np.exp(-0.5 * (a[i] - means) ** 2 / tm.sigma2)
+                / np.sqrt(2 * np.pi * tm.sigma2))
+        want = w.weights[i] * dens / (w.weights[i] @ dens)
+        assert np.max(np.abs(updated[i] - want)) <= 1e-12
+        assert np.max(np.abs(updated[i] - treatment_updated_row(
+            w.weights[i], float(a[i]), means, tm.sigma2))) <= 1e-12
 
 
 def test_import_leaves_scipy_stats_unloaded():
@@ -193,7 +203,7 @@ def test_variance_floor_clamps_deterministic_treatment(one_hot_weights):
     a = np.einsum("ij,ij->i", z, alpha[labels])
     w = one_hot_weights(labels, 2)
     with pytest.warns(RuntimeWarning, match="variance"):
-        tm = fit_treatment(a, z, w, treatment_feature_map(2))
+        tm = fit_treatment(a, z, w)
     assert np.all(tm.sigma2 == 1e-6)
     assert tm.diagnostics["variance_clamped"] == 2
 
@@ -256,7 +266,6 @@ def test_pipeline_is_permutation_equivariant(proxy_case):
     perm = np.array([2, 0, 1])
     shuffled = dataclasses.replace(
         mixture,
-        priors=mixture.priors[perm],
         lambdas=mixture.lambdas[perm],
         coefficients=tuple(c[perm] for c in mixture.coefficients),
     )
@@ -297,6 +306,7 @@ def test_estimate_ate_argument_validation(proxy_case):
     ce = fitted_estimate(scenario, data)
     with pytest.raises(InvalidConfig):
         estimate_ate(ce, 1.0, z=data["z1"])
+    assert estimate_ate(ce, np.array([0.8])) == estimate_ate(ce, 0.8)
     w = PosteriorMatrix(weights=np.full((5, 3), 1.0 / 3.0), flavor="proxy_only")
     with pytest.raises(DimensionMismatch):
         estimate_ate(ce, 1.0, z=data["z1"][:4], w=w)
@@ -320,7 +330,7 @@ def test_stacked_solver_escalates_ridge_on_collinear_features(one_hot_weights):
     a = z[:, 0] + 0.1 * rng.standard_normal(n)
     w = one_hot_weights(np.zeros(n, dtype=int), 1)
     with pytest.warns(RuntimeWarning, match="ridge"):
-        tm = fit_treatment(a, z_dup, w, treatment_feature_map(2))
+        tm = fit_treatment(a, z_dup, w)
     assert tm.diagnostics["ridge"] > 0.0
 
 
@@ -332,13 +342,13 @@ def test_stacked_solver_raises_when_ridge_ladder_exhausted(one_hot_weights):
     with pytest.raises(SingularSystem):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fit_treatment(a, huge, w, treatment_feature_map(2))
+            fit_treatment(a, huge, w)
 
 
 def test_empty_and_nonfinite_inputs_rejected(one_hot_weights):
     w = one_hot_weights(np.zeros(0, dtype=int), 1)
     with pytest.raises(EmptyInput):
-        fit_treatment(np.zeros(0), np.zeros((0, 2)), w, treatment_feature_map(2))
+        fit_treatment(np.zeros(0), np.zeros((0, 2)), w)
     w2 = one_hot_weights(np.zeros(3, dtype=int), 1, flavor="treatment_updated")
     with pytest.raises(InvalidConfig):
         fit_outcome(np.ones(3), np.ones((3, 1)), np.array([1.0, np.nan, 2.0]), w2)
@@ -351,23 +361,3 @@ def test_fit_effects_requires_complete_data(proxy_case):
     partial = {k: v for k, v in data.items() if k != "y"}
     with pytest.raises(InvalidConfig):
         fit_effects(partial, mixture)
-
-
-def test_fit_effects_custom_maps_and_stored_path_refusal(proxy_case):
-    scenario, data, _ = proxy_case
-    mixture = fit_multiview(data["z1"], data["z2"], data["z3"], 3,
-                            kernel=KernelSpec(bandwidth=1.0), seed=0)
-    outcome_map = custom_feature_map((
-        lambda a, z: np.ones_like(a),
-        lambda a, z: a,
-        lambda a, z: a ** 2,
-    ))
-    ce = fit_effects(data, mixture, outcome_map=outcome_map)
-    assert ce.outcome.beta.shape == (3, 3)
-    with pytest.raises(InvalidConfig):
-        estimate_ate(ce, 1.0)
-    from latentcause.mixture import posteriors as mixture_posteriors
-
-    w = mixture_posteriors(ce.mixture, data["z1"], data["z2"], data["z3"])
-    value = estimate_ate(ce, 1.0, z=data["z1"], w=w)
-    assert np.isfinite(value)

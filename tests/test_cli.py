@@ -138,10 +138,11 @@ def test_estimate_rejects_malformed_model(tmp_path, capsys):
                                2, seed=0)
     good = tmp_path / "good.json"
     save_model(good, model)
-    edits = [(("mixture", "priors", 0), "half", "malformed model"),
+    gamma = json.loads(good.read_text())["gamma"]
+    edits = [(("mixture", "lambdas", 0), "half", "malformed model"),
              (("gamma", 0, 0), "x", "malformed model"),
              (("mixture", "emissions", 0, 0), [0.5], "malformed model"),
-             (("xi_map", "output_dim"), "four", "output_dim")]
+             (("gamma",), [row[:3] for row in gamma], "gamma must be 2 x 4")]
     for keys, value, message in edits:
         doc = json.loads(good.read_text())
         target = doc

@@ -11,7 +11,6 @@ from latentcause import (
     InvalidConfig,
     KernelSpec,
     LatentCauseError,
-    custom_feature_map,
     estimate_ate,
     fit_effects,
     fit_multitreatment,
@@ -174,7 +173,7 @@ def test_model_document_is_schema_versioned(discrete_case):
     model = fit_multitreatment(data["a1"], data["a2"], data["a3"], data["y"],
                                2, seed=0)
     doc = model_to_dict(model)
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["mode"] == "multitreatment"
     round_tripped = model_from_dict(json.loads(json.dumps(doc)))
     assert np.array_equal(round_tripped.gamma, model.gamma)
@@ -215,10 +214,11 @@ def test_schema_2_documents_drop_fixed_fields(proxy_case, discrete_case):
     for doc in docs:
         keys = {key for path in _leaf_paths(doc) for key in path}
         assert keys.isdisjoint({"family", "density_floor", "priors_raw",
-                                "include_constant"})
-        with pytest.raises(InvalidConfig, match="version 1 "):
-            model_from_dict({**doc, "schema_version": 1})
-    assert docs[0]["treatment"]["feature_map"]["kind"] == "linear_z"
+                                "include_constant", "feature_map", "xi_map",
+                                "priors"})
+        for old in (1, 2):
+            with pytest.raises(InvalidConfig, match=f"version {old} "):
+                model_from_dict({**doc, "schema_version": old})
 
 
 def test_malformed_model_documents_rejected(tmp_path, discrete_case, proxy_case):
@@ -237,16 +237,20 @@ def test_malformed_model_documents_rejected(tmp_path, discrete_case, proxy_case)
 
     ems = doc["mixture"]["emissions"]
     cases = [
-        (("mixture", "priors", 0), "half", InvalidConfig),
+        (("mixture", "lambdas", 0), "half", InvalidConfig),
+        (("mixture", "lambdas", 0), float("inf"), InvalidConfig),
+        (("mixture", "lambdas", 1), -3.0, InvalidConfig),
+        (("mixture", "lambdas", 0), 0, InvalidConfig),
+        (("mixture", "seed"), "abc", InvalidConfig),
+        (("mixture", "seed"), 1.5, InvalidConfig),
         (("gamma", 0, 0), "x", InvalidConfig),
-        (("xi_map", "output_dim"), "four", InvalidConfig),
+        (("gamma",), [row[:3] for row in doc["gamma"]], DimensionMismatch),
         (("mixture", "bogus"), 1, InvalidConfig),              # unknown key
         (("mixture", "emissions", 0, 0), [0.5], InvalidConfig),  # ragged
         (("mixture", "emissions"), [[row[:1] for row in e] for e in ems],
          DimensionMismatch),                                   # S x 1 for K = 2
         (("mixture", "emissions"), ems[:2], DimensionMismatch),
         (("mixture", "emissions", 1, 0, 0), -0.1, InvalidConfig),
-        (("xi_map",), [1, 2], InvalidConfig),
     ]
     kernel_doc = model_to_dict(_small_proxy_model(proxy_case))
     kernel_cases = [
@@ -256,6 +260,10 @@ def test_malformed_model_documents_rejected(tmp_path, discrete_case, proxy_case)
         (("mixture", "kernel", "bandwidth"), "wide", InvalidConfig),
         (("mixture", "coefficients", 1, 2, 0), float("nan"), InvalidConfig),
         (("mixture", "anchors", 0, 0, 0), 1e400, InvalidConfig),
+        (("outcome", "beta"), [row[:-1] for row in kernel_doc["outcome"]["beta"]],
+         DimensionMismatch),
+        (("treatment", "alpha"), [row[:-1] for row in kernel_doc["treatment"]["alpha"]],
+         DimensionMismatch),
     ]
     path = tmp_path / "bad.json"
     for base, keys, value, error in ([(doc, *c) for c in cases]
@@ -295,7 +303,7 @@ def test_every_file_failure_is_a_latentcause_error(tmp_path, proxy_case, discret
             pass
 
     starts = [b"", b"z1_0,z2_0,z3_0,a,y\n", b"a1,a2,a3,y\n1,0,",
-              b'{"schema_version": 2, "mode": "multitreatment", ']
+              b'{"schema_version": 3, "mode": "multitreatment", ']
 
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(st.sampled_from(starts), st.binary(max_size=40))
@@ -318,16 +326,6 @@ def test_every_file_failure_is_a_latentcause_error(tmp_path, proxy_case, discret
 
     arbitrary_bytes()
     one_leaf_replaced()
-
-
-def test_custom_feature_map_models_refuse_serialization(proxy_case, tmp_path):
-    _, data, _ = proxy_case
-    mixture = fit_multiview(data["z1"], data["z2"], data["z3"], 3,
-                            kernel=KernelSpec(bandwidth=1.0), seed=0)
-    model = fit_effects(data, mixture, outcome_map=custom_feature_map((
-        lambda a, z: np.ones_like(a), lambda a, z: a)))
-    with pytest.raises(InvalidConfig, match="custom"):
-        save_model(tmp_path / "c.json", model)
 
 
 def test_truth_sidecar_round_trip(tmp_path):

@@ -7,7 +7,6 @@ from latentcause import (
     DimensionMismatch,
     InvalidConfig,
     align_permutation,
-    custom_feature_map,
     fit_multitreatment,
     mt_ate,
     mt_cate,
@@ -58,19 +57,6 @@ def test_single_component_reduces_to_ols(discrete_case):
                              data["a1"], data["a2"], data["a3"]])
     want, *_ = np.linalg.lstsq(feats, data["y"], rcond=None)
     assert np.max(np.abs(model.gamma[0] - want)) <= 1e-10
-
-
-def test_custom_xi_map(discrete_case):
-    scenario, data, _ = discrete_case
-    xi = custom_feature_map((
-        lambda a, z: np.ones(a.shape[0]),
-        lambda a, z: a.sum(axis=1),
-    ))
-    model = fit_multitreatment(data["a1"], data["a2"], data["a3"], data["y"],
-                               2, xi_map=xi, seed=0)
-    assert model.gamma.shape == (2, 2)
-    val = mt_cate(model, 0, (1, 1, 1))
-    assert abs(val - float(model.gamma[0] @ np.array([1.0, 3.0]))) <= 1e-12
 
 
 def test_fit_is_deterministic(discrete_case):

@@ -5,7 +5,6 @@ import pytest
 
 from latentcause import (
     InvalidConfig,
-    oracle_ate,
     oracle_discrete_posteriors,
     oracle_posteriors,
     simulate_multiproxy,
@@ -17,7 +16,11 @@ from latentcause import (
 )
 
 import frozen
-from oracles import proxy_posteriors_loop, treatment_updated_row
+from oracles import (
+    monte_carlo_dose_response,
+    proxy_posteriors_loop,
+    treatment_updated_row,
+)
 
 
 def test_three_cluster_parameters_match_frozen_reference():
@@ -123,7 +126,16 @@ def test_true_ate_multiproxy_slope():
 
 def test_true_ate_matches_monte_carlo_oracle():
     s = three_cluster_gaussian()
-    value, se = oracle_ate(s, 0.7, draws=200_000, seed=12)
+
+    def draw(rng, size):
+        u = rng.choice(s.n_states, size=size, p=s.priors)
+        return u, s.means[0][u] + s.proxy_sigma * rng.standard_normal((size, s.dim))
+
+    def psi(a, z):
+        return np.column_stack([np.ones(z.shape[0]), np.full(z.shape[0], a), z])
+
+    value, se = monte_carlo_dose_response(draw, s.beta, psi, s.priors, 0.7,
+                                          draws=200_000, seed=12)
     assert abs(true_ate_multiproxy(s, 0.7) - value) <= 4.0 * se
 
 
