@@ -131,11 +131,6 @@ def cmd_fit(args) -> int:
 
 def _estimate_ate_doc(model, points: list[float]) -> dict:
     if isinstance(model, MultiTreatmentModel):
-        if len(points) != 3:
-            raise InvalidConfig(
-                "a multitreatment intervention takes exactly three treatment "
-                f"values, got {len(points)}"
-            )
         return {
             "estimand": "ate",
             "inputs": {"a": points},
@@ -156,11 +151,6 @@ def _estimate_cate_doc(model, args) -> dict:
     if isinstance(model, MultiTreatmentModel):
         if args.z is not None:
             raise InvalidConfig("multitreatment models take no proxy values")
-        if len(args.a) != 3:
-            raise InvalidConfig(
-                "a multitreatment intervention takes exactly three treatment "
-                f"values, got {len(args.a)}"
-            )
         value = mt_cate(model, args.u, args.a)
         inputs = {"u": args.u, "a": args.a}
     else:

@@ -107,32 +107,63 @@ def _augmented(x: np.ndarray, y: np.ndarray, c: float) -> tuple[np.ndarray, np.n
 
 def gram(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Kernel matrix with entry (i, j) = k(x_i, y_j)."""
-    return _blocked_gram(kernel, x, y)
+    return KernelRows(kernel, x, y)[:]
 
 
-def _blocked_gram(kernel: KernelSpec, x: np.ndarray, y: np.ndarray,
-                  coefficients: np.ndarray | None = None) -> np.ndarray:
-    """``gram(kernel, x, y)``, or its product with ``coefficients`` (m x p).
+class KernelRows:
+    """Row source of ``gram(kernel, x, y)``: ``rows[lo:hi]`` evaluates those rows.
 
-    Each row block of about _BLOCK_CELLS entries is one product of the
-    augmented factors, -||x - y||^2 / (2 s^2), then clamped at 0 (rounding
-    can leave a tiny positive value where x = y) and exponentiated in cache.
-    Blocks go into the gram's rows or, with ``coefficients``, into one reused
-    buffer reduced into the n x p result, so no n x m array is formed.
+    Nothing n x m is stored; each slice is rebuilt from the augmented factors.
+    Each row block of about _BLOCK_CELLS entries is one product of them,
+    -||x - y||^2 / (2 s^2), then clamped at 0 (rounding can leave a tiny
+    positive value where x = y) and exponentiated in cache.
     """
-    if not kernel.is_resolved:
-        raise InvalidConfig("bandwidth not resolved; call KernelSpec.resolve first")
-    xa, ya = _augmented(x, y, kernel.bandwidth ** -2)
-    n, m = xa.shape[0], ya.shape[1]
-    rows = max(1, _BLOCK_CELLS // max(m, 1))
-    out = np.empty((n, m if coefficients is None else coefficients.shape[1]))
-    buf = None if coefficients is None else np.empty((min(rows, n), m))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        block = out[lo:hi] if coefficients is None else buf[:hi - lo]
-        np.matmul(xa[lo:hi], ya, out=block)
-        np.minimum(block, 0.0, out=block)
-        np.exp(block, out=block)
-        if coefficients is not None:
-            np.matmul(block, coefficients, out=out[lo:hi])
+
+    def __init__(self, kernel: KernelSpec, x: np.ndarray, y: np.ndarray):
+        if not kernel.is_resolved:
+            raise InvalidConfig("bandwidth not resolved; call KernelSpec.resolve first")
+        self._xa, self._ya = _augmented(x, y, kernel.bandwidth ** -2)
+        self.shape = (self._xa.shape[0], self._ya.shape[1])
+
+    def fill(self, lo: int, out: np.ndarray) -> np.ndarray:
+        """Write rows lo .. lo + len(out) into ``out``, one row block at a time."""
+        step = max(1, _BLOCK_CELLS // max(self.shape[1], 1))
+        for a in range(0, out.shape[0], step):
+            block = out[a:a + step]
+            np.matmul(self._xa[lo + a:lo + a + block.shape[0]], self._ya, out=block)
+            np.minimum(block, 0.0, out=block)
+            np.exp(block, out=block)
+        return out
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(self.shape[0])
+        return self.fill(lo, np.empty((max(hi - lo, 0), self.shape[1])))
+
+
+def _row_blocks(sources, cells: int = _BLOCK_CELLS):
+    """(lo, hi, blocks): rows lo:hi of each source, about ``cells`` entries apiece.
+
+    A source is an n x r ndarray, sliced, or a ``KernelRows``, evaluated into
+    one buffer that every block reuses (fresh pages cost as much as the
+    kernel arithmetic), so a block is valid only until the next is drawn.
+    """
+    n = sources[0].shape[0]
+    step = max(1, cells // max(max(src.shape[1] for src in sources), 1))
+    bufs = [np.empty((min(step, n), src.shape[1])) if isinstance(src, KernelRows) else None
+            for src in sources]
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        yield lo, hi, [src[lo:hi] if buf is None else src.fill(lo, buf[:hi - lo])
+                       for src, buf in zip(sources, bufs)]
+
+
+def _row_product(rows, coefficients: np.ndarray) -> np.ndarray:
+    """``rows @ coefficients`` for a row source, one row block at a time.
+
+    With a ``KernelRows`` source this is a kernel matrix times coefficients
+    without an n x m array.
+    """
+    out = np.empty((rows.shape[0], coefficients.shape[1]))
+    for lo, hi, (block,) in _row_blocks((rows,)):
+        np.matmul(block, coefficients, out=out[lo:hi])
     return out

@@ -34,7 +34,13 @@ from .errors import (
     RankDeficiency,
     UnfittedModel,
 )
-from .kernels import KernelSpec, _blocked_gram, gram
+from .kernels import (
+    KernelRows,
+    KernelSpec,
+    _row_blocks,
+    _row_product,
+    gram,
+)
 from .tensor_spectral import build_whitener, robust_power_method, whitened_third_moment
 
 DENSITY_FLOOR = 1e-12
@@ -42,6 +48,7 @@ PRIOR_MIN = 1e-6
 PRIOR_MAX = 1.0
 RANK_FLOOR_REL = 1e-10
 DENSE_SVD_MAX = 64
+_PANEL_CELLS = 1 << 19     # entries per view in one c12 row panel: short panels slow its r x r product
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +262,8 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
     kernel = kernel.resolve(np.vstack(views), n, np.random.default_rng(band_ss))
 
     rng = np.random.default_rng(sub_ss)
-    grams, factors, anchor_sets = zip(*(_nystrom_features(v, kernel, rng) for v in views))
-    lam, means, info = _cross_moment_core(list(zip(grams, factors)), k, power_ss)
+    sources, factors, anchor_sets = zip(*(_nystrom_features(v, kernel, rng) for v in views))
+    lam, means, info = _cross_moment_core(list(zip(sources, factors)), k, power_ss)
     info.update(method="crossmoment", anchor_count=min(n, kernel.landmark_count),
                 landmark_rank=[a.shape[0] for a in anchor_sets])
     return MixtureEstimate(
@@ -271,15 +278,16 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
 
 
 def _nystrom_features(view, kernel, rng):
-    """Whitened landmark features of one view, factored: (gram, factor, anchors).
+    """Whitened landmark features of one view, factored: (rows, factor, anchors).
 
-    The features are ``gram @ factor`` and are never multiplied out. A pivoted
+    The features are ``rows @ factor`` and are never multiplied out. A pivoted
     Cholesky of the landmark gram stops at the first pivot at or below
     RANK_FLOOR_REL (the kernel diagonal is 1); its r pivot landmarks are the
-    anchors, ``gram`` is the n x r kernel against them and ``factor`` the
-    inverse transpose of the r x r triangle. The features then have identity
-    second moment over the anchors, and the view's density coefficients are
-    ``factor @ feature_means``.
+    anchors, ``rows`` is a row source of the n x r kernel against them (a
+    ``KernelRows``, or the landmark gram's columns when every row is a
+    landmark) and ``factor`` the inverse transpose of the r x r triangle. The
+    features then have identity second moment over the anchors, and the
+    view's density coefficients are ``factor @ feature_means``.
     """
     n = view.shape[0]
     n_a = min(n, kernel.landmark_count)
@@ -289,7 +297,7 @@ def _nystrom_features(view, kernel, rng):
     chol, piv, r, _ = dpstrf(kmm, lower=1, tol=RANK_FLOOR_REL)
     keep = piv[:r] - 1
     inv_l = dtrtri(np.tril(chol[:r, :r]), lower=1)[0]    # dpstrf keeps kmm's upper part
-    k_v = kmm[:, keep] if n_a == n else gram(kernel, view, landmarks[keep])
+    k_v = kmm[:, keep] if n_a == n else KernelRows(kernel, view, landmarks[keep])
     return k_v, inv_l.T, landmarks[keep]
 
 
@@ -319,46 +327,70 @@ def _top_singular(c: np.ndarray, k: int):
 
 
 def _cross_moment(view1, view2):
-    """(k1 a1)'(k2 a2) / n for two factored views, without forming either."""
+    """(k1 a1)'(k2 a2) / n for two factored views, summed over row panels."""
     (k1, a1), (k2, a2) = view1, view2
-    return a1.T @ (k1.T @ k2 / k1.shape[0]) @ a2
+    c = np.zeros((k1.shape[1], k2.shape[1]))
+    part = np.empty_like(c)
+    for _, _, (b1, b2) in _row_blocks((k1, k2), _PANEL_CELLS):
+        c += np.matmul(b1.T, b2, out=part)
+    return a1.T @ (c / k1.shape[0]) @ a2
 
 
 def _cross_moment_core(views, k, power_ss):
     """Shared third-order decomposition over arbitrary per-view features.
 
-    Each view is a pair (k_v, a_v) whose features f_v = k_v a_v are never
-    formed. Views 1 and 2 are mapped into view 3's coordinates with the
-    two-view cross-moment transformations, after which the problem is
-    symmetric and one whitened decomposition recovers the eigenvalues and all
-    three conditional feature means. Only c12 = a1'(k1'k2/n)a2 = U S V' is
-    formed at feature size: the maps are x1 = (f1 U S^-1)(V' c23) and
-    x2 = (f2 V S^-1)(U' c13), whose cross moment lies in the 2k-dim row span
-    of [V' c23; U' c13], where it is whitened; every other product goes
-    through n x k or k x r factors.
+    Each view is a pair (k_v, a_v) of a row source and a factor; the features
+    f_v = k_v a_v are never formed, and no source is held whole. Views 1 and 2
+    are mapped into view 3's coordinates with the two-view cross-moment
+    transformations, after which the problem is symmetric and one whitened
+    decomposition recovers the eigenvalues and all three conditional feature
+    means. Four passes over the rows, each needing the one before:
+
+    1. c12 = a1'(k1'k2/n)a2 = U S V', the only moment formed at feature size;
+    2. g1 = k1 a1 U and g2 = k2 a2 V (n x k), with g1'k3 and g2'k3, which give
+       V' c23 and U' c13: the maps are x1 = (f1 U S^-1)(V' c23) and
+       x2 = (f2 V S^-1)(U' c13), whose cross moment lies in the 2k-dim row
+       span q of [V' c23; U' c13], where it is whitened;
+    3. g3 = k3 a3 q (n x 2k), view 3's whitened factor and, as the columns of
+       the view-3 means m3 lie in span(q), the weights h = f3 pinv(m3)'/prior;
+    4. k1'h and k2'h, the view-1 and view-2 means.
+
+    Memory is O(block r + n k).
     """
     (k1, a1), (k2, a2), (k3, a3) = views
     n = k1.shape[0]
     u, s, v, margin = _top_singular(_cross_moment(*views[:2]), k)
-    g1, g2 = k1 @ (a1 @ u), k2 @ (a2 @ v)            # n x k
-    b1, b2 = (g2.T @ k3) @ a3 / n, (g1.T @ k3) @ a3 / n   # V' c23, U' c13
+    p1, p2 = a1 @ u, a2 @ v
+    g1, g2 = np.empty((n, k)), np.empty((n, k))
+    c13, c23 = np.zeros((k, k3.shape[1])), np.zeros((k, k3.shape[1]))  # g1'k3, g2'k3
+    for lo, hi, (k1b, k2b, k3b) in _row_blocks((k1, k2, k3)):
+        np.matmul(k1b, p1, out=g1[lo:hi])
+        np.matmul(k2b, p2, out=g2[lo:hi])
+        c13 += g1[lo:hi].T @ k3b
+        c23 += g2[lo:hi].T @ k3b
+    b1, b2 = c23 @ a3 / n, c13 @ a3 / n              # V' c23, U' c13
     q = np.linalg.qr(np.vstack((b1, b2)).T)[0]       # r3 x 2k orthonormal
     e1, e2 = b1 @ q / s[:, None], b2 @ q / s[:, None]   # x1 q = g1 e1, x2 q = g2 e2
     cross = e1.T @ (g1.T @ g2 / n) @ e2
     whitener = build_whitener((cross + cross.T) / 2.0, k)
 
-    w = q @ whitener.map
+    g3 = _row_product(k3, a3 @ q)                    # f3 q
     t_hat = whitened_third_moment(g1 @ (e1 @ whitener.map), g2 @ (e2 @ whitener.map),
-                                  k3 @ (a3 @ w))
+                                  g3 @ whitener.map)
     eig = robust_power_method(t_hat, k, seed=power_ss)
     priors = priors_from_lambdas(eig.lambdas)[1]
 
-    m3 = (w * whitener.spectrum[None, :]) @ (eig.vectors.T * eig.lambdas[None, :])
-    h = k3 @ (a3 @ (np.linalg.pinv(m3).T / (n * priors[None, :])))
+    m3 = ((q @ whitener.map) * whitener.spectrum[None, :]) @ (
+        eig.vectors.T * eig.lambdas[None, :])
+    h = g3 @ (q.T @ np.linalg.pinv(m3).T / (n * priors[None, :]))
+    t1, t2 = np.zeros((k1.shape[1], k)), np.zeros((k2.shape[1], k))
+    for lo, hi, (k1b, k2b) in _row_blocks((k1, k2)):
+        t1 += k1b.T @ h[lo:hi]
+        t2 += k2b.T @ h[lo:hi]
     info = {"power_residual": eig.residual,
             "moment_spectrum": np.sqrt(whitener.spectrum),
             "rank_margin": margin}
-    return eig.lambdas, [a1.T @ (k1.T @ h), a2.T @ (k2.T @ h), m3], info
+    return eig.lambdas, [a1.T @ t1, a2.T @ t2, m3], info
 
 
 def fit_discrete_multiview(a1, a2, a3, k: int, seed=0,
@@ -441,7 +473,8 @@ def _density_matrix(est: MixtureEstimate, view: int, z) -> np.ndarray:
     if est.backend == "discrete":
         dm = est.emissions[view][z, :]
     else:
-        dm = _blocked_gram(est.kernel, z, est.anchors[view], est.coefficients[view].T)
+        rows = KernelRows(est.kernel, z, est.anchors[view])
+        dm = _row_product(rows, est.coefficients[view].T)
     return np.maximum(dm, DENSITY_FLOOR, out=dm)
 
 

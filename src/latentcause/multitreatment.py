@@ -78,17 +78,20 @@ def fit_multitreatment(a1, a2, a3, y, k: int, seed=0,
     )
 
 
-def _point_features(m: MultiTreatmentModel, a) -> np.ndarray:
+def _point_features(a) -> np.ndarray:
     point = np.asarray(a, dtype=float).reshape(1, -1)
-    return _regressors(point, None, m.gamma.shape[1])[0]
+    if point.shape[1] != 3:
+        raise DimensionMismatch("a multitreatment intervention takes exactly three "
+                                f"treatment values, got {point.shape[1]}")
+    return _regressors(point, None)[0]
 
 
 def mt_cate(m: MultiTreatmentModel, u: int, a) -> float:
     """Effect under component u at treatment combination a."""
     _check_component(u, m.n_components)
-    return float(m.gamma[int(u)] @ _point_features(m, a))
+    return float(m.gamma[int(u)] @ _point_features(a))
 
 
 def mt_ate(m: MultiTreatmentModel, a) -> float:
     """Prior-weighted effect at treatment combination a."""
-    return float(m.priors @ (m.gamma @ _point_features(m, a)))
+    return float(m.priors @ (m.gamma @ _point_features(a)))

@@ -21,6 +21,7 @@ from importlib import resources
 
 import numpy as np
 
+from .causal import _regressors
 from .errors import DimensionMismatch, InvalidConfig
 from .mixture import PosteriorMatrix
 
@@ -189,7 +190,7 @@ def simulate_multiproxy(s: MultiProxyScenario, n: int, seed=0):
              for v in range(3)]
     a_mean = np.einsum("nd,nd->n", s.alpha[u], views[0])
     a = a_mean + np.sqrt(s.treatment_var[u]) * rng.standard_normal(n)
-    psi = outcome_features_multiproxy(a, views[0])
+    psi = _regressors(a, views[0])
     y = (np.einsum("nf,nf->n", s.beta[u], psi)
          + s.outcome_sigma * rng.standard_normal(n))
     data = {"z1": views[0], "z2": views[1], "z3": views[2], "a": a, "y": y}
@@ -211,24 +212,11 @@ def simulate_multitreatment(s: MultiTreatmentScenario, n: int, seed=0):
         cdf = np.cumsum(s.emissions[v], axis=0)          # S x K
         draws = rng.random(n)
         treats.append((draws[:, None] > cdf.T[u]).sum(axis=1))
-    xi = outcome_features_multitreatment(*treats)
+    xi = _regressors(np.column_stack(treats), None)
     y = (np.einsum("nf,nf->n", s.gamma[u], xi)
          + s.noise_sigma * rng.standard_normal(n))
     data = {"a1": treats[0], "a2": treats[1], "a3": treats[2], "y": y}
     return data, u
-
-
-def outcome_features_multiproxy(a, z1) -> np.ndarray:
-    """Outcome regressors (1, a, z1) used by the Gaussian design."""
-    a = np.asarray(a, dtype=float).ravel()
-    z1 = np.atleast_2d(np.asarray(z1, dtype=float))
-    return np.column_stack([np.ones(a.shape[0]), a, z1])
-
-
-def outcome_features_multitreatment(a1, a2, a3) -> np.ndarray:
-    """Outcome regressors (1, a1, a2, a3) used by the discrete design."""
-    cols = [np.asarray(a, dtype=float).ravel() for a in (a1, a2, a3)]
-    return np.column_stack([np.ones(cols[0].shape[0])] + cols)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,8 @@ def test_estimate_multitreatment_requires_three_values(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert abs(doc["value"] - 1.9) <= 0.5
     assert main(["estimate", "--model", str(path), "ate", "--a", "1"]) == 2
+    assert ("a multitreatment intervention takes exactly three treatment values, "
+            "got 1") in capsys.readouterr().err
 
 
 def test_estimate_rejects_malformed_model(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latentcause import InvalidConfig, KernelSpec, gram, median_heuristic, power_rule_bandwidth
-from latentcause.kernels import _BLOCK_CELLS, _blocked_gram
+from latentcause.kernels import _BLOCK_CELLS, KernelRows, _row_product
 
 
 def _direct_gram(bandwidth, x, y):
@@ -34,7 +34,7 @@ def test_gram_matches_direct_formula(n, m):
         assert np.array_equal(gram(spec, x, y), got)
         assert got.min() >= 0.0 and got.max() <= 1.0
         coefficients = rng.standard_normal((3, m))
-        reduced = _blocked_gram(spec, x, y, coefficients.T)
+        reduced = _row_product(KernelRows(spec, x, y), coefficients.T)
         want = got @ coefficients.T
         assert np.max(np.abs(reduced - want)) <= 1e-13 * np.max(np.abs(want))
 

@@ -29,8 +29,13 @@ from latentcause import (
     three_cluster_gaussian,
     two_state_discrete,
 )
-from latentcause.kernels import gram
-from latentcause.mixture import DENSE_SVD_MAX, _cross_moment_core, _nystrom_features
+from latentcause.kernels import _BLOCK_CELLS, KernelRows, gram
+from latentcause.mixture import (
+    _PANEL_CELLS,
+    DENSE_SVD_MAX,
+    _cross_moment_core,
+    _nystrom_features,
+)
 from latentcause.tensor_spectral import (
     build_whitener,
     robust_power_method,
@@ -442,11 +447,8 @@ def _one_hot_features():
     return [(eye[data[f"a{v}"]], eye) for v in (1, 2, 3)], 2
 
 
-@pytest.mark.parametrize("features", [_overlap_features, _one_hot_features])
-def test_rank_k_core_matches_dense_reference(features):
-    views, k = features()
-    feats = [k_v @ a_v for k_v, a_v in views]
-    assert min(feats[0].shape[1], feats[1].shape[1]) > max(k + 1, DENSE_SVD_MAX)  # ARPACK
+def _assert_core_matches_dense_reference(views, k):
+    feats = [k_v[:] @ a_v for k_v, a_v in views]        # rows materialized
     ss = np.random.SeedSequence(11)
     lam, means, info = _cross_moment_core(views, k, ss)
     priors = priors_from_lambdas(lam)[1]
@@ -457,6 +459,57 @@ def test_rank_k_core_matches_dense_reference(features):
         assert _relative_gap(got, want) <= 1e-8
     s = np.linalg.svd(feats[0].T @ feats[1] / feats[0].shape[0], compute_uv=False)
     assert abs(info["rank_margin"] - s[k - 1] / s[k]) <= 1e-8 * s[k - 1] / s[k]
+
+
+@pytest.mark.parametrize("features", [_overlap_features, _one_hot_features])
+def test_rank_k_core_matches_dense_reference(features):
+    views, k = features()
+    widths = [a_v.shape[1] for _, a_v in views[:2]]
+    assert min(widths) > max(k + 1, DENSE_SVD_MAX)      # ARPACK
+    _assert_core_matches_dense_reference(views, k)
+
+
+@functools.cache
+def _shared_anchors():
+    """One anchor set and its whitening factor, used by all three views."""
+    pool, _ = simulate_multiproxy(three_cluster_gaussian(), 120, seed=31)
+    kernel = KernelSpec(bandwidth=1.0)
+    _, a, anchors = _nystrom_features(pool["z1"], kernel, np.random.default_rng(0))
+    return kernel, a, anchors
+
+
+def _kernel_row_views(n):
+    kernel, a, anchors = _shared_anchors()
+    data, _ = simulate_multiproxy(three_cluster_gaussian(), n, seed=32)
+    return [(KernelRows(kernel, data[f"z{v}"], anchors), a) for v in (1, 2, 3)], 3
+
+
+BOUNDARY_LEVELS = 40
+
+
+def _one_hot_row_views(n):
+    rng = np.random.default_rng(33)
+    emissions = tuple(rng.dirichlet(np.full(BOUNDARY_LEVELS, 0.5), size=2).T
+                      for _ in range(3))
+    scenario = dataclasses.replace(two_state_discrete(), emissions=emissions)
+    data, _ = simulate_multitreatment(scenario, n, seed=34)
+    eye = np.eye(BOUNDARY_LEVELS)
+    return [(eye[data[f"a{v}"]], eye) for v in (1, 2, 3)], 2
+
+
+@pytest.mark.parametrize("rows_at", [
+    pytest.param(lambda block, panel: block // 2, id="below_one_block"),
+    pytest.param(lambda block, panel: block, id="one_block"),
+    pytest.param(lambda block, panel: block + 1, id="one_row_past_a_block"),
+    pytest.param(lambda block, panel: panel + 1, id="one_row_past_a_panel"),
+])
+@pytest.mark.parametrize("backend", ["kernel", "discrete"])
+def test_streamed_core_matches_dense_reference_at_block_boundaries(backend, rows_at):
+    width = _shared_anchors()[2].shape[0] if backend == "kernel" else BOUNDARY_LEVELS
+    n = rows_at(_BLOCK_CELLS // width, _PANEL_CELLS // width)
+    views, k = (_kernel_row_views if backend == "kernel" else _one_hot_row_views)(n)
+    assert all(k_v.shape == (n, width) for k_v, _ in views)
+    _assert_core_matches_dense_reference(views, k)
 
 
 def test_rank_margin_is_none_without_a_further_singular_value():
@@ -508,7 +561,7 @@ def test_landmark_factor_drops_near_duplicates_and_whitens_the_rest(landmark_cou
     k_v, a, anchors = _nystrom_features(view, kernel, np.random.default_rng(0))
     r = anchors.shape[0]
     assert r < min(landmark_count, view.shape[0]) and a.shape == (r, r)
-    assert np.array_equal(k_v, gram(kernel, view, anchors))
+    assert np.array_equal(k_v[:], gram(kernel, view, anchors))
     whitened = a.T @ gram(kernel, anchors, anchors) @ a
     assert np.max(np.abs(whitened - np.eye(r))) <= 1e-8
 
@@ -521,7 +574,7 @@ def test_fit_records_the_landmarks_kept_per_view():
                for r in rank)
 
 
-def test_fit_multiview_peak_memory_stays_near_three_landmark_grams():
+def test_fit_multiview_peak_memory_stays_below_one_landmark_gram():
     n, m = 20000, 250
     data, _ = simulate_multiproxy(three_cluster_gaussian(), n, seed=5)
     kernel = KernelSpec(bandwidth=1.0, landmark_count=m)
@@ -531,7 +584,7 @@ def test_fit_multiview_peak_memory_stays_near_three_landmark_grams():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * n * m * 8
+    assert peak <= 0.75 * n * m * 8
 
 
 def test_posteriors_peak_memory_stays_far_below_one_landmark_gram():

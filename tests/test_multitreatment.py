@@ -79,5 +79,5 @@ def test_input_validation(discrete_case):
                                2, seed=0)
     with pytest.raises(InvalidConfig):
         mt_cate(model, 5, (1, 1, 1))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="exactly three treatment values, got 2"):
         mt_ate(model, (1, 1))
