@@ -6,9 +6,11 @@ intercept: one stacked weighted least-squares solve for the mean
 coefficients, then a residual decomposition for the per-component noise
 variances. Stage three folds the treatment likelihood back into the weights
 and fits outcome coefficients on the affine regressors [1, a, z] the same
-stacked way. These layouts are fixed, and one private helper builds both.
-Dose-response summaries average the outcome regressors with posterior
-weights, so no explicit integration over the proxy distribution is needed.
+stacked way. These layouts are fixed, and one private helper builds both and
+refuses non-finite treatment or z values. The fit stores the
+posterior-weighted per-component averages of z, and the dose response is
+read from them alone, so no explicit integration over the proxy
+distribution is needed and a saved model reproduces it without data.
 
 All fits are pure functions of (data, weights) and are safe to run
 concurrently on disjoint datasets.
@@ -29,7 +31,13 @@ from .errors import (
     InvalidConfig,
     SingularSystem,
 )
-from .mixture import MixtureEstimate, PosteriorMatrix, _check_component, posteriors
+from .mixture import (
+    MixtureEstimate,
+    PosteriorMatrix,
+    _bayes_rows,
+    _check_component,
+    posteriors,
+)
 
 SIGMA_FLOOR = 1e-6
 CLUSTER_FLOOR = 1e-8
@@ -60,6 +68,8 @@ def _regressors(a, z, width: int | None = None) -> np.ndarray:
         raise InvalidConfig("the treatment regressors need a z input")
     if any(p.ndim != 2 for p in parts):
         raise DimensionMismatch("treatment and z inputs must be at most 2-d")
+    if not all(np.all(np.isfinite(p)) for p in parts):
+        raise InvalidConfig("treatment and z values must be finite")
     n = max(p.shape[0] for p in parts)
     if any(p.shape[0] not in (1, n) for p in parts):
         raise DimensionMismatch("treatment and z inputs disagree on rows")
@@ -301,8 +311,8 @@ def update_posteriors(w: PosteriorMatrix, tm: TreatmentModel, a, z) -> Posterior
     """Fold the treatment likelihood into proxy-only weights.
 
     The Bayes product is accumulated in log space. Rows whose products all
-    collapse (non-finite data, total underflow) fall back to the incoming
-    weights and are counted, mirroring the proxy-stage behavior.
+    collapse (a likelihood that underflows or overflows) fall back to the
+    incoming weights and are counted, as in the proxy stage.
     """
     _expect_flavor(w, "proxy_only", "the posterior update")
     a_vec = _scalar_target(a, "treatment")
@@ -313,25 +323,9 @@ def update_posteriors(w: PosteriorMatrix, tm: TreatmentModel, a, z) -> Posterior
     with np.errstate(divide="ignore"):
         log_w = np.log(w.weights)
     log_w = log_w + ((-z_score ** 2 / 2.0 - np.log(_SQRT_2PI)) - np.log(sd))
-
-    shift = log_w.max(axis=1, keepdims=True)
-    bad = ~np.isfinite(shift.ravel())
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-    out = np.exp(log_w - shift)
-    totals = out.sum(axis=1)
-    bad |= ~np.isfinite(totals) | (totals <= 0.0)
-    totals = np.where(bad, 1.0, totals)
-    out /= totals[:, None]
-    count = int(bad.sum())
-    if count:
-        out[bad] = w.weights[bad]
-        warnings.warn(
-            f"{count} of {out.shape[0]} rows had no usable treatment "
-            "likelihood; their weights were left as supplied",
-            RuntimeWarning, stacklevel=2,
-        )
-    return PosteriorMatrix(weights=out, flavor="treatment_updated",
-                           fallback_count=count)
+    return _bayes_rows(log_w, False, w.weights, "treatment_updated",
+                       "had no usable treatment likelihood; "
+                       "their weights were left as supplied")
 
 
 def fit_outcome(a, z, y, w: PosteriorMatrix) -> OutcomeModel:
@@ -359,31 +353,23 @@ def estimate_cate(om: OutcomeModel, u: int, a, z=None):
     return vals
 
 
-def estimate_ate(ce: CausalEstimate, a, z=None, w: PosteriorMatrix | None = None) -> float:
+def estimate_ate(ce: CausalEstimate, a) -> float:
     """Dose response at intervention level a.
 
-    With (z, w) supplied, the per-component feature expectations are
-    self-normalized posterior-weighted averages over those rows. Without
-    them, the training averages stored on the estimate are used, which is
-    what a persisted artifact reproduces.
+    The per-component feature expectations are the posterior-weighted
+    training averages stored on the estimate, so a persisted artifact
+    reproduces the value with no data at hand.
     """
-    return float(ce.priors @ _ate_by_component(ce, a, z, w))
+    return float(ce.priors @ _ate_by_component(ce, a))
 
 
-def _ate_by_component(ce: CausalEstimate, a, z=None, w=None) -> np.ndarray:
+def _ate_by_component(ce: CausalEstimate, a) -> np.ndarray:
     """Each component's expected outcome at level a; ``estimate_ate`` mixes them."""
-    if (z is None) != (w is None):
-        raise InvalidConfig("supply z and w together, or neither")
     level = np.asarray(a, dtype=float).ravel()
     if level.shape != (1,):
         raise DimensionMismatch(f"the dose response takes one treatment level, "
                                 f"got {level.size}")
-    width = ce.outcome.beta.shape[1]
-    if z is None:
-        feats = _regressors(level, ce.z_feature_means, width)
-    else:
-        _check_rows(w.weights.shape[0], z)
-        feats = _component_means(w.weights, _regressors(level, z, width))
+    feats = _regressors(level, ce.z_feature_means, ce.outcome.beta.shape[1])
     return np.einsum("km,km->k", ce.outcome.beta, feats)
 
 

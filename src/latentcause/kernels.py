@@ -143,9 +143,10 @@ class KernelRows:
 def _row_blocks(sources, cells: int = _BLOCK_CELLS):
     """(lo, hi, blocks): rows lo:hi of each source, about ``cells`` entries apiece.
 
-    A source is an n x r ndarray, sliced, or a ``KernelRows``, evaluated into
-    one buffer that every block reuses (fresh pages cost as much as the
-    kernel arithmetic), so a block is valid only until the next is drawn.
+    A source is a ``KernelRows``, evaluated into one buffer that every block
+    reuses (fresh pages cost as much as the kernel arithmetic), so a block is
+    valid only until the next is drawn; or an n x r ndarray, sliced, which
+    serves one-hot views and test fixtures.
     """
     n = sources[0].shape[0]
     step = max(1, cells // max(max(src.shape[1] for src in sources), 1))

@@ -283,9 +283,8 @@ def _nystrom_features(view, kernel, rng):
     The features are ``rows @ factor`` and are never multiplied out. A pivoted
     Cholesky of the landmark gram stops at the first pivot at or below
     RANK_FLOOR_REL (the kernel diagonal is 1); its r pivot landmarks are the
-    anchors, ``rows`` is a row source of the n x r kernel against them (a
-    ``KernelRows``, or the landmark gram's columns when every row is a
-    landmark) and ``factor`` the inverse transpose of the r x r triangle. The
+    anchors, ``rows`` is a ``KernelRows`` source of the n x r kernel against
+    them and ``factor`` the inverse transpose of the r x r triangle. The
     features then have identity second moment over the anchors, and the
     view's density coefficients are ``factor @ feature_means``.
     """
@@ -297,8 +296,7 @@ def _nystrom_features(view, kernel, rng):
     chol, piv, r, _ = dpstrf(kmm, lower=1, tol=RANK_FLOOR_REL)
     keep = piv[:r] - 1
     inv_l = dtrtri(np.tril(chol[:r, :r]), lower=1)[0]    # dpstrf keeps kmm's upper part
-    k_v = kmm[:, keep] if n_a == n else KernelRows(kernel, view, landmarks[keep])
-    return k_v, inv_l.T, landmarks[keep]
+    return KernelRows(kernel, view, landmarks[keep]), inv_l.T, landmarks[keep]
 
 
 def _top_singular(c: np.ndarray, k: int):
@@ -393,8 +391,7 @@ def _cross_moment_core(views, k, power_ss):
     return eig.lambdas, [a1.T @ t1, a2.T @ t2, m3], info
 
 
-def fit_discrete_multiview(a1, a2, a3, k: int, seed=0,
-                           levels: int | None = None) -> MixtureEstimate:
+def fit_discrete_multiview(a1, a2, a3, k: int, seed=0) -> MixtureEstimate:
     """Mixture fit for three categorical views coded 0..S-1.
 
     One-hot features, paired with an identity factor, feed the shared
@@ -403,7 +400,7 @@ def fit_discrete_multiview(a1, a2, a3, k: int, seed=0,
     k = 1 short-circuits to empirical marginals.
     """
     _check_k(k)
-    views, s = _as_levels(a1, a2, a3, levels=levels)
+    views, s = _as_levels(a1, a2, a3)
     n = views[0].shape[0]
     if s < k:
         raise InvalidConfig(f"need at least k={k} levels, views have {s}")
@@ -497,20 +494,29 @@ def posteriors(est: MixtureEstimate, z1, z2, z3) -> PosteriorMatrix:
         at_floor &= dm <= DENSITY_FLOOR
         log_w += np.log(dm)
 
-    log_w -= log_w.max(axis=1, keepdims=True)
-    w = np.exp(log_w)
-    w /= w.sum(axis=1, keepdims=True)
+    return _bayes_rows(log_w, at_floor.all(axis=1), np.broadcast_to(est.priors, (n, k)),
+                       "proxy_only", "had every likelihood at the floor; "
+                       "their posteriors fall back to the priors")
 
-    fallback = at_floor.all(axis=1)
+
+def _bayes_rows(log_w, fallback, replacement, flavor: str, reason: str) -> PosteriorMatrix:
+    """Posterior rows from n x K log weights, normalised after a row-max shift.
+
+    A row falls back to its row of ``replacement`` when ``fallback`` flags
+    it or its normaliser is not finite and positive; fallbacks are counted
+    and reported in one warning that ``reason`` completes.
+    """
+    shift = log_w.max(axis=1, keepdims=True)
+    w = np.exp(log_w - np.where(np.isfinite(shift), shift, 0.0))
+    totals = w.sum(axis=1, keepdims=True)
+    fallback = fallback | ~(np.isfinite(totals[:, 0]) & (totals[:, 0] > 0.0))
+    w /= np.where(fallback[:, None], 1.0, totals)
     count = int(fallback.sum())
     if count:
-        w[fallback] = est.priors
-        warnings.warn(
-            f"{count} of {n} rows had every likelihood at the floor; "
-            "their posteriors fall back to the priors",
-            RuntimeWarning, stacklevel=2,
-        )
-    return PosteriorMatrix(weights=w, flavor="proxy_only", fallback_count=count)
+        w[fallback] = replacement[fallback]
+        warnings.warn(f"{count} of {w.shape[0]} rows {reason}", RuntimeWarning,
+                      stacklevel=3)
+    return PosteriorMatrix(weights=w, flavor=flavor, fallback_count=count)
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +547,9 @@ def scree(z1, z2, kernel: KernelSpec | None = None, max_k: int = 10,
     return sv[: min(max_k, sv.shape[0])]
 
 
-def scree_discrete(a1, a2, max_k: int = 10, levels: int | None = None) -> np.ndarray:
+def scree_discrete(a1, a2, max_k: int = 10) -> np.ndarray:
     """Cross-view correlation spectrum for two categorical views."""
-    (v1, v2), s = _as_levels(a1, a2, levels=levels)
+    (v1, v2), s = _as_levels(a1, a2)
     n = v1.shape[0]
     if max_k < 1 or max_k > n:
         raise InvalidConfig(f"max_k must lie in 1..n, got {max_k}")
@@ -576,31 +582,16 @@ def select_rank(singular_values: np.ndarray) -> int:
 def align_permutation(estimated, reference) -> np.ndarray:
     """Component permutation matching an estimate to a reference.
 
-    Inputs are K x p summary blocks (one row per component), or discrete
-    MixtureEstimates, whose stacked emission matrices serve as summaries.
-    Returns perm with estimated[perm[j]] matched to reference[j]; applying
-    it minimizes the total per-pair Euclidean distance, exactly for any K.
+    Inputs are K x p summary blocks, one row per component; a 1-d input is
+    read as K x 1. Returns perm with estimated[perm[j]] matched to
+    reference[j]; applying it minimizes the total per-pair Euclidean
+    distance, exactly for any K.
     """
-    a = _component_blocks(estimated)
-    b = _component_blocks(reference)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"summary shapes differ: {a.shape} vs {b.shape}")
+    a, b = (np.asarray(x, dtype=float) for x in (estimated, reference))
+    a, b = (x[:, None] if x.ndim == 1 else x for x in (a, b))
+    if a.ndim != 2 or a.shape != b.shape:
+        raise DimensionMismatch(f"need two K x p summary blocks of one shape, "
+                                f"got {a.shape} and {b.shape}")
     cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     rows, cols = linear_sum_assignment(cost)
     return rows[np.argsort(cols)]
-
-
-def _component_blocks(obj) -> np.ndarray:
-    if isinstance(obj, MixtureEstimate):
-        if obj.backend != "discrete":
-            raise InvalidConfig(
-                "kernel estimates have no anchor-free component summary; "
-                "pass K x p blocks instead"
-            )
-        return np.vstack(obj.emissions).T
-    a = np.asarray(obj, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.ndim != 2:
-        raise DimensionMismatch(f"summary blocks must be 2-d, got {a.shape}")
-    return a

@@ -1,8 +1,9 @@
 """Causal effects from three conditionally independent categorical treatments.
 
 No proxies here: the treatments themselves are the three views. The hidden
-state is recovered from them with the discrete mixture backend, every sample
-is scored with its posterior weights, and the per-state outcome coefficients
+state is recovered from them with the discrete mixture backend (the level
+count is one past the largest observed level), every sample is scored with
+its posterior weights, and the per-state outcome coefficients
 come from the same stacked weighted regression the proxy pipeline uses, on
 the fixed regressors [1, a1, a2, a3] of a linear structural model. Effect
 summaries are then plain dot products, since the treatment levels are
@@ -50,21 +51,16 @@ class MultiTreatmentModel:
         return self.mixture.priors
 
     @property
-    def emissions(self) -> tuple:
-        return self.mixture.emissions
-
-    @property
     def n_components(self) -> int:
         return self.mixture.n_components
 
 
-def fit_multitreatment(a1, a2, a3, y, k: int, seed=0,
-                       levels: int | None = None) -> MultiTreatmentModel:
+def fit_multitreatment(a1, a2, a3, y, k: int, seed=0) -> MultiTreatmentModel:
     """Recover the hidden state from the treatments and fit the outcome.
 
     Rank or alignment failures from the mixture stage propagate.
     """
-    est = fit_discrete_multiview(a1, a2, a3, k, seed=seed, levels=levels)
+    est = fit_discrete_multiview(a1, a2, a3, k, seed=seed)
     w = posteriors(est, a1, a2, a3)
     y_vec = _scalar_target(y, "outcome")
     _check_rows(y_vec.shape[0], w.weights)

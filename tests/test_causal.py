@@ -28,10 +28,11 @@ from latentcause import (
     mt_ate,
     mt_cate,
     oracle_posteriors,
+    posteriors,
     true_ate_multiproxy,
     update_posteriors,
 )
-from latentcause.causal import _regressors
+from latentcause.causal import _component_means, _regressors
 
 from oracles import (
     per_group_mean_sq_residual,
@@ -89,9 +90,6 @@ PREDICTION_EDGES = {
                                                          z=np.zeros(4)),
     "update_narrow_z": lambda ce, mt, z, a, w: update_posteriors(w, ce.treatment,
                                                                  a, z[:, :2]),
-    "ate_rows": lambda ce, mt, z, a, w: estimate_ate(ce, 1.0, z=z[:4], w=w),
-    "ate_wide_z": lambda ce, mt, z, a, w: estimate_ate(ce, 1.0, z=np.hstack([z, z]),
-                                                       w=w),
     "ate_two_levels": lambda ce, mt, z, a, w: estimate_ate(ce, [1.0, 2.0]),
     "mt_cate_two_treatments": lambda ce, mt, z, a, w: mt_cate(mt, 0, (1, 1)),
     "mt_ate_four_treatments": lambda ce, mt, z, a, w: mt_ate(mt, (1, 1, 1, 1)),
@@ -102,6 +100,40 @@ PREDICTION_EDGES = {
 def test_prediction_inputs_raise_typed_errors(small_models, case):
     with pytest.raises(DimensionMismatch):
         PREDICTION_EDGES[case](*small_models)
+
+
+def _with_nan(x):
+    out = np.array(x, dtype=float)
+    out.flat[0] = np.nan
+    return out
+
+
+def _updated(w):
+    return PosteriorMatrix(weights=w.weights, flavor="treatment_updated")
+
+
+# every stage and prediction builds its regressors in one place, which
+# refuses non-finite treatment or z values
+NON_FINITE_INPUTS = {
+    "fit_treatment_z": lambda ce, mt, z, a, w: fit_treatment(a, _with_nan(z), w),
+    "fit_outcome_a": lambda ce, mt, z, a, w: fit_outcome(_with_nan(a), z, a, _updated(w)),
+    "fit_outcome_z": lambda ce, mt, z, a, w: fit_outcome(a, _with_nan(z), a, _updated(w)),
+    "update_posteriors_z": lambda ce, mt, z, a, w: update_posteriors(
+        w, ce.treatment, a, _with_nan(z)),
+    "cate_a": lambda ce, mt, z, a, w: estimate_cate(ce.outcome, 0, np.nan, z=z[0]),
+    "cate_z": lambda ce, mt, z, a, w: estimate_cate(ce.outcome, 0, 1.0,
+                                                    z=_with_nan(z[0])),
+    "ate_nan": lambda ce, mt, z, a, w: estimate_ate(ce, np.nan),
+    "ate_inf": lambda ce, mt, z, a, w: estimate_ate(ce, np.inf),
+    "mt_ate": lambda ce, mt, z, a, w: mt_ate(mt, (np.nan, 1, 1)),
+    "mt_cate": lambda ce, mt, z, a, w: mt_cate(mt, 0, (1, -np.inf, 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_INPUTS))
+def test_non_finite_treatment_or_z_raises_invalid_config(small_models, case):
+    with pytest.raises(InvalidConfig, match="treatment and z values must be finite"):
+        NON_FINITE_INPUTS[case](*small_models)
 
 
 # --------------------------------------------------------------------------
@@ -175,6 +207,23 @@ def test_update_posteriors_matches_loop_oracle(proxy_case):
         assert np.max(np.abs(updated.weights[i] - want)) <= 1e-12
 
 
+def test_update_posteriors_leaves_overflowing_rows_as_supplied(small_models):
+    ce, _, z, a, w = small_models
+    z = z.copy()
+    z[2] = 1e200                         # finite, but its Gaussian likelihood overflows
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        updated = update_posteriors(w, ce.treatment, a, z)
+    ours = [r for r in record if "left as supplied" in str(r.message)]
+    assert [str(r.message) for r in ours] == [
+        "1 of 5 rows had no usable treatment likelihood; "
+        "their weights were left as supplied"]
+    assert ours[0].filename == __file__
+    assert updated.fallback_count == 1
+    assert np.array_equal(updated.weights[2], w.weights[2])
+    assert not np.array_equal(updated.weights[0], w.weights[0])
+
+
 def test_update_posteriors_is_oracle_fixed_point(proxy_case):
     # feeding the true treatment parameters reproduces the closed-form
     # treatment-updated oracle posteriors
@@ -239,14 +288,16 @@ def test_fit_effects_recovers_slopes_and_ate(proxy_case):
 
 
 def test_estimate_ate_stored_and_data_paths_agree(proxy_case):
+    # the stored means the dose response reads are the proxy-posterior
+    # weighted averages of z1 over the training rows
     scenario, data, _ = proxy_case
     ce = fitted_estimate(scenario, data)
-    from latentcause.mixture import posteriors as mixture_posteriors
-
-    w = mixture_posteriors(ce.mixture, data["z1"], data["z2"], data["z3"])
-    stored = estimate_ate(ce, 0.8)
-    explicit = estimate_ate(ce, 0.8, z=data["z1"], w=w)
-    assert abs(stored - explicit) <= 1e-10
+    w = posteriors(ce.mixture, data["z1"], data["z2"], data["z3"]).weights
+    want = (w.T @ data["z1"]) / w.sum(axis=0)[:, None]
+    assert np.max(np.abs(ce.z_feature_means - want)) <= 1e-12
+    feats = np.column_stack([np.ones(3), np.full(3, 0.8), want])
+    explicit = float(ce.priors @ np.einsum("km,km->k", ce.outcome.beta, feats))
+    assert abs(estimate_ate(ce, 0.8) - explicit) <= 1e-10
 
 
 def test_estimate_ate_affine_in_intervention(proxy_case):
@@ -304,22 +355,19 @@ def test_single_component_reduces_to_ols(one_hot_weights):
 def test_estimate_ate_argument_validation(proxy_case):
     scenario, data, _ = proxy_case
     ce = fitted_estimate(scenario, data)
-    with pytest.raises(InvalidConfig):
-        estimate_ate(ce, 1.0, z=data["z1"])
     assert estimate_ate(ce, np.array([0.8])) == estimate_ate(ce, 0.8)
-    w = PosteriorMatrix(weights=np.full((5, 3), 1.0 / 3.0), flavor="proxy_only")
     with pytest.raises(DimensionMismatch):
-        estimate_ate(ce, 1.0, z=data["z1"][:4], w=w)
+        estimate_ate(ce, np.array([0.8, 1.0]))
+    with pytest.raises(DimensionMismatch):
+        estimate_ate(ce, [])
 
 
-def test_estimate_ate_degenerate_cluster(proxy_case):
-    scenario, data, _ = proxy_case
-    ce = fitted_estimate(scenario, data)
+def test_component_means_degenerate_cluster(proxy_case):
+    _, data, _ = proxy_case
     weights = np.zeros((6, 3))
     weights[:, 0] = 1.0
-    w = PosteriorMatrix(weights=weights, flavor="proxy_only")
     with pytest.raises(DegenerateCluster):
-        estimate_ate(ce, 1.0, z=data["z1"][:6], w=w)
+        _component_means(weights, data["z1"][:6])
 
 
 def test_stacked_solver_escalates_ridge_on_collinear_features(one_hot_weights):

@@ -128,6 +128,21 @@ def test_estimate_multitreatment_requires_three_values(tmp_path, capsys):
             "got 1") in capsys.readouterr().err
 
 
+def test_estimate_rejects_non_finite_values(tmp_path, proxy_model, capsys):
+    data, _ = simulate_multitreatment(two_state_discrete(), 1000, seed=0)
+    mt = tmp_path / "mt.json"
+    save_model(mt, fit_multitreatment(data["a1"], data["a2"], data["a3"], data["y"],
+                                      2, seed=0))
+    capsys.readouterr()
+    for model, args in ((proxy_model, ["ate", "--a", "nan"]),
+                        (proxy_model, ["cate", "--u", "0", "--a", "1", "--z", "nan,0,0"]),
+                        (mt, ["ate", "--a", "nan", "1", "1"])):
+        assert main(["estimate", "--model", str(model)] + args) == 2, args
+        out = capsys.readouterr()
+        assert out.out == "", args
+        assert "treatment and z values must be finite" in out.err, args
+
+
 def test_estimate_rejects_malformed_model(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": 1}\n')

@@ -114,7 +114,7 @@ def test_discrete_fit_and_posterior_oracle_equivalence():
     views = [np.array([rng.choice(5, p=emissions[:, ui]) for ui in u])
              for _ in range(3)]
     est = fit_discrete_multiview(*views, 2, seed=0)
-    perm = align_permutation(est, np.vstack([emissions] * 3).T)
+    perm = align_permutation(np.vstack(est.emissions).T, np.vstack([emissions] * 3).T)
     assert np.max(np.abs(est.priors[perm] - priors)) <= 0.05
     for v in range(3):
         assert np.max(np.abs(est.emissions[v][:, perm] - emissions)) <= 0.06
@@ -191,6 +191,22 @@ def test_align_permutation_recovers_planted_permutation_at_k9():
         warnings.simplefilter("error")
         perm = align_permutation(ref[perm_true], ref)
     assert np.array_equal(perm, np.argsort(perm_true))
+
+
+def test_kernel_posteriors_fall_back_to_priors_at_the_density_floor():
+    est, views = _proxy_fit()
+    far = [np.vstack([z[:5], np.full((1, 3), 100.0)]) for z in views]
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        w = posteriors(est, *far)
+    assert [str(r.message) for r in record] == [
+        "1 of 6 rows had every likelihood at the floor; "
+        "their posteriors fall back to the priors"]
+    assert record[0].category is RuntimeWarning
+    assert record[0].filename == __file__
+    assert w.fallback_count == 1
+    assert np.array_equal(w.weights[5], est.priors)
+    assert not np.array_equal(w.weights[0], est.priors)
 
 
 def test_posterior_matrix_validation():

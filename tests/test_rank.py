@@ -7,6 +7,8 @@ from latentcause import (
     DimensionMismatch,
     InvalidConfig,
     KernelSpec,
+    fit_discrete_multiview,
+    posteriors,
     scree,
     scree_discrete,
     select_rank,
@@ -107,8 +109,12 @@ def test_scree_discrete_validation():
         scree_discrete(np.array([0, 1]), np.array([0, 1, 2]))
     with pytest.raises(InvalidConfig):
         scree_discrete(np.array([0, -1]), np.array([0, 1]))
+    # the level count comes from the data: a fitted estimate fixes it, and
+    # scoring a level past it is refused
+    views = [np.array([0, 1, 2, 1, 0, 2])] * 3
+    est = fit_discrete_multiview(*views, 1, seed=0)
     with pytest.raises(InvalidConfig):
-        scree_discrete(np.array([0, 5]), np.array([0, 1]), levels=3)
+        posteriors(est, np.array([0, 5]), np.array([0, 1]), np.array([1, 2]))
 
 
 def test_scree_max_k_caps_output():
