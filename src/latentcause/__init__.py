@@ -6,7 +6,7 @@ by spectral decomposition of low-order moments, and treatment effects are
 then estimated by posterior-weighted regressions.
 """
 
-from .benchmark import default_workers, run_benchmark, summarize
+from .benchmark import run_benchmark, summarize
 from .causal import (
     CausalEstimate,
     OutcomeModel,
@@ -23,8 +23,6 @@ from .dataio import (
     model_from_dict,
     model_to_dict,
     read_dataset,
-    read_report,
-    read_truth,
     save_model,
     scenario_from_dict,
     scenario_to_dict,

@@ -1,10 +1,13 @@
 """Seeded trial sweeps over the built-in designs, one CSV row per estimate.
 
-Each trial simulates a fresh dataset, runs the full pipeline, aligns the
-fitted components to the generating truth, and reports per-component
-errors. Trials are independent and seed-split up front. Pool workers run
-BLAS on one thread, so pooled rows can differ from inline ones by BLAS
-rounding, which depends on the thread count (about 1e-12 relative).
+Each trial simulates a fresh dataset, runs the full pipeline at the
+design's true K (3 for multiproxy, 2 for multitreatment), aligns the fitted
+components to the generating truth, and reports per-component errors.
+Trials are independent and seed-split up front. They run in a pool of
+``workers`` processes, one per logical core unless the caller says
+otherwise. Pool workers run BLAS on one thread, so pooled rows can differ
+from inline ones by BLAS rounding, which depends on the thread count
+(about 1e-12 relative).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .causal import fit_effects
 from .errors import InvalidConfig, LatentCauseError
 from .kernels import KernelSpec
-from .mixture import align_permutation, fit_multiview
+from .mixture import _seed_sequence, align_permutation, fit_multiview
 from .multitreatment import fit_multitreatment
 from .scenarios import (
     simulate_multiproxy,
@@ -27,25 +30,6 @@ from .scenarios import (
     three_cluster_gaussian,
     two_state_discrete,
 )
-
-WORKERS_ENV = "LATENTCAUSE_WORKERS"
-
-
-def default_workers() -> int:
-    """Worker count: the environment cap if set, else the logical cores."""
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InvalidConfig(
-                f"{WORKERS_ENV} must be an integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise InvalidConfig(f"{WORKERS_ENV} must be positive, got {value}")
-        return value
-    return os.cpu_count() or 1
-
 
 def _one_blas_thread() -> None:
     """Pool initializer: each worker has a core, so cap every loaded OpenBLAS at one thread."""
@@ -84,13 +68,13 @@ def _rows(label, n, trial, seed_val, wall_ms, parameters, estimates, truths):
 
 
 def _multiproxy_trial(payload) -> list[dict]:
-    label, n, trial, data_seed, fit_seed, k, bandwidth, landmarks = payload
+    label, n, trial, data_seed, fit_seed, bandwidth, landmarks = payload
     scenario = three_cluster_gaussian()
     start = time.perf_counter()
     try:
         data, _ = simulate_multiproxy(scenario, n, seed=data_seed)
         kernel = KernelSpec(bandwidth=bandwidth, landmark_count=landmarks)
-        est = fit_multiview(data["z1"], data["z2"], data["z3"], k,
+        est = fit_multiview(data["z1"], data["z2"], data["z3"], 3,
                             kernel=kernel, seed=fit_seed)
         ce = fit_effects(data, est)
     except LatentCauseError as exc:
@@ -103,13 +87,13 @@ def _multiproxy_trial(payload) -> list[dict]:
 
 
 def _multitreatment_trial(payload) -> list[dict]:
-    label, n, trial, data_seed, fit_seed, k, _, _ = payload
+    label, n, trial, data_seed, fit_seed, _, _ = payload
     scenario = two_state_discrete()
     start = time.perf_counter()
     try:
         data, _ = simulate_multitreatment(scenario, n, seed=data_seed)
         model = fit_multitreatment(data["a1"], data["a2"], data["a3"],
-                                   data["y"], k, seed=fit_seed)
+                                   data["y"], 2, seed=fit_seed)
     except LatentCauseError as exc:
         return _error_row(label, n, trial, data_seed, str(exc))
     wall_ms = (time.perf_counter() - start) * 1000.0
@@ -121,38 +105,35 @@ def _multitreatment_trial(payload) -> list[dict]:
 
 
 def run_benchmark(mode: str, ns, trials: int, seed=0, workers: int | None = None,
-                  k: int | None = None, bandwidth: float | None = 1.0,
+                  bandwidth: float | None = 1.0,
                   landmarks: int = KernelSpec.landmark_count,
                   label: str | None = None) -> list[dict]:
     """All trial rows for one design over the given sample sizes.
 
     Trials are seeded from one root, so the output is a pure function of
     the arguments. Failed trials become rows with the error column filled
-    in; they never abort the sweep.
+    in; they never abort the sweep. ``workers=None`` uses every logical core.
     """
-    if mode == "multiproxy":
-        trial_fn, default_k = _multiproxy_trial, 3
-    elif mode == "multitreatment":
-        trial_fn, default_k = _multitreatment_trial, 2
-    else:
+    trial_fn = {"multiproxy": _multiproxy_trial,
+                "multitreatment": _multitreatment_trial}.get(mode)
+    if trial_fn is None:
         raise InvalidConfig(f"unknown benchmark mode {mode!r}")
     ns = [int(n) for n in ns]
     if not ns or any(n < 1 for n in ns):
         raise InvalidConfig("sample sizes must be positive")
     if trials < 1:
         raise InvalidConfig("need at least one trial")
-    k = default_k if k is None else int(k)
     label = label if label is not None else mode
 
-    children = np.random.SeedSequence(seed).spawn(len(ns) * trials)
+    children = _seed_sequence(seed).spawn(len(ns) * trials)
     payloads = []
     for i, n in enumerate(ns):
         for trial in range(trials):
             state = children[i * trials + trial].generate_state(2)
             payloads.append((label, n, trial, int(state[0]), int(state[1]),
-                             k, bandwidth, landmarks))
+                             bandwidth, landmarks))
 
-    workers = default_workers() if workers is None else int(workers)
+    workers = (os.cpu_count() or 1) if workers is None else int(workers)
     if workers <= 1 or len(payloads) == 1:
         results = [trial_fn(p) for p in payloads]
     else:

@@ -320,9 +320,8 @@ def update_posteriors(w: PosteriorMatrix, tm: TreatmentModel, a, z) -> Posterior
     means = _regressors(None, z, tm.alpha.shape[1]) @ tm.alpha.T    # n x K
     sd = np.sqrt(tm.sigma2)[None, :]
     z_score = (a_vec[:, None] - means) / sd
-    with np.errstate(divide="ignore"):
-        log_w = np.log(w.weights)
-    log_w = log_w + ((-z_score ** 2 / 2.0 - np.log(_SQRT_2PI)) - np.log(sd))
+    with np.errstate(divide="ignore", over="ignore"):     # such rows fall back below
+        log_w = np.log(w.weights) + ((-z_score ** 2 / 2.0 - np.log(_SQRT_2PI)) - np.log(sd))
     return _bayes_rows(log_w, False, w.weights, "treatment_updated",
                        "had no usable treatment likelihood; "
                        "their weights were left as supplied")
@@ -341,7 +340,7 @@ def fit_outcome(a, z, y, w: PosteriorMatrix) -> OutcomeModel:
 # effect summaries
 # ---------------------------------------------------------------------------
 
-def estimate_cate(om: OutcomeModel, u: int, a, z=None):
+def estimate_cate(om: OutcomeModel, u: int, a, z):
     """Conditional effect surface for one component at (a, z).
 
     Scalar inputs give a float; row inputs give one value per row.

@@ -158,10 +158,10 @@ def _estimate_cate_doc(model, args) -> dict:
             raise InvalidConfig(
                 f"cate takes a single treatment value, got {len(args.a)}"
             )
-        z = None if args.z is None else np.asarray(args.z, dtype=float)
-        value = estimate_cate(model.outcome, args.u, args.a[0], z=z)
-        inputs = {"u": args.u, "a": args.a[0],
-                  "z": None if args.z is None else list(args.z)}
+        if args.z is None:
+            raise InvalidConfig("a multiproxy cate needs the proxy values (--z)")
+        value = estimate_cate(model.outcome, args.u, args.a[0], np.asarray(args.z))
+        inputs = {"u": args.u, "a": args.a[0], "z": list(args.z)}
     return {"estimand": "cate", "inputs": inputs, "value": value}
 
 

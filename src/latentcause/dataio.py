@@ -284,16 +284,6 @@ def write_truth(path, scenario, labels, seed: int, n: int) -> None:
     _dump_json(path, doc)
 
 
-def read_truth(path) -> dict:
-    doc = _object(_load_json(path), "truth")
-    doc["scenario"] = scenario_from_dict(doc.get("scenario", {}))
-    try:
-        doc["labels"] = np.asarray(doc.get("labels", []), dtype=int)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfig(f"malformed truth document: {exc}") from None
-    return doc
-
-
 def _dump_json(path, doc) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
@@ -323,20 +313,3 @@ def write_report(path, rows) -> None:
                     val = _fmt(val)
                 out.append(str(val))
             writer.writerow(out)
-
-
-def read_report(path) -> list[dict]:
-    """Benchmark CSV back as dicts with numeric fields parsed."""
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for raw in reader:
-            row = dict(raw)
-            for col in ("n", "trial", "seed", "component"):
-                if row.get(col):
-                    row[col] = int(row[col])
-            for col in ("estimate", "truth", "aligned_abs_error", "wall_ms"):
-                if row.get(col):
-                    row[col] = float(row[col])
-            rows.append(row)
-    return rows

@@ -88,8 +88,8 @@ class MixtureEstimate:
             raise DimensionMismatch("lambdas must be a nonempty vector")
         if not np.all(np.isfinite(lam) & (lam > 0)):
             raise InvalidConfig("lambdas must be finite and positive")
-        if self.seed is not None and not isinstance(self.seed, (int, np.integer)):
-            raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
+        if self.seed is not None:
+            _seed_sequence(self.seed)
         k = lam.shape[0]
         if self.backend == "kernel":
             anchors, coefs = self.anchors, self.coefficients
@@ -158,14 +158,11 @@ class PosteriorMatrix:
 # shared validation and small utilities
 # ---------------------------------------------------------------------------
 
-def _root_seq(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
-def _seed_value(seed) -> int | None:
-    return seed if isinstance(seed, (int, np.integer)) else None
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """The root stream of a seeded fit, draw or sweep; seeds are nonnegative integers."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidConfig(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.SeedSequence(int(seed))
 
 
 def _as_views(*views):
@@ -258,7 +255,7 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
     _check_k(k)
     n = views[0].shape[0]
     kernel = kernel if kernel is not None else KernelSpec()
-    band_ss, sub_ss, power_ss = _root_seq(seed).spawn(3)
+    band_ss, sub_ss, power_ss = _seed_sequence(seed).spawn(3)
     kernel = kernel.resolve(np.vstack(views), n, np.random.default_rng(band_ss))
 
     rng = np.random.default_rng(sub_ss)
@@ -272,7 +269,7 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
         kernel=kernel,
         anchors=anchor_sets,
         coefficients=tuple((a @ m).T for a, m in zip(factors, means)),
-        seed=_seed_value(seed),
+        seed=int(seed),
         diagnostics=info,
     )
 
@@ -400,6 +397,7 @@ def fit_discrete_multiview(a1, a2, a3, k: int, seed=0) -> MixtureEstimate:
     k = 1 short-circuits to empirical marginals.
     """
     _check_k(k)
+    power_ss = _seed_sequence(seed).spawn(1)[0]
     views, s = _as_levels(a1, a2, a3)
     n = views[0].shape[0]
     if s < k:
@@ -412,18 +410,17 @@ def fit_discrete_multiview(a1, a2, a3, k: int, seed=0) -> MixtureEstimate:
         )
         return MixtureEstimate(
             backend="discrete", lambdas=np.ones(1), emissions=emissions,
-            seed=_seed_value(seed),
+            seed=int(seed),
             diagnostics={"method": "discrete_marginal", "levels": s},
         )
 
     eye = np.eye(s)
-    power_ss = _root_seq(seed).spawn(1)[0]
     lam, means, info = _cross_moment_core([(eye[v], eye) for v in views], k, power_ss)
     emissions = tuple(_stochastic_columns(m) for m in means)
     info.update(method="discrete_cross_moment", levels=s)
     return MixtureEstimate(
         backend="discrete", lambdas=lam, emissions=emissions,
-        seed=_seed_value(seed), diagnostics=info,
+        seed=int(seed), diagnostics=info,
     )
 
 
@@ -539,7 +536,7 @@ def scree(z1, z2, kernel: KernelSpec | None = None, max_k: int = 10,
         raise InvalidConfig(f"max_k must lie in 1..n, got {max_k}")
 
     kernel = kernel if kernel is not None else KernelSpec()
-    band_ss, sub_ss = _root_seq(seed).spawn(2)
+    band_ss, sub_ss = _seed_sequence(seed).spawn(2)
     kernel = kernel.resolve(np.vstack((z1, z2)), n, np.random.default_rng(band_ss))
     rng = np.random.default_rng(sub_ss)
     f1, f2 = (_nystrom_features(z, kernel, rng)[:2] for z in (z1, z2))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .causal import _regressors
 from .errors import DimensionMismatch, InvalidConfig
-from .mixture import PosteriorMatrix
+from .mixture import PosteriorMatrix, _seed_sequence
 
 _EMISSIONS_RESOURCE = "two_state_emissions.json"
 
@@ -183,7 +183,7 @@ def simulate_multiproxy(s: MultiProxyScenario, n: int, seed=0):
     """
     if n < 0:
         raise InvalidConfig("n must be nonnegative")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(_seed_sequence(seed))
     k, d = s.n_states, s.dim
     u = rng.choice(k, size=n, p=s.priors)
     views = [s.means[v][u] + s.proxy_sigma * rng.standard_normal((n, d))
@@ -204,7 +204,7 @@ def simulate_multitreatment(s: MultiTreatmentScenario, n: int, seed=0):
     """
     if n < 0:
         raise InvalidConfig("n must be nonnegative")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(_seed_sequence(seed))
     k, levels = s.n_states, s.levels
     u = rng.choice(k, size=n, p=s.priors)
     treats = []

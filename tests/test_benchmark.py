@@ -6,8 +6,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from latentcause import InvalidConfig, run_benchmark, summarize
-from latentcause.benchmark import WORKERS_ENV, _one_blas_thread, default_workers
+from latentcause import InvalidConfig, RankDeficiency, run_benchmark, summarize
+from latentcause.benchmark import _one_blas_thread
 
 
 def strip_wall(rows):
@@ -40,14 +40,16 @@ def test_results_are_seed_deterministic():
     assert strip_wall(a) != strip_wall(c)
 
 
-def test_failed_trials_become_error_rows():
-    # k exceeds what five treatment levels can support, so every trial
-    # fails inside the mixture stage and is reported rather than raised
-    rows = run_benchmark("multitreatment", [300], trials=2, seed=0,
-                         workers=1, k=10)
+def test_failed_trials_become_error_rows(monkeypatch):
+    # every trial fails inside the fit and is reported rather than raised
+    def deficient(*args, **kwargs):
+        raise RankDeficiency("views carry fewer than K components")
+
+    monkeypatch.setattr("latentcause.benchmark.fit_multitreatment", deficient)
+    rows = run_benchmark("multitreatment", [300], trials=2, seed=0, workers=1)
     assert len(rows) == 2
     for row in rows:
-        assert row["error"] != ""
+        assert row["error"] == "views carry fewer than K components"
         assert row["estimate"] == ""
     summaries = summarize(rows)
     assert summaries == []
@@ -85,19 +87,6 @@ def test_run_benchmark_validation():
         run_benchmark("multiproxy", [100], trials=0)
     with pytest.raises(InvalidConfig):
         run_benchmark("multiproxy", [0], trials=1)
-
-
-def test_default_workers_env_override(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "3")
-    assert default_workers() == 3
-    monkeypatch.setenv(WORKERS_ENV, "zero")
-    with pytest.raises(InvalidConfig):
-        default_workers()
-    monkeypatch.setenv(WORKERS_ENV, "-1")
-    with pytest.raises(InvalidConfig):
-        default_workers()
-    monkeypatch.delenv(WORKERS_ENV)
-    assert default_workers() >= 1
 
 
 def _openblas_thread_counts():

@@ -85,7 +85,6 @@ def small_models(proxy_case, discrete_case):
 # each case gets (CausalEstimate, MultiTreatmentModel, z rows, a rows, weights)
 PREDICTION_EDGES = {
     "regressor_rows": lambda ce, mt, z, a, w: _regressors(np.ones(3), np.ones((4, 1))),
-    "cate_without_z": lambda ce, mt, z, a, w: estimate_cate(ce.outcome, 0, 1.0),
     "cate_wide_z": lambda ce, mt, z, a, w: estimate_cate(ce.outcome, 0, 1.0,
                                                          z=np.zeros(4)),
     "update_narrow_z": lambda ce, mt, z, a, w: update_posteriors(w, ce.treatment,
@@ -214,11 +213,11 @@ def test_update_posteriors_leaves_overflowing_rows_as_supplied(small_models):
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         updated = update_posteriors(w, ce.treatment, a, z)
-    ours = [r for r in record if "left as supplied" in str(r.message)]
-    assert [str(r.message) for r in ours] == [
-        "1 of 5 rows had no usable treatment likelihood; "
-        "their weights were left as supplied"]
-    assert ours[0].filename == __file__
+    # numpy's own overflow warning stays inside; only the typed fallback one escapes
+    assert [(r.category, str(r.message)) for r in record] == [
+        (RuntimeWarning, "1 of 5 rows had no usable treatment likelihood; "
+                         "their weights were left as supplied")]
+    assert record[0].filename == __file__
     assert updated.fallback_count == 1
     assert np.array_equal(updated.weights[2], w.weights[2])
     assert not np.array_equal(updated.weights[0], w.weights[0])

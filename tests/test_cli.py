@@ -1,5 +1,6 @@
 """Command line behavior: artifacts, determinism, and exit codes."""
 
+import csv
 import dataclasses
 import json
 
@@ -9,7 +10,6 @@ import pytest
 from latentcause import (
     fit_multitreatment,
     load_model,
-    read_report,
     save_model,
     scenario_to_dict,
     simulate_multitreatment,
@@ -112,6 +112,15 @@ def test_estimate_cate_zero_coefficient_model(tmp_path, proxy_model, capsys):
     assert doc["value"] == 0.0
 
 
+def test_multiproxy_cate_needs_proxy_values(proxy_model, capsys):
+    capsys.readouterr()
+    assert main(["estimate", "--model", str(proxy_model), "cate",
+                 "--u", "0", "--a", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error: a multiproxy cate needs the proxy values (--z)" in out.err
+
+
 def test_estimate_multitreatment_requires_three_values(tmp_path, capsys):
     data, _ = simulate_multitreatment(two_state_discrete(), 2000, seed=0)
     model = fit_multitreatment(data["a1"], data["a2"], data["a3"], data["y"],
@@ -203,6 +212,23 @@ def test_fit_reports_degenerate_spectrum(proxy_csv, tmp_path, capsys):
     assert "degenerate spectrum at k=60" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_two_without_output(proxy_csv, tmp_path, capsys):
+    out = tmp_path / "bad.csv"
+    commands = (
+        ["simulate", "multiproxy", "--n", "10", "--out", str(out)],
+        ["fit", "--input", str(proxy_csv), "--k", "3", "--out", str(tmp_path / "m.json")],
+        ["rank", "--input", str(proxy_csv)],
+        ["benchmark", "--scenario", "paper-7.2", "--ns", "300", "--trials", "1",
+         "--workers", "1", "--out", str(tmp_path / "r.csv")],
+    )
+    capsys.readouterr()
+    for command in commands:
+        assert main(command + ["--seed", "-1"]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a nonnegative integer, got -1\n", command
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1
@@ -258,6 +284,7 @@ def test_benchmark_writes_report_and_summary(tmp_path, capsys):
                  "--out", str(out)]) == 0
     captured = capsys.readouterr().out
     assert "median abs error" in captured
-    rows = read_report(out)
+    with out.open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 8
     assert all(r["scenario"] == "paper-7.2" for r in rows)

@@ -23,6 +23,7 @@ from latentcause import (
     oracle_posteriors,
     posteriors,
     priors_from_lambdas,
+    run_benchmark,
     scree,
     simulate_multiproxy,
     simulate_multitreatment,
@@ -382,6 +383,50 @@ def _kernel_estimate_with(parts):
 def test_non_finite_input_raises_typed_error(build, bad):
     with pytest.raises(LatentCauseError):
         build(bad)
+
+
+_POINTS = np.random.default_rng(0).standard_normal((30, 1))
+_LEVELS = np.arange(30) % 3
+SEED_CONSUMERS = {
+    "fit_multiview": lambda seed: fit_multiview(_POINTS, _POINTS, _POINTS, 2, seed=seed),
+    "fit_discrete_multiview_k1": lambda seed: fit_discrete_multiview(
+        _LEVELS, _LEVELS, _LEVELS, 1, seed=seed),
+    "scree": lambda seed: scree(_POINTS, _POINTS, seed=seed),
+    "simulate_multiproxy": lambda seed: simulate_multiproxy(
+        three_cluster_gaussian(), 10, seed=seed),
+    "simulate_multitreatment": lambda seed: simulate_multitreatment(
+        two_state_discrete(), 10, seed=seed),
+    "run_benchmark": lambda seed: run_benchmark("multitreatment", [50], trials=1,
+                                                seed=seed, workers=1),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", True, np.random.SeedSequence(3)],
+                         ids=["negative", "float", "text", "bool", "seed_sequence"])
+@pytest.mark.parametrize("consumer", list(SEED_CONSUMERS))
+def test_every_seed_consumer_refuses_a_bad_seed(consumer, seed):
+    with pytest.raises(InvalidConfig, match="seed must be a nonnegative integer"):
+        SEED_CONSUMERS[consumer](seed)
+
+
+def test_numpy_integer_seed_fits_as_the_plain_integer():
+    data, _ = simulate_multitreatment(two_state_discrete(), 2000, seed=np.int64(7))
+    assert np.array_equal(data["y"], simulate_multitreatment(
+        two_state_discrete(), 2000, seed=7)[0]["y"])
+    views = [data[f"a{v}"] for v in (1, 2, 3)]
+    plain, wide = (fit_discrete_multiview(*views, 2, seed=s) for s in (7, np.int64(7)))
+    assert type(wide.seed) is int and wide.seed == 7
+    assert np.array_equal(plain.lambdas, wide.lambdas)
+    for a, b in zip(plain.emissions, wide.emissions):
+        assert np.array_equal(a, b)
+    z = simulate_multiproxy(three_cluster_gaussian(), 300, seed=3)[0]
+    kernel = KernelSpec(bandwidth=1.0, landmark_count=100)
+    plain, wide = (fit_multiview(z["z1"], z["z2"], z["z3"], 3, kernel=kernel, seed=s)
+                   for s in (7, np.int64(7)))
+    assert type(wide.seed) is int
+    assert np.array_equal(plain.lambdas, wide.lambdas)
+    for a, b in zip(plain.coefficients, wide.coefficients):
+        assert np.array_equal(a, b)
 
 
 def test_discrete_posteriors_score_only_valid_levels():
