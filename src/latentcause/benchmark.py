@@ -123,6 +123,9 @@ def run_benchmark(mode: str, ns, trials: int, seed=0, workers: int | None = None
         raise InvalidConfig("sample sizes must be positive")
     if trials < 1:
         raise InvalidConfig("need at least one trial")
+    if workers is not None and (isinstance(workers, bool)
+                                or not isinstance(workers, (int, np.integer))):
+        raise InvalidConfig(f"workers must be an integer or None, got {workers!r}")
     label = label if label is not None else mode
 
     children = _seed_sequence(seed).spawn(len(ns) * trials)

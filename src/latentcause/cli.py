@@ -29,7 +29,7 @@ from .dataio import (
 )
 from .errors import DegenerateSpectrum, InvalidConfig, LatentCauseError
 from .kernels import KernelSpec
-from .mixture import fit_multiview, scree, scree_discrete, select_rank
+from .mixture import _seed_sequence, fit_multiview, scree, scree_discrete, select_rank
 from .multitreatment import MultiTreatmentModel, fit_multitreatment, mt_ate, mt_cate
 from .scenarios import (
     simulate_multiproxy,
@@ -177,6 +177,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_rank(args) -> int:
     data, mode = read_dataset(args.input)
+    _seed_sequence(args.seed)   # refused for both modes, though only the kernel scree draws
     n = data["a" if mode == "multiproxy" else "a1"].shape[0]
     max_k = args.max_k
     if max_k > n:

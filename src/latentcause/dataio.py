@@ -1,9 +1,11 @@
 """CSV datasets, JSON model artifacts, scenario configs, benchmark reports.
 
 Datasets are UTF-8 CSV with 17-significant-digit decimals, which round-trips
-float64 exactly. Models are schema-versioned JSON written with sorted keys
-and a trailing newline, so saving the same model twice produces identical
-bytes. Nothing binary: every artifact stays inspectable in a text editor.
+float64 exactly; numpy's text I/O (``np.savetxt``, ``np.loadtxt``) writes and
+parses their rows, so no field is held as a Python string. Models are
+schema-versioned JSON written with sorted keys and a trailing newline, so
+saving the same model twice produces identical bytes. Nothing binary: every
+artifact stays inspectable in a text editor.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,12 +97,10 @@ def write_dataset(path, data: dict) -> None:
     values = np.hstack(columns)
     n_levels = 3 if mode == "multitreatment" else 0
     _check_values(values, n_levels, path)
-    rows = ([str(int(x)) for x in row[:n_levels]] + [_fmt(x) for x in row[n_levels:]]
-            for row in values)
+    fmt = ["%d"] * n_levels + ["%.17g"] * (values.shape[1] - n_levels)
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        np.savetxt(fh, values, fmt=fmt, delimiter=",", header=",".join(header),
+                   comments="")
 
 
 def read_dataset(path) -> tuple[dict, str]:
@@ -107,38 +108,30 @@ def read_dataset(path) -> tuple[dict, str]:
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise InvalidConfig(f"{path} is not a UTF-8 CSV file: {exc}") from None
-    if not rows:
-        raise InvalidConfig(f"{path} is empty, expected a CSV header")
-    header, rows = rows[0], rows[1:]
-
-    if header[:1] == ["a1"]:
-        if header != list(_MULTITREATMENT_KEYS):
-            raise InvalidConfig(f"unexpected treatment columns {header}")
-        mode = "multitreatment"
-    else:
-        d, rest = 0, header
-        while rest and rest[0] == f"z1_{d}":
-            d += 1
-            rest = header[d:]
-        if d == 0 or header != _multiproxy_header(d):
-            raise InvalidConfig(f"unexpected proxy columns {header}")
-        mode = "multiproxy"
-
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise InvalidConfig(f"{path} is empty, expected a CSV header")
+            d = (len(header) - 2) // 3
+            if header[:1] == ["a1"]:
+                if header != list(_MULTITREATMENT_KEYS):
+                    raise InvalidConfig(f"unexpected treatment columns {header}")
+                mode = "multitreatment"
+            elif d < 1 or header != _multiproxy_header(d):
+                raise InvalidConfig(f"unexpected proxy columns {header}")
+            else:
+                mode = "multiproxy"
+            with warnings.catch_warnings():
+                # a header-only file is a valid 0-row dataset
+                warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+                values = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
+                                    quotechar='"')
+    except (ValueError, csv.Error) as exc:
+        raise InvalidConfig(f"{path} is not a numeric UTF-8 CSV file: {exc}") from None
     width = len(header)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise InvalidConfig(
-                f"row {i + 1} has {len(row)} fields, expected {width}"
-            )
-    try:
-        values = np.array(
-            [[float(x) for x in row] for row in rows], dtype=float
-        ).reshape(len(rows), width)
-    except ValueError as exc:
-        raise InvalidConfig(f"non-numeric value in {path}: {exc}") from None
+    if values.size == 0:
+        values = values.reshape(0, width)
+    if values.shape[1] != width:
+        raise InvalidConfig(f"{path}: rows have {values.shape[1]} fields, expected {width}")
     _check_values(values, 3 if mode == "multitreatment" else 0, path)
 
     if mode == "multitreatment":
@@ -150,7 +143,6 @@ def read_dataset(path) -> tuple[dict, str]:
             "y": values[:, 3],
         }
     else:
-        d = (width - 2) // 3
         data = {
             "z1": values[:, :d],
             "z2": values[:, d:2 * d],

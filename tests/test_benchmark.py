@@ -87,6 +87,9 @@ def test_run_benchmark_validation():
         run_benchmark("multiproxy", [100], trials=0)
     with pytest.raises(InvalidConfig):
         run_benchmark("multiproxy", [0], trials=1)
+    for workers in ("two", 2.5, True):
+        with pytest.raises(InvalidConfig, match="workers must be an integer"):
+            run_benchmark("multitreatment", [50], trials=1, workers=workers)
 
 
 def _openblas_thread_counts():

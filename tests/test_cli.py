@@ -14,6 +14,7 @@ from latentcause import (
     scenario_to_dict,
     simulate_multitreatment,
     two_state_discrete,
+    write_dataset,
 )
 from latentcause.cli import main
 
@@ -214,10 +215,13 @@ def test_fit_reports_degenerate_spectrum(proxy_csv, tmp_path, capsys):
 
 def test_negative_seed_exits_two_without_output(proxy_csv, tmp_path, capsys):
     out = tmp_path / "bad.csv"
+    mt_csv = tmp_path / "mt.csv"
+    write_dataset(mt_csv, simulate_multitreatment(two_state_discrete(), 200, seed=0)[0])
     commands = (
         ["simulate", "multiproxy", "--n", "10", "--out", str(out)],
         ["fit", "--input", str(proxy_csv), "--k", "3", "--out", str(tmp_path / "m.json")],
         ["rank", "--input", str(proxy_csv)],
+        ["rank", "--input", str(mt_csv)],
         ["benchmark", "--scenario", "paper-7.2", "--ns", "300", "--trials", "1",
          "--workers", "1", "--out", str(tmp_path / "r.csv")],
     )
@@ -226,7 +230,8 @@ def test_negative_seed_exits_two_without_output(proxy_csv, tmp_path, capsys):
         assert main(command + ["--seed", "-1"]) == 2, command
         captured = capsys.readouterr()
         assert captured.err == "error: seed must be a nonnegative integer, got -1\n", command
-    assert list(tmp_path.iterdir()) == []
+        assert captured.out == "", command
+    assert list(tmp_path.iterdir()) == [mt_csv]
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

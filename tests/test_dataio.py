@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,38 @@ def test_read_dataset_rejects_malformed_files(tmp_path):
     negative.write_text("a1,a2,a3,y\n1,-2,0,0.5\n")
     with pytest.raises(InvalidConfig):
         read_dataset(negative)
+
+
+_HEADER = "z1_0,z2_0,z3_0,a,y\n"
+_ROW = "1,2,3,4,5\n"
+
+
+@pytest.mark.parametrize("text, n_rows", [
+    pytest.param(_HEADER + _ROW + "\n", 1, id="trailing-blank-line"),
+    pytest.param(_HEADER + _ROW + "\n" + _ROW, 2, id="blank-line-between-rows"),
+    pytest.param(_HEADER + '"1",2,3,"4",5\n', 1, id="quoted-numbers"),
+    pytest.param((_HEADER + _ROW + _ROW).replace("\n", "\r\n"), 2, id="crlf"),
+    pytest.param(_HEADER, 0, id="header-only"),
+    pytest.param(_HEADER + "#" + _ROW, None, id="hash-line"),
+    pytest.param(_HEADER + "1_0,2,3,4,5\n", None, id="underscore-digits"),
+    pytest.param(_HEADER + "1,2,3,4\n" * 2, None, id="every-row-one-short"),
+    pytest.param(_HEADER + "1,2,\x003,4,5\n", None, id="nul-byte"),
+    pytest.param("\ufeff" + _HEADER + _ROW, None, id="bom"),
+])
+def test_read_dataset_edge_cases(tmp_path, text, n_rows):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if n_rows is None:
+            with pytest.raises(InvalidConfig):
+                read_dataset(path)
+            return
+        data, mode = read_dataset(path)
+    assert mode == "multiproxy"
+    assert data["z1"].shape == (n_rows, 1)
+    for key, value in zip(("z1", "z2", "z3", "a", "y"), range(1, 6)):
+        assert np.all(data[key] == value), key
 
 
 def test_model_round_trip_multiproxy(tmp_path, proxy_case):
