@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import warnings
+from itertools import filterfalse
 from pathlib import Path
 
 import numpy as np
@@ -123,8 +124,9 @@ def read_dataset(path) -> tuple[dict, str]:
             with warnings.catch_warnings():
                 # a header-only file is a valid 0-row dataset
                 warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
-                values = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
-                                    quotechar='"')
+                # lines of whitespace are skipped like empty ones
+                values = np.loadtxt(filterfalse(str.isspace, fh), delimiter=",", ndmin=2,
+                                    comments=None, quotechar='"')
     except (ValueError, csv.Error) as exc:
         raise InvalidConfig(f"{path} is not a numeric UTF-8 CSV file: {exc}") from None
     width = len(header)

@@ -48,6 +48,8 @@ PRIOR_MIN = 1e-6
 PRIOR_MAX = 1.0
 RANK_FLOOR_REL = 1e-10
 DENSE_SVD_MAX = 64
+_FLOOR_FALLBACK = ("had every likelihood at the floor; "
+                   "their posteriors fall back to the priors")
 _PANEL_CELLS = 1 << 19     # entries per view in one c12 row panel: short panels slow its r x r product
 
 
@@ -321,17 +323,22 @@ def _top_singular(c: np.ndarray, k: int):
     return u[:, :k], s[:k], vt[:k].T, margin
 
 
-def _cross_moment(view1, view2):
-    """(k1 a1)'(k2 a2) / n for two factored views, summed over row panels."""
+def _weighted(rows, weights, lo=0):
+    """Rows lo, lo + 1, ... scaled by their weights; unweighted fits pass None."""
+    return rows if weights is None else rows * weights[lo:lo + rows.shape[0], None]
+
+
+def _cross_moment(view1, view2, weights=None):
+    """(k1 a1)' diag(weights) (k2 a2) / n for two factored views, over row panels."""
     (k1, a1), (k2, a2) = view1, view2
     c = np.zeros((k1.shape[1], k2.shape[1]))
     part = np.empty_like(c)
-    for _, _, (b1, b2) in _row_blocks((k1, k2), _PANEL_CELLS):
-        c += np.matmul(b1.T, b2, out=part)
+    for lo, _, (b1, b2) in _row_blocks((k1, k2), _PANEL_CELLS):
+        c += np.matmul(b1.T, _weighted(b2, weights, lo), out=part)
     return a1.T @ (c / k1.shape[0]) @ a2
 
 
-def _cross_moment_core(views, k, power_ss):
+def _cross_moment_core(views, k, power_ss, weights=None):
     """Shared third-order decomposition over arbitrary per-view features.
 
     Each view is a pair (k_v, a_v) of a row source and a factor; the features
@@ -350,34 +357,37 @@ def _cross_moment_core(views, k, power_ss):
        the view-3 means m3 lie in span(q), the weights h = f3 pinv(m3)'/prior;
     4. k1'h and k2'h, the view-1 and view-2 means.
 
-    Memory is O(block r + n k).
+    Memory is O(block r + n k). Count-table rows carry their counts as
+    ``weights``, which scale one factor of every sum over rows once normalised
+    to mean one; kernel fits pass none.
     """
     (k1, a1), (k2, a2), (k3, a3) = views
     n = k1.shape[0]
-    u, s, v, margin = _top_singular(_cross_moment(*views[:2]), k)
+    r = None if weights is None else weights * (n / weights.sum())
+    u, s, v, margin = _top_singular(_cross_moment(*views[:2], r), k)
     p1, p2 = a1 @ u, a2 @ v
     g1, g2 = np.empty((n, k)), np.empty((n, k))
     c13, c23 = np.zeros((k, k3.shape[1])), np.zeros((k, k3.shape[1]))  # g1'k3, g2'k3
     for lo, hi, (k1b, k2b, k3b) in _row_blocks((k1, k2, k3)):
         np.matmul(k1b, p1, out=g1[lo:hi])
         np.matmul(k2b, p2, out=g2[lo:hi])
-        c13 += g1[lo:hi].T @ k3b
-        c23 += g2[lo:hi].T @ k3b
+        c13 += _weighted(g1[lo:hi], r, lo).T @ k3b
+        c23 += _weighted(g2[lo:hi], r, lo).T @ k3b
     b1, b2 = c23 @ a3 / n, c13 @ a3 / n              # V' c23, U' c13
     q = np.linalg.qr(np.vstack((b1, b2)).T)[0]       # r3 x 2k orthonormal
     e1, e2 = b1 @ q / s[:, None], b2 @ q / s[:, None]   # x1 q = g1 e1, x2 q = g2 e2
-    cross = e1.T @ (g1.T @ g2 / n) @ e2
+    cross = e1.T @ (g1.T @ _weighted(g2, r) / n) @ e2
     whitener = build_whitener((cross + cross.T) / 2.0, k)
 
     g3 = _row_product(k3, a3 @ q)                    # f3 q
-    t_hat = whitened_third_moment(g1 @ (e1 @ whitener.map), g2 @ (e2 @ whitener.map),
-                                  g3 @ whitener.map)
+    t_hat = whitened_third_moment(_weighted(g1 @ (e1 @ whitener.map), r),
+                                  g2 @ (e2 @ whitener.map), g3 @ whitener.map)
     eig = robust_power_method(t_hat, k, seed=power_ss)
     priors = priors_from_lambdas(eig.lambdas)[1]
 
     m3 = ((q @ whitener.map) * whitener.spectrum[None, :]) @ (
         eig.vectors.T * eig.lambdas[None, :])
-    h = g3 @ (q.T @ np.linalg.pinv(m3).T / (n * priors[None, :]))
+    h = _weighted(g3 @ (q.T @ np.linalg.pinv(m3).T / (n * priors[None, :])), r)
     t1, t2 = np.zeros((k1.shape[1], k)), np.zeros((k2.shape[1], k))
     for lo, hi, (k1b, k2b) in _row_blocks((k1, k2)):
         t1 += k1b.T @ h[lo:hi]
@@ -391,7 +401,8 @@ def _cross_moment_core(views, k, power_ss):
 def fit_discrete_multiview(a1, a2, a3, k: int, seed=0) -> MixtureEstimate:
     """Mixture fit for three categorical views coded 0..S-1.
 
-    One-hot features, paired with an identity factor, feed the shared
+    The one-hot features of the distinct observed triples, paired with an
+    identity factor and weighted by their row counts, feed the shared
     cross-moment decomposition; recovered conditional means are clamped at the
     density floor and renormalized into column-stochastic emission matrices.
     k = 1 short-circuits to empirical marginals.
@@ -414,14 +425,35 @@ def fit_discrete_multiview(a1, a2, a3, k: int, seed=0) -> MixtureEstimate:
             diagnostics={"method": "discrete_marginal", "levels": s},
         )
 
+    triples, counts, _ = _triple_table(views, s)
     eye = np.eye(s)
-    lam, means, info = _cross_moment_core([(eye[v], eye) for v in views], k, power_ss)
+    lam, means, info = _cross_moment_core([(eye[t], eye) for t in triples], k, power_ss,
+                                          counts)
     emissions = tuple(_stochastic_columns(m) for m in means)
     info.update(method="discrete_cross_moment", levels=s)
     return MixtureEstimate(
         backend="discrete", lambdas=lam, emissions=emissions,
         seed=int(seed), diagnostics=info,
     )
+
+
+def _triple_table(views, s, y=None):
+    """Distinct observed level triples, their row counts and, given y, their sums of y.
+
+    Two bincounts group the rows: one of the pair key a1 S + a2, whose P present
+    pairs are numbered in order, then one of that number times S plus a3. Its
+    P S cells are no more than one one-hot view of the distinct triples, and
+    the triples come out in lexicographic order.
+    """
+    a1, a2, a3 = views
+    pair = a1 * s + a2
+    seen = np.bincount(pair) > 0
+    key = (np.cumsum(seen) - 1)[pair] * s + a3
+    counts = np.bincount(key)
+    cells = np.flatnonzero(counts)
+    pairs = np.flatnonzero(seen)[cells // s]
+    sums = None if y is None else np.bincount(key, weights=y)[cells]
+    return (pairs // s, pairs % s, cells % s), counts[cells], sums
 
 
 def _stochastic_columns(m: np.ndarray) -> np.ndarray:
@@ -492,8 +524,7 @@ def posteriors(est: MixtureEstimate, z1, z2, z3) -> PosteriorMatrix:
         log_w += np.log(dm)
 
     return _bayes_rows(log_w, at_floor.all(axis=1), np.broadcast_to(est.priors, (n, k)),
-                       "proxy_only", "had every likelihood at the floor; "
-                       "their posteriors fall back to the priors")
+                       "proxy_only", _FLOOR_FALLBACK)
 
 
 def _bayes_rows(log_w, fallback, replacement, flavor: str, reason: str) -> PosteriorMatrix:
@@ -551,9 +582,7 @@ def scree_discrete(a1, a2, max_k: int = 10) -> np.ndarray:
     if max_k < 1 or max_k > n:
         raise InvalidConfig(f"max_k must lie in 1..n, got {max_k}")
 
-    counts = np.zeros((s, s))
-    np.add.at(counts, (v1, v2), 1.0)
-    c12 = counts / n
+    c12 = np.bincount(v1 * s + v2, minlength=s * s).reshape(s, s) / n
     p1, p2 = c12.sum(axis=1), c12.sum(axis=0)
     keep1, keep2 = p1 > 0, p2 > 0
     core = (c12[keep1][:, keep2]

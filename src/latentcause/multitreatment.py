@@ -2,16 +2,19 @@
 
 No proxies here: the treatments themselves are the three views. The hidden
 state is recovered from them with the discrete mixture backend (the level
-count is one past the largest observed level), every sample is scored with
-its posterior weights, and the per-state outcome coefficients
-come from the same stacked weighted regression the proxy pipeline uses, on
-the fixed regressors [1, a1, a2, a3] of a linear structural model. Effect
+count is one past the largest observed level), every distinct treatment
+triple is scored with its posterior weights, and the per-state outcome
+coefficients come from the same stacked weighted regression the proxy
+pipeline uses, on the fixed regressors [1, a1, a2, a3] of a linear
+structural model, with each triple weighted by its row count. Effect
 summaries are then plain dot products, since the treatment levels are
 set by intervention rather than averaged over.
 """
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +22,12 @@ import numpy as np
 from .causal import _check_rows, _regressors, _scalar_target, _stacked_regression
 from .errors import DimensionMismatch, InvalidConfig
 from .mixture import (
+    _FLOOR_FALLBACK,
+    DENSITY_FLOOR,
     MixtureEstimate,
     _check_component,
+    _checked_views,
+    _triple_table,
     fit_discrete_multiview,
     posteriors,
 )
@@ -58,19 +65,33 @@ class MultiTreatmentModel:
 def fit_multitreatment(a1, a2, a3, y, k: int, seed=0) -> MultiTreatmentModel:
     """Recover the hidden state from the treatments and fit the outcome.
 
-    Rank or alignment failures from the mixture stage propagate.
+    Posteriors are scored once per distinct triple; scaling a triple's weights
+    by the root of its row count, against its sum of y over that root, gives
+    the stacked regression the row-level normal equations. Rank or alignment
+    failures from the mixture stage propagate.
     """
     est = fit_discrete_multiview(a1, a2, a3, k, seed=seed)
-    w = posteriors(est, a1, a2, a3)
+    views = _checked_views(est, a1, a2, a3)
     y_vec = _scalar_target(y, "outcome")
-    _check_rows(y_vec.shape[0], w.weights)
-    treats = np.column_stack([np.asarray(a, dtype=float).ravel()
-                              for a in (a1, a2, a3)])
-    gamma, used = _stacked_regression(_regressors(treats, None), w.weights, y_vec)
+    _check_rows(y_vec.shape[0], views[0])
+    triples, counts, y_sums = _triple_table(views, est.emissions[0].shape[0], y_vec)
+    with warnings.catch_warnings():     # it would count triples; rows are counted below
+        warnings.filterwarnings("ignore", ".*" + re.escape(_FLOOR_FALLBACK), RuntimeWarning)
+        w = posteriors(est, *triples)
+    # posteriors' fallback rule: every component at the floor in all three views
+    floored = np.all([e[t] <= DENSITY_FLOOR for e, t in zip(est.emissions, triples)],
+                     axis=(0, 2))
+    fallbacks = int(counts[floored].sum())
+    if fallbacks:
+        warnings.warn(f"{fallbacks} of {y_vec.shape[0]} rows {_FLOOR_FALLBACK}",
+                      RuntimeWarning, stacklevel=2)
+    root = np.sqrt(counts)
+    gamma, used = _stacked_regression(_regressors(np.column_stack(triples), None),
+                                      w.weights * root[:, None], y_sums / root)
     return MultiTreatmentModel(
         mixture=est,
         gamma=gamma,
-        diagnostics={"ridge": used, "fallbacks": w.fallback_count},
+        diagnostics={"ridge": used, "fallbacks": fallbacks},
     )
 
 

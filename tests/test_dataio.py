@@ -133,6 +133,10 @@ _ROW = "1,2,3,4,5\n"
 @pytest.mark.parametrize("text, n_rows", [
     pytest.param(_HEADER + _ROW + "\n", 1, id="trailing-blank-line"),
     pytest.param(_HEADER + _ROW + "\n" + _ROW, 2, id="blank-line-between-rows"),
+    pytest.param(_HEADER + _ROW + " \n", 1, id="trailing-line-of-spaces"),
+    pytest.param(_HEADER + _ROW + "  ", 1, id="unterminated-line-of-spaces"),
+    pytest.param((_HEADER + _ROW + " \t\n" + _ROW).replace("\n", "\r\n"), 2,
+                 id="crlf-whitespace-line-between-rows"),
     pytest.param(_HEADER + '"1",2,3,"4",5\n', 1, id="quoted-numbers"),
     pytest.param((_HEADER + _ROW + _ROW).replace("\n", "\r\n"), 2, id="crlf"),
     pytest.param(_HEADER, 0, id="header-only"),

@@ -1,16 +1,32 @@
 """Repeated discrete treatments: Algorithm-style joint fit and effects."""
 
+import dataclasses
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from latentcause import (
     DimensionMismatch,
     InvalidConfig,
+    MixtureEstimate,
     align_permutation,
     fit_multitreatment,
     mt_ate,
     mt_cate,
+    posteriors,
+    simulate_multitreatment,
     true_ate_multitreatment,
+    two_state_discrete,
+)
+from latentcause import multitreatment
+from latentcause.causal import _regressors, _stacked_regression
+from latentcause.mixture import (
+    DENSE_SVD_MAX,
+    _cross_moment_core,
+    _stochastic_columns,
+    _triple_table,
 )
 
 from frozen import TWO_STATE_GAMMA_NORMS
@@ -71,13 +87,108 @@ def test_input_validation(discrete_case):
     scenario, data, _ = discrete_case
     with pytest.raises(DimensionMismatch):
         fit_multitreatment(data["a1"], data["a2"], data["a3"][:-1], data["y"], 2)
-    bad_y = data["y"].copy()
-    bad_y[0] = np.inf
-    with pytest.raises(InvalidConfig):
-        fit_multitreatment(data["a1"], data["a2"], data["a3"], bad_y, 2)
+    with pytest.raises(DimensionMismatch):
+        fit_multitreatment(data["a1"], data["a2"], data["a3"], data["y"][:-1], 2)
+    for bad in (np.inf, np.nan):
+        bad_y = data["y"].copy()
+        bad_y[0] = bad
+        with pytest.raises(InvalidConfig):
+            fit_multitreatment(data["a1"], data["a2"], data["a3"], bad_y, 2)
     model = fit_multitreatment(data["a1"], data["a2"], data["a3"], data["y"],
                                2, seed=0)
     with pytest.raises(InvalidConfig):
         mt_cate(model, 5, (1, 1, 1))
     with pytest.raises(DimensionMismatch, match="exactly three treatment values, got 2"):
         mt_ate(model, (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# the count-table fit against the n-row pipeline
+# ---------------------------------------------------------------------------
+
+def _row_level_reference(data, k, seed=0):
+    """The n-row fit: one-hot rows through the unweighted core, every row scored
+    and regressed."""
+    views = [np.asarray(data[f"a{v}"]) for v in (1, 2, 3)]
+    eye = np.eye(max(int(v.max()) for v in views) + 1)
+    power_ss = np.random.SeedSequence(seed).spawn(1)[0]
+    lam, means, _ = _cross_moment_core([(eye[v], eye) for v in views], k, power_ss)
+    est = MixtureEstimate(backend="discrete", lambdas=lam,
+                          emissions=tuple(_stochastic_columns(m) for m in means))
+    w = posteriors(est, *views)
+    gamma, _ = _stacked_regression(_regressors(np.column_stack(views), None),
+                                   w.weights, data["y"])
+    return est, gamma
+
+
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+WIDE_LEVELS = 80                                     # S^3 = 512,000 cells against n = 600
+
+
+def _wide_case(n, seed):
+    rng = np.random.default_rng(3)
+    emissions = tuple(rng.dirichlet(np.full(WIDE_LEVELS, 0.5), size=2).T
+                      for _ in range(3))
+    scenario = dataclasses.replace(two_state_discrete(), emissions=emissions)
+    return simulate_multitreatment(scenario, n, seed=seed)[0]
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda: simulate_multitreatment(two_state_discrete(), 5000, seed=11)[0],
+                 id="two_state_discrete-seed11"),
+    pytest.param(lambda: simulate_multitreatment(two_state_discrete(), 5000, seed=12)[0],
+                 id="two_state_discrete-seed12"),
+    pytest.param(lambda: _wide_case(600, 5), id="80-levels-n600"),
+])
+def test_count_table_fit_matches_row_level_fit(case):
+    data = case()
+    model = fit_multitreatment(data["a1"], data["a2"], data["a3"], data["y"], 2, seed=0)
+    est, gamma = _row_level_reference(data, 2)
+    assert _relative_gap(model.mixture.lambdas, est.lambdas) <= 1e-10
+    for got, want in zip(model.mixture.emissions, est.emissions):
+        assert _relative_gap(got, want) <= 1e-10
+    assert _relative_gap(model.gamma, gamma) <= 1e-10
+    assert model.diagnostics["fallbacks"] == 0
+
+
+def test_triple_table_matches_unique_rows_within_its_memory_bound():
+    data = _wide_case(600, 6)
+    views = [data[f"a{v}"] for v in (1, 2, 3)]
+    assert max(int(v.max()) for v in views) + 1 == WIDE_LEVELS > DENSE_SVD_MAX
+    tracemalloc.start()
+    try:
+        triples, counts, sums = _triple_table(views, WIDE_LEVELS, data["y"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows, inverse, want_counts = np.unique(np.column_stack(views), axis=0,
+                                           return_inverse=True, return_counts=True)
+    assert np.array_equal(np.column_stack(triples), rows)
+    assert np.array_equal(counts, want_counts)
+    assert np.allclose(sums, np.bincount(inverse.ravel(), weights=data["y"]),
+                       rtol=1e-13, atol=1e-12)
+    # tables of at most min(n, S^2) S cells, far below one S^3 table
+    assert peak <= 3 * 600 * WIDE_LEVELS * 8 < WIDE_LEVELS ** 3 * 8
+
+
+def test_fallbacks_are_counted_in_rows(monkeypatch):
+    emission = np.array([[0.5, 0.4], [0.5, 0.6], [0.0, 0.0]])   # level 2 at the floor
+    est = MixtureEstimate(backend="discrete", lambdas=np.array([2 ** 0.5, 2 ** 0.5]),
+                          emissions=(emission,) * 3)
+    monkeypatch.setattr(multitreatment, "fit_discrete_multiview", lambda *a, **kw: est)
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, 2, size=(3, 20))
+    a[:, :4] = 2                                     # one floored triple on four rows
+    y = rng.standard_normal(20)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        model = fit_multitreatment(a[0], a[1], a[2], y, 2)
+    assert [str(r.message) for r in record] == [
+        "4 of 20 rows had every likelihood at the floor; "
+        "their posteriors fall back to the priors"]
+    assert record[0].category is RuntimeWarning
+    assert record[0].filename == __file__
+    assert model.diagnostics["fallbacks"] == 4
