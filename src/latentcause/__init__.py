@@ -43,7 +43,7 @@ from .errors import (
     SingularSystem,
     UnfittedModel,
 )
-from .kernels import KernelSpec, gram, median_heuristic, power_rule_bandwidth
+from .kernels import KernelSpec, gram
 from .mixture import (
     MixtureEstimate,
     PosteriorMatrix,

@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .causal import fit_effects
-from .errors import InvalidConfig, LatentCauseError
+from .errors import InvalidConfig, LatentCauseError, _integer
 from .kernels import KernelSpec
 from .mixture import _seed_sequence, align_permutation, fit_multiview
 from .multitreatment import fit_multitreatment
@@ -68,12 +68,11 @@ def _rows(label, n, trial, seed_val, wall_ms, parameters, estimates, truths):
 
 
 def _multiproxy_trial(payload) -> list[dict]:
-    label, n, trial, data_seed, fit_seed, bandwidth, landmarks = payload
+    label, n, trial, data_seed, fit_seed, kernel = payload
     scenario = three_cluster_gaussian()
     start = time.perf_counter()
     try:
         data, _ = simulate_multiproxy(scenario, n, seed=data_seed)
-        kernel = KernelSpec(bandwidth=bandwidth, landmark_count=landmarks)
         est = fit_multiview(data["z1"], data["z2"], data["z3"], 3,
                             kernel=kernel, seed=fit_seed)
         ce = fit_effects(data, est)
@@ -87,7 +86,7 @@ def _multiproxy_trial(payload) -> list[dict]:
 
 
 def _multitreatment_trial(payload) -> list[dict]:
-    label, n, trial, data_seed, fit_seed, _, _ = payload
+    label, n, trial, data_seed, fit_seed, _ = payload
     scenario = two_state_discrete()
     start = time.perf_counter()
     try:
@@ -105,7 +104,7 @@ def _multitreatment_trial(payload) -> list[dict]:
 
 
 def run_benchmark(mode: str, ns, trials: int, seed=0, workers: int | None = None,
-                  bandwidth: float | None = 1.0,
+                  bandwidth: float = KernelSpec.bandwidth,
                   landmarks: int = KernelSpec.landmark_count,
                   label: str | None = None) -> list[dict]:
     """All trial rows for one design over the given sample sizes.
@@ -118,25 +117,23 @@ def run_benchmark(mode: str, ns, trials: int, seed=0, workers: int | None = None
                 "multitreatment": _multitreatment_trial}.get(mode)
     if trial_fn is None:
         raise InvalidConfig(f"unknown benchmark mode {mode!r}")
-    ns = [int(n) for n in ns]
-    if not ns or any(n < 1 for n in ns):
-        raise InvalidConfig("sample sizes must be positive")
-    if trials < 1:
-        raise InvalidConfig("need at least one trial")
-    if workers is not None and (isinstance(workers, bool)
-                                or not isinstance(workers, (int, np.integer))):
-        raise InvalidConfig(f"workers must be an integer or None, got {workers!r}")
+    ns = [_integer(n, "sample sizes must be positive integers", 1) for n in ns]
+    if not ns:
+        raise InvalidConfig("need at least one sample size")
+    trials = _integer(trials, "need at least one trial", 1)
+    if workers is not None:
+        workers = _integer(workers, "workers must be an integer or None")
     label = label if label is not None else mode
+    kernel = KernelSpec(bandwidth=bandwidth, landmark_count=landmarks)
 
     children = _seed_sequence(seed).spawn(len(ns) * trials)
     payloads = []
     for i, n in enumerate(ns):
         for trial in range(trials):
             state = children[i * trials + trial].generate_state(2)
-            payloads.append((label, n, trial, int(state[0]), int(state[1]),
-                             bandwidth, landmarks))
+            payloads.append((label, n, trial, int(state[0]), int(state[1]), kernel))
 
-    workers = (os.cpu_count() or 1) if workers is None else int(workers)
+    workers = workers if workers is not None else os.cpu_count() or 1
     if workers <= 1 or len(payloads) == 1:
         results = [trial_fn(p) for p in payloads]
     else:

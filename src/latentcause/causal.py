@@ -345,8 +345,8 @@ def estimate_cate(om: OutcomeModel, u: int, a, z):
 
     Scalar inputs give a float; row inputs give one value per row.
     """
-    _check_component(u, om.n_components)
-    vals = _regressors(a, z, om.beta.shape[1]) @ om.beta[int(u)]
+    u = _check_component(u, om.n_components)
+    vals = _regressors(a, z, om.beta.shape[1]) @ om.beta[u]
     if np.ndim(a) == 0 and vals.shape[0] == 1:
         return float(vals[0])
     return vals

@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit the mixture and effect models")
     p.add_argument("--input", required=True, help="dataset CSV path")
     p.add_argument("--k", type=int, required=True, help="component count")
-    p.add_argument("--bandwidth", type=float, default=1.0)
+    p.add_argument("--bandwidth", type=float, default=KernelSpec.bandwidth)
     p.add_argument("--landmarks", type=int, default=KernelSpec.landmark_count)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output model JSON path")
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="spectral rank diagnostic")
     p.add_argument("--input", required=True, help="dataset CSV path")
     p.add_argument("--max-k", type=int, default=10, dest="max_k")
-    p.add_argument("--bandwidth", type=float, default=1.0)
+    p.add_argument("--bandwidth", type=float, default=KernelSpec.bandwidth)
     p.add_argument("--landmarks", type=int, default=KernelSpec.landmark_count)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="optional CSV of the spectrum")
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--bandwidth", type=float, default=1.0)
+    p.add_argument("--bandwidth", type=float, default=KernelSpec.bandwidth)
     p.add_argument("--landmarks", type=int, default=KernelSpec.landmark_count)
     p.add_argument("--out", required=True, help="report CSV path")
     p.set_defaults(handler=cmd_benchmark)

@@ -26,7 +26,7 @@ from .mixture import MixtureEstimate
 from .multitreatment import MultiTreatmentModel
 from .scenarios import MultiProxyScenario, MultiTreatmentScenario
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 REPORT_COLUMNS = ("scenario", "n", "trial", "seed", "component", "parameter",
                   "estimate", "truth", "aligned_abs_error", "wall_ms", "error")
 

@@ -3,8 +3,10 @@
 Every error raised by the library derives from :class:`LatentCauseError`, so
 callers (including the CLI, which maps them to exit code 2) can catch one
 type. Each subclass names a specific failure mode of the spectral or
-regression stages.
+regression stages. ``_integer`` is the one check of integer arguments.
 """
+
+import numbers
 
 
 class LatentCauseError(Exception):
@@ -45,3 +47,14 @@ class DegenerateCluster(LatentCauseError):
 
 class InvalidConfig(LatentCauseError):
     """A configuration value is missing, malformed, or out of range."""
+
+
+def _integer(value, message: str, lo=None, hi=None) -> int:
+    """``value`` as an int when it is an integer in lo..hi (a bool is not one).
+
+    Anything else raises InvalidConfig with ``message``, then the value.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or lo is not None and value < lo or hi is not None and value > hi):
+        raise InvalidConfig(f"{message}, got {value!r}")
+    return int(value)

@@ -33,6 +33,7 @@ from .errors import (
     NonConvergence,
     RankDeficiency,
     UnfittedModel,
+    _integer,
 )
 from .kernels import (
     KernelRows,
@@ -162,9 +163,7 @@ class PosteriorMatrix:
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
     """The root stream of a seeded fit, draw or sweep; seeds are nonnegative integers."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidConfig(f"seed must be a nonnegative integer, got {seed!r}")
-    return np.random.SeedSequence(int(seed))
+    return np.random.SeedSequence(_integer(seed, "seed must be a nonnegative integer", 0))
 
 
 def _as_views(*views):
@@ -214,14 +213,12 @@ def _as_levels(*views, levels: int | None = None):
     return out, s
 
 
-def _check_k(k: int):
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InvalidConfig(f"component count must be a positive integer, got {k!r}")
+def _check_k(k) -> int:
+    return _integer(k, "component count must be a positive integer", 1)
 
 
-def _check_component(u, k, name="component"):
-    if not isinstance(u, (int, np.integer)) or not 0 <= int(u) < k:
-        raise InvalidConfig(f"{name} index must lie in 0..{k - 1}, got {u!r}")
+def _check_component(u, k, name="component") -> int:
+    return _integer(u, f"{name} index must lie in 0..{k - 1}", 0, k - 1)
 
 
 def priors_from_lambdas(lambdas: np.ndarray):
@@ -249,17 +246,17 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
     Maps views 1 and 2 into view 3's coordinate system through factored
     Nystroem features and the two-view cross-moment transformations, then
     runs one whitened decomposition; it handles arbitrarily view-specific components,
-    and identically distributed views are the special case. It raises
-    RankDeficiency when the views do not carry k components. Deterministic
-    for a fixed seed.
+    and identically distributed views are the special case. ``kernel=None``
+    is ``KernelSpec()``: a Gaussian RBF of fixed bandwidth 1.0 in the data's
+    units. It raises RankDeficiency when the views do not carry k components.
+    Deterministic for a fixed seed.
     """
     views = _as_views(z1, z2, z3)
-    _check_k(k)
+    k = _check_k(k)
     n = views[0].shape[0]
     kernel = kernel if kernel is not None else KernelSpec()
-    band_ss, sub_ss, power_ss = _seed_sequence(seed).spawn(3)
-    kernel = kernel.resolve(np.vstack(views), n, np.random.default_rng(band_ss))
-
+    # child 0 drew the bandwidth once; skipping it keeps every seed's landmarks
+    _, sub_ss, power_ss = _seed_sequence(seed).spawn(3)
     rng = np.random.default_rng(sub_ss)
     sources, factors, anchor_sets = zip(*(_nystrom_features(v, kernel, rng) for v in views))
     lam, means, info = _cross_moment_core(list(zip(sources, factors)), k, power_ss)
@@ -407,7 +404,7 @@ def fit_discrete_multiview(a1, a2, a3, k: int, seed=0) -> MixtureEstimate:
     density floor and renormalized into column-stochastic emission matrices.
     k = 1 short-circuits to empirical marginals.
     """
-    _check_k(k)
+    k = _check_k(k)
     power_ss = _seed_sequence(seed).spawn(1)[0]
     views, s = _as_levels(a1, a2, a3)
     n = views[0].shape[0]
@@ -483,8 +480,8 @@ def _checked_views(est: MixtureEstimate, *views):
 def density(est: MixtureEstimate, view: int, component: int, z) -> float:
     """Recovered density of one view under one component, floor-clamped."""
     _check_fitted(est)
-    _check_component(view, 3, "view")
-    _check_component(component, est.n_components)
+    view = _check_component(view, 3, "view")
+    component = _check_component(component, est.n_components)
     point = np.atleast_1d(z) if est.backend == "discrete" else np.atleast_2d(z)
     (point,) = _checked_views(est, point)
     return float(_density_matrix(est, view, point)[0, component])
@@ -559,17 +556,14 @@ def scree(z1, z2, kernel: KernelSpec | None = None, max_k: int = 10,
     values of their cross moment are returned. Conditional independence
     makes the population version of that operator rank K exactly (the
     constant direction plus K - 1 mixture directions), so the spectrum
-    drops off right after the true component count.
+    drops off right after the true component count. ``kernel=None`` is
+    ``KernelSpec()``, the fixed bandwidth 1.0 in the data's units.
     """
     z1, z2 = _as_views(z1, z2)
-    n = z1.shape[0]
-    if max_k < 1 or max_k > n:
-        raise InvalidConfig(f"max_k must lie in 1..n, got {max_k}")
-
+    max_k = _integer(max_k, "max_k must lie in 1..n", 1, z1.shape[0])
     kernel = kernel if kernel is not None else KernelSpec()
-    band_ss, sub_ss = _seed_sequence(seed).spawn(2)
-    kernel = kernel.resolve(np.vstack((z1, z2)), n, np.random.default_rng(band_ss))
-    rng = np.random.default_rng(sub_ss)
+    # child 0 drew the bandwidth once; skipping it keeps every seed's landmarks
+    rng = np.random.default_rng(_seed_sequence(seed).spawn(2)[1])
     f1, f2 = (_nystrom_features(z, kernel, rng)[:2] for z in (z1, z2))
     sv = np.linalg.svd(_cross_moment(f1, f2), compute_uv=False)
     return sv[: min(max_k, sv.shape[0])]
@@ -579,8 +573,7 @@ def scree_discrete(a1, a2, max_k: int = 10) -> np.ndarray:
     """Cross-view correlation spectrum for two categorical views."""
     (v1, v2), s = _as_levels(a1, a2)
     n = v1.shape[0]
-    if max_k < 1 or max_k > n:
-        raise InvalidConfig(f"max_k must lie in 1..n, got {max_k}")
+    max_k = _integer(max_k, "max_k must lie in 1..n", 1, n)
 
     c12 = np.bincount(v1 * s + v2, minlength=s * s).reshape(s, s) / n
     p1, p2 = c12.sum(axis=1), c12.sum(axis=0)

@@ -105,8 +105,7 @@ def _point_features(a) -> np.ndarray:
 
 def mt_cate(m: MultiTreatmentModel, u: int, a) -> float:
     """Effect under component u at treatment combination a."""
-    _check_component(u, m.n_components)
-    return float(m.gamma[int(u)] @ _point_features(a))
+    return float(m.gamma[_check_component(u, m.n_components)] @ _point_features(a))
 
 
 def mt_ate(m: MultiTreatmentModel, a) -> float:

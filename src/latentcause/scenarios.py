@@ -22,7 +22,7 @@ from importlib import resources
 import numpy as np
 
 from .causal import _regressors
-from .errors import DimensionMismatch, InvalidConfig
+from .errors import DimensionMismatch, InvalidConfig, _integer
 from .mixture import PosteriorMatrix, _seed_sequence
 
 _EMISSIONS_RESOURCE = "two_state_emissions.json"
@@ -181,8 +181,7 @@ def simulate_multiproxy(s: MultiProxyScenario, n: int, seed=0):
     The data dict has keys z1, z2, z3 (n x d), a, y (n,). Reproducible
     bit-exactly per seed; draws happen in a fixed order regardless of n.
     """
-    if n < 0:
-        raise InvalidConfig("n must be nonnegative")
+    n = _integer(n, "n must be a nonnegative integer", 0)
     rng = np.random.default_rng(_seed_sequence(seed))
     k, d = s.n_states, s.dim
     u = rng.choice(k, size=n, p=s.priors)
@@ -202,8 +201,7 @@ def simulate_multitreatment(s: MultiTreatmentScenario, n: int, seed=0):
 
     The data dict has keys a1, a2, a3 (integer levels) and y.
     """
-    if n < 0:
-        raise InvalidConfig("n must be nonnegative")
+    n = _integer(n, "n must be a nonnegative integer", 0)
     rng = np.random.default_rng(_seed_sequence(seed))
     k, levels = s.n_states, s.levels
     u = rng.choice(k, size=n, p=s.priors)

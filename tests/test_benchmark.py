@@ -87,6 +87,13 @@ def test_run_benchmark_validation():
         run_benchmark("multiproxy", [100], trials=0)
     with pytest.raises(InvalidConfig):
         run_benchmark("multiproxy", [0], trials=1)
+    for ns in ([True], [2.5], ["x"]):
+        with pytest.raises(InvalidConfig, match="sample sizes must be positive integers"):
+            run_benchmark("multitreatment", ns, trials=1, workers=1)
+    with pytest.raises(InvalidConfig, match="need at least one trial"):
+        run_benchmark("multitreatment", [50], trials=True, workers=1)
+    with pytest.raises(InvalidConfig, match="bandwidth"):
+        run_benchmark("multiproxy", [50], trials=1, workers=1, bandwidth=None)
     for workers in ("two", 2.5, True):
         with pytest.raises(InvalidConfig, match="workers must be an integer"):
             run_benchmark("multitreatment", [50], trials=1, workers=workers)

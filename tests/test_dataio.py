@@ -212,7 +212,7 @@ def test_model_document_is_schema_versioned(discrete_case):
     model = fit_multitreatment(data["a1"], data["a2"], data["a3"], data["y"],
                                2, seed=0)
     doc = model_to_dict(model)
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     assert doc["mode"] == "multitreatment"
     round_tripped = model_from_dict(json.loads(json.dumps(doc)))
     assert np.array_equal(round_tripped.gamma, model.gamma)
@@ -254,8 +254,8 @@ def test_schema_2_documents_drop_fixed_fields(proxy_case, discrete_case):
         keys = {key for path in _leaf_paths(doc) for key in path}
         assert keys.isdisjoint({"family", "density_floor", "priors_raw",
                                 "include_constant", "feature_map", "xi_map",
-                                "priors"})
-        for old in (1, 2):
+                                "priors", "rule", "power_c", "power_b"})
+        for old in (1, 2, 3):
             with pytest.raises(InvalidConfig, match=f"version {old} "):
                 model_from_dict({**doc, "schema_version": old})
 
@@ -334,7 +334,7 @@ def test_every_file_failure_is_a_latentcause_error(tmp_path, proxy_case, discret
             pass
 
     starts = [b"", b"z1_0,z2_0,z3_0,a,y\n", b"a1,a2,a3,y\n1,0,",
-              b'{"schema_version": 3, "mode": "multitreatment", ']
+              b'{"schema_version": 4, "mode": "multitreatment", ']
 
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(st.sampled_from(starts), st.binary(max_size=40))

@@ -19,12 +19,15 @@ from latentcause import (
     align_permutation,
     density,
     fit_discrete_multiview,
+    fit_multitreatment,
     fit_multiview,
+    mt_cate,
     oracle_posteriors,
     posteriors,
     priors_from_lambdas,
     run_benchmark,
     scree,
+    scree_discrete,
     simulate_multiproxy,
     simulate_multitreatment,
     three_cluster_gaussian,
@@ -83,6 +86,12 @@ def test_crossmoment_fit_on_three_cluster_design():
     est = fit_multiview(data["z1"], data["z2"], data["z3"], 3,
                         kernel=KernelSpec(bandwidth=1.0), seed=0)
     assert abs(est.priors.sum() - 1.0) <= 1e-12
+    default = fit_multiview(data["z1"], data["z2"], data["z3"], 3, seed=0)
+    assert default.kernel == est.kernel
+    assert np.array_equal(default.lambdas, est.lambdas)
+    for got, want in zip(default.anchors + default.coefficients,
+                         est.anchors + est.coefficients):
+        assert np.array_equal(got, want)
     w = posteriors(est, data["z1"], data["z2"], data["z3"])
     oracle = oracle_posteriors(scenario, data)
     perm = align_permutation(w.weights[:200].T, oracle.weights[:200].T)
@@ -227,12 +236,6 @@ def _fit_with_bad_value(bad):
                   seed=0)
 
 
-def _power_rule_fit_with(bad):
-    data, _ = simulate_multiproxy(three_cluster_gaussian(), 200, seed=5)   # d = 3
-    fit_multiview(data["z1"], data["z2"], data["z3"], 3,
-                  kernel=KernelSpec(rule="power_rule", **bad), seed=0)
-
-
 def _posteriors_with_bad_value(bad):
     views, _ = symmetric_views([0.5, 0.5], 300, seed=15)
     est = fit_multiview(*views, 2, kernel=KernelSpec(bandwidth=0.6), seed=0)
@@ -270,6 +273,32 @@ def _scree_with_bad_value(bad):
     views, _ = symmetric_views([0.5, 0.5], 300, seed=15)
     views[0][5] = bad
     scree(views[0], views[1], kernel=KernelSpec(bandwidth=0.6), max_k=3)
+
+
+def _kernel_scree_with_max_k(max_k):
+    views, _ = symmetric_views([0.5, 0.5], 300, seed=15)
+    scree(views[0], views[1], kernel=KernelSpec(bandwidth=0.6), max_k=max_k)
+
+
+def _discrete_scree_with_max_k(max_k):
+    data = _discrete_fit()[1]
+    scree_discrete(data["a1"], data["a2"], max_k=max_k)
+
+
+def _discrete_fit_with_k(k):
+    data = _discrete_fit()[1]
+    fit_discrete_multiview(data["a1"], data["a2"], data["a3"], k, seed=0)
+
+
+def _kernel_fit_with_k(k):
+    views, _ = symmetric_views([0.5, 0.5], 300, seed=15)
+    fit_multiview(*views, k, kernel=KernelSpec(bandwidth=0.6), seed=0)
+
+
+def _mt_cate_of_component(u):
+    data = _discrete_fit()[1]
+    model = fit_multitreatment(data["a1"], data["a2"], data["a3"], data["y"], 2, seed=0)
+    mt_cate(model, u, (1, 1, 1))
 
 
 def _kernel_density_at_bad_point(bad):
@@ -374,11 +403,18 @@ def _kernel_estimate_with(parts):
     (_kernel_estimate_with, "short_block"),
     (_kernel_estimate_with, "k_minus_1_rows"),
     (_kernel_estimate_with, "short_lambdas"),
-    (_power_rule_fit_with, {"power_c": "x"}),
-    (_power_rule_fit_with, {"power_c": None}),
-    (_power_rule_fit_with, {"power_b": -10.5}),         # 2b + 7d = 0 at d = 3
-    (_power_rule_fit_with, {"power_b": np.inf}),
-    (_power_rule_fit_with, {"power_b": 0.0}),
+    (_kernel_fit_with_k, True),
+    (_discrete_fit_with_k, True),
+    (_discrete_fit_with_k, 2.5),
+    (_mt_cate_of_component, True),
+    (_density_of_view, True),
+    (_density_of_component, True),
+    (_kernel_scree_with_max_k, 2.5),
+    (_kernel_scree_with_max_k, "3"),
+    (_kernel_scree_with_max_k, True),
+    (_discrete_scree_with_max_k, 2.5),
+    (_discrete_scree_with_max_k, "3"),
+    (_discrete_scree_with_max_k, True),
 ])
 def test_non_finite_input_raises_typed_error(build, bad):
     with pytest.raises(LatentCauseError):

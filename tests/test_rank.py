@@ -123,3 +123,4 @@ def test_scree_max_k_caps_output():
     sv = scree(data["z1"], data["z2"], kernel=KernelSpec(bandwidth=1.0),
                max_k=4, seed=0)
     assert sv.shape == (4,)
+    assert np.array_equal(scree(data["z1"], data["z2"], max_k=4, seed=0), sv)

@@ -148,3 +148,6 @@ def test_true_ate_multitreatment_at_ones():
 def test_simulate_rejects_negative_n():
     with pytest.raises(InvalidConfig):
         simulate_multiproxy(three_cluster_gaussian(), -1)
+    for bad in (True, 2.5, "10"):
+        with pytest.raises(InvalidConfig, match="n must be a nonnegative integer"):
+            simulate_multitreatment(two_state_discrete(), bad)
