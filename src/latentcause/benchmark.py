@@ -31,8 +31,14 @@ from .scenarios import (
     two_state_discrete,
 )
 
-def _one_blas_thread() -> None:
-    """Pool initializer: each worker has a core, so cap every loaded OpenBLAS at one thread."""
+def _one_blas_thread(kernel_fits: bool = True) -> None:
+    """Pool initializer: each worker has a core, so cap every OpenBLAS a trial uses at one thread.
+
+    Kernel fits load scipy's LAPACK, which brings scipy's own OpenBLAS, on
+    first use; for pools that run them it is loaded here, so it is capped too.
+    """
+    if kernel_fits:
+        import scipy.linalg.lapack  # noqa: F401
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -137,7 +143,8 @@ def run_benchmark(mode: str, ns, trials: int, seed=0, workers: int | None = None
     if workers <= 1 or len(payloads) == 1:
         results = [trial_fn(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread,
+                                 initargs=(mode == "multiproxy",)) as pool:
             results = list(pool.map(trial_fn, payloads))
     return [row for rows in results for row in rows]
 

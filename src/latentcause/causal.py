@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateCluster,
@@ -185,13 +184,15 @@ def _solve_normal_equations(gram_m, rhs):
     """Positive-definite solve with an escalating ridge.
 
     Starts with no ridge and climbs the ladder whenever the Cholesky
-    factorization refuses the matrix, warning on each escalation.
+    factorization refuses the matrix or the solve is not finite, warning on
+    each escalation. The solution is two solves on the Cholesky factor.
     """
     ladder = (0.0,) + RIDGE_LADDER
     eye = np.eye(gram_m.shape[0])
     for step, r in enumerate(ladder):
         try:
-            sol = scipy.linalg.solve(gram_m + r * eye, rhs, assume_a="pos")
+            chol = np.linalg.cholesky(gram_m + r * eye)
+            sol = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
         except np.linalg.LinAlgError:
             continue
         if np.all(np.isfinite(sol)):

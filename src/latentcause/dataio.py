@@ -3,9 +3,9 @@
 Datasets are UTF-8 CSV with 17-significant-digit decimals, which round-trips
 float64 exactly; numpy's text I/O (``np.savetxt``, ``np.loadtxt``) writes and
 parses their rows, so no field is held as a Python string. Models are
-schema-versioned JSON written with sorted keys and a trailing newline, so
-saving the same model twice produces identical bytes. Nothing binary: every
-artifact stays inspectable in a text editor.
+schema-versioned compact JSON: one line with sorted keys, no whitespace and
+a trailing newline, so saving the same model twice produces identical
+bytes. Nothing binary: every artifact stays inspectable in a text editor.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def write_truth(path, scenario, labels, seed: int, n: int) -> None:
 
 
 def _dump_json(path, doc) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(doc, sort_keys=True, allow_nan=False, separators=(",", ":"))
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

@@ -29,6 +29,8 @@ class KernelSpec:
 
     def __post_init__(self):
         try:
+            if isinstance(self.bandwidth, (bool, np.bool_)):   # refused like a bool count
+                raise TypeError
             s = float(self.bandwidth)
         except (TypeError, ValueError):
             raise InvalidConfig(f"bandwidth must be a number, got "

@@ -22,9 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpstrf, dtrtri
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse.linalg import ArpackError, svds
 
 from .errors import (
     DimensionMismatch,
@@ -282,8 +279,11 @@ def _nystrom_features(view, kernel, rng):
     anchors, ``rows`` is a ``KernelRows`` source of the n x r kernel against
     them and ``factor`` the inverse transpose of the r x r triangle. The
     features then have identity second moment over the anchors, and the
-    view's density coefficients are ``factor @ feature_means``.
+    view's density coefficients are ``factor @ feature_means``. scipy's LAPACK
+    is imported here, so only kernel fits and ``scree`` load it.
     """
+    from scipy.linalg.lapack import dpstrf, dtrtri
+
     n = view.shape[0]
     n_a = min(n, kernel.landmark_count)
     idx = np.sort(rng.choice(n, size=n_a, replace=False)) if n_a < n else np.arange(n)
@@ -303,6 +303,8 @@ def _top_singular(c: np.ndarray, k: int):
     there); the margin s_k / s_(k+1) is None without a nonzero (k+1)-th value.
     """
     if min(c.shape) > max(k + 1, DENSE_SVD_MAX):
+        from scipy.sparse.linalg import ArpackError, svds
+
         v0 = np.random.default_rng(0).standard_normal(min(c.shape))
         try:
             u, s, vt = svds(c, k=k + 1, v0=v0, tol=0)
@@ -611,6 +613,41 @@ def align_permutation(estimated, reference) -> np.ndarray:
     if a.ndim != 2 or a.shape != b.shape:
         raise DimensionMismatch(f"need two K x p summary blocks of one shape, "
                                 f"got {a.shape} and {b.shape}")
-    cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    return rows[np.argsort(cols)]
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise InvalidConfig("summary blocks must be finite")
+    return _assignment(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))
+
+
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    """Row matched to each column by the least-cost assignment of a square matrix.
+
+    The Hungarian method (Kuhn 1955) in its O(K^3) shortest-augmenting-path
+    form: rows join one at a time, each along the cheapest path in costs
+    reduced by row and column potentials, so the total is exactly minimal.
+    Index 0 is a virtual column where each new row's path starts.
+    """
+    k = cost.shape[0]
+    u, v = np.zeros(k + 1), np.zeros(k + 1)
+    row_of = np.zeros(k + 1, dtype=int)           # 1-based row on each column, 0 when free
+    way = np.zeros(k + 1, dtype=int)              # previous column on the path
+    for i in range(1, k + 1):
+        row_of[0], j = i, 0
+        dist = np.full(k + 1, np.inf)
+        used = np.zeros(k + 1, dtype=bool)
+        while row_of[j]:
+            used[j] = True
+            row = row_of[j]
+            reduced = cost[row - 1] - u[row] - v[1:]
+            closer = ~used[1:] & (reduced < dist[1:])
+            dist[1:][closer] = reduced[closer]
+            way[1:][closer] = j
+            j_next = int(np.argmin(np.where(used, np.inf, dist)))
+            delta = dist[j_next]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            dist[~used] -= delta
+            j = j_next
+        while j:
+            row_of[j] = row_of[way[j]]
+            j = way[j]
+    return row_of[1:] - 1

@@ -1,6 +1,10 @@
 """Trial sweep harness: seeding, parallelism, and error isolation."""
 
 import ctypes
+import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -124,3 +128,44 @@ def test_pool_workers_run_one_blas_thread():
     with ProcessPoolExecutor(max_workers=1, initializer=_one_blas_thread) as pool:
         pooled = pool.submit(_openblas_thread_counts).result()
     assert pooled == [1] * len(inline)
+
+
+_POOLED_KERNEL_FIT = """
+import sys
+from concurrent.futures import ProcessPoolExecutor
+
+import latentcause as lc
+from latentcause.benchmark import _one_blas_thread
+from test_benchmark import _openblas_thread_counts
+
+
+def kernel_fit_thread_counts():
+    data, _ = lc.simulate_multiproxy(lc.three_cluster_gaussian(), 300, seed=1)
+    lc.fit_multiview(data["z1"], data["z2"], data["z3"], 3,
+                     kernel=lc.KernelSpec(landmark_count=100), seed=0)
+    return _openblas_thread_counts()
+
+
+if __name__ == "__main__":
+    assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy loaded"
+    with ProcessPoolExecutor(max_workers=1, initializer=_one_blas_thread) as pool:
+        print(pool.submit(kernel_fit_thread_counts).result())
+"""
+
+
+def test_pool_workers_cap_the_openblas_a_kernel_fit_loads(tmp_path):
+    # scipy's OpenBLAS arrives with the first kernel fit, after the pool
+    # initializer ran, unless the initializer loads it first
+    try:
+        inline = _openblas_thread_counts()
+    except OSError:
+        pytest.skip("no process map to find OpenBLAS in")
+    if not inline:
+        pytest.skip("numpy and scipy do not use OpenBLAS here")
+    script = tmp_path / "pooled_kernel_fit.py"
+    script.write_text(_POOLED_KERNEL_FIT, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         check=True, env=env)
+    pooled = json.loads(out.stdout)
+    assert pooled and pooled == [1] * len(pooled)

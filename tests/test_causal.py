@@ -183,14 +183,28 @@ def test_treatment_density_matches_normal_formula(proxy_case):
             w.weights[i], float(a[i]), means, tm.sigma2))) <= 1e-12
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # the Gaussian densities are written out, so importing the package
-    # need not pay for loading scipy.stats
-    code = "import sys, latentcause; print('scipy.stats' in sys.modules)"
+_MULTITREATMENT_ROUND_TRIP = """
+import sys
+import latentcause as lc
+data, _ = lc.simulate_multitreatment(lc.two_state_discrete(), 2000, seed=3)
+model = lc.fit_multitreatment(data["a1"], data["a2"], data["a3"], data["y"], 2, seed=0)
+path = sys.argv[1]
+lc.save_model(path, model)
+assert lc.mt_ate(lc.load_model(path), (1, 1, 1)) == lc.mt_ate(model, (1, 1, 1))
+"""
+
+
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    # the Gaussian densities are written out, the normal equations and the
+    # component matching use numpy, and scipy's LAPACK and ARPACK are imported
+    # by kernel fits only: neither the import nor a multitreatment fit, its
+    # effect and a save/load round trip load any scipy module
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    report = "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    for code in ("import latentcause", _MULTITREATMENT_ROUND_TRIP):
+        out = subprocess.run([sys.executable, "-c", code + report, str(tmp_path / "mt.json")],
+                             capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "[]", code
 
 
 def test_update_posteriors_matches_loop_oracle(proxy_case):

@@ -162,6 +162,12 @@ def test_read_dataset_edge_cases(tmp_path, text, n_rows):
         assert np.all(data[key] == value), key
 
 
+def _assert_compact_json(path):
+    """The file is one line of JSON with sorted keys and no whitespace."""
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def test_model_round_trip_multiproxy(tmp_path, proxy_case):
     _, data, _ = proxy_case
     mixture = fit_multiview(data["z1"], data["z2"], data["z3"], 3,
@@ -175,6 +181,7 @@ def test_model_round_trip_multiproxy(tmp_path, proxy_case):
     again = tmp_path / "m2.json"
     save_model(again, loaded)
     assert path.read_bytes() == again.read_bytes()
+    _assert_compact_json(path)
 
     # fields whose value is None are left out: a kernel mixture has no
     # emissions key, and an estimate without a seed has no seed key
@@ -205,6 +212,7 @@ def test_model_round_trip_multitreatment(tmp_path, discrete_case):
     again = tmp_path / "mt2.json"
     save_model(again, loaded)
     assert path.read_bytes() == again.read_bytes()
+    _assert_compact_json(path)
 
 
 def test_model_document_is_schema_versioned(discrete_case):
@@ -299,6 +307,7 @@ def test_malformed_model_documents_rejected(tmp_path, discrete_case, proxy_case)
         (("mixture", "kernel", "landmark_count"), 2.5, InvalidConfig),
         (("mixture", "kernel", "bandwidth"), 1e400, InvalidConfig),
         (("mixture", "kernel", "bandwidth"), "wide", InvalidConfig),
+        (("mixture", "kernel", "bandwidth"), True, InvalidConfig),
         (("mixture", "coefficients", 1, 2, 0), float("nan"), InvalidConfig),
         (("mixture", "anchors", 0, 0, 0), 1e400, InvalidConfig),
         (("outcome", "beta"), [row[:-1] for row in kernel_doc["outcome"]["beta"]],
@@ -365,6 +374,7 @@ def test_truth_sidecar_round_trip(tmp_path):
     path = truth_path(tmp_path / "d.csv")
     assert path.name == "d.truth.json"
     write_truth(path, scenario, labels, seed=7, n=4)
+    _assert_compact_json(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["seed"] == 7 and doc["n"] == 4
     assert doc["labels"] == [0, 2, 1, 1]

@@ -50,7 +50,7 @@ def test_gram_diagonal_is_one_on_shared_points():
 def test_kernel_spec_validation():
     with pytest.raises(InvalidConfig):
         KernelSpec(bandwidth=-1.0)
-    for bad in (1e400, float("nan"), 0.0, "x", [1.0], None):
+    for bad in (1e400, float("nan"), 0.0, "x", [1.0], None, True, np.True_):
         with pytest.raises(InvalidConfig, match="bandwidth"):
             KernelSpec(bandwidth=bad)
     assert KernelSpec(bandwidth="1.0").bandwidth == 1.0

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from latentcause import (
@@ -191,6 +192,25 @@ def test_align_permutation_matches_brute_force():
         got = align_permutation(est, ref)
         want, _ = brute_force_alignment(est, ref)
         assert np.array_equal(got, want)
+
+
+def test_align_permutation_single_component_and_refused_inputs():
+    assert np.array_equal(align_permutation([[2.0, 1.0]], [[-1.0, 0.5]]), [0])
+    with pytest.raises(DimensionMismatch):
+        align_permutation(np.zeros((3, 2)), np.zeros((2, 2)))
+    with pytest.raises(InvalidConfig, match="finite"):
+        align_permutation([[np.nan], [0.0]], [[1.0], [0.0]])
+
+
+def test_align_permutation_reaches_the_optimal_cost_at_k30():
+    rng = np.random.default_rng(15)
+    for _ in range(5):
+        est, ref = rng.standard_normal((30, 4)), rng.standard_normal((30, 4))
+        cost = np.linalg.norm(est[:, None, :] - ref[None, :, :], axis=2)
+        rows, cols = linear_sum_assignment(cost)
+        perm = align_permutation(est, ref)
+        assert np.array_equal(np.sort(perm), np.arange(30))
+        assert abs(cost[perm, np.arange(30)].sum() - cost[rows, cols].sum()) <= 1e-12
 
 
 def test_align_permutation_recovers_planted_permutation_at_k9():
@@ -628,7 +648,7 @@ def test_rank_deficient_features_raise_through_truncated_svd(monkeypatch):
         calls.append(args[0].shape)
         return svds(*args, **kwargs)
 
-    monkeypatch.setattr("latentcause.mixture.svds", counting_svds)
+    monkeypatch.setattr("scipy.sparse.linalg.svds", counting_svds)
     with pytest.raises(RankDeficiency):
         _cross_moment_core([(f, np.eye(m)) for f in feats], k, np.random.SeedSequence(0))
     assert calls == [(m, m)]
@@ -638,7 +658,7 @@ def test_arpack_failure_surfaces_as_typed_error(monkeypatch):
     def fail(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
 
-    monkeypatch.setattr("latentcause.mixture.svds", fail)
+    monkeypatch.setattr("scipy.sparse.linalg.svds", fail)
     views, _ = symmetric_views([0.5, 0.5], 300, seed=15)
     kernel = KernelSpec(bandwidth=0.15)      # keeps about 80 landmarks, above DENSE_SVD_MAX
     with pytest.raises(LatentCauseError):
