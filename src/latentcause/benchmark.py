@@ -1,7 +1,7 @@
 """Seeded trial sweeps over the built-in designs, one CSV row per estimate.
 
-Each trial simulates a fresh dataset, runs the full pipeline at the
-design's true K (3 for multiproxy, 2 for multitreatment), aligns the fitted
+Each trial simulates a fresh dataset, runs the full pipeline at the true K
+that the design table in ``scenarios`` gives its mode, aligns the fitted
 components to the generating truth, and reports per-component errors.
 Trials are independent and seed-split up front. They run in a pool of
 ``workers`` processes, one per logical core unless the caller says
@@ -20,16 +20,13 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .causal import fit_effects
+from .dataio import REPORT_COLUMNS
 from .errors import InvalidConfig, LatentCauseError, _integer
 from .kernels import KernelSpec
 from .mixture import _seed_sequence, align_permutation, fit_multiview
 from .multitreatment import fit_multitreatment
-from .scenarios import (
-    simulate_multiproxy,
-    simulate_multitreatment,
-    three_cluster_gaussian,
-    two_state_discrete,
-)
+from .scenarios import _DESIGNS
+
 
 def _one_blas_thread(kernel_fits: bool = True) -> None:
     """Pool initializer: each worker has a core, so cap every OpenBLAS a trial uses at one thread.
@@ -53,60 +50,38 @@ def _one_blas_thread(kernel_fits: bool = True) -> None:
         pass
 
 
-def _error_row(label, n, trial, seed_val, message):
-    return [{
-        "scenario": label, "n": n, "trial": trial, "seed": seed_val,
-        "component": "", "parameter": "", "estimate": "", "truth": "",
-        "aligned_abs_error": "", "wall_ms": "", "error": message,
-    }]
-
-
-def _rows(label, n, trial, seed_val, wall_ms, parameters, estimates, truths):
-    """One row per component and parameter, from aligned K x P estimates and truths."""
-    return [{
-        "scenario": label, "n": n, "trial": trial, "seed": seed_val,
-        "component": u, "parameter": parameter,
-        "estimate": float(estimate), "truth": float(truth),
-        "aligned_abs_error": float(abs(estimate - truth)),
-        "wall_ms": wall_ms, "error": "",
-    } for u in range(len(truths))
-        for parameter, estimate, truth in zip(parameters, estimates[u], truths[u])]
-
-
-def _multiproxy_trial(payload) -> list[dict]:
-    label, n, trial, data_seed, fit_seed, kernel = payload
-    scenario = three_cluster_gaussian()
+def _trial(payload) -> list[dict]:
+    """One trial's rows: simulate, fit at the design's true K, align to the truth."""
+    mode, label, n, trial, data_seed, fit_seed, kernel = payload
+    _, builtin, simulate, k = _DESIGNS[mode]
+    scenario = builtin()
+    row = dict.fromkeys(REPORT_COLUMNS, "") | {"scenario": label, "n": n, "trial": trial,
+                                               "seed": data_seed}
     start = time.perf_counter()
     try:
-        data, _ = simulate_multiproxy(scenario, n, seed=data_seed)
-        est = fit_multiview(data["z1"], data["z2"], data["z3"], 3,
-                            kernel=kernel, seed=fit_seed)
-        ce = fit_effects(data, est)
+        data, _ = simulate(scenario, n, seed=data_seed)
+        if mode == "multiproxy":
+            est = fit_multiview(data["z1"], data["z2"], data["z3"], k,
+                                kernel=kernel, seed=fit_seed)
+            model = fit_effects(data, est)
+        else:
+            model = fit_multitreatment(data["a1"], data["a2"], data["a3"],
+                                       data["y"], k, seed=fit_seed)
     except LatentCauseError as exc:
-        return _error_row(label, n, trial, data_seed, str(exc))
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    perm = align_permutation(ce.outcome.beta, scenario.beta)
-    return _rows(label, n, trial, data_seed, wall_ms, ("beta_a", "prior"),
-                 np.column_stack([ce.outcome.beta[perm, 1], ce.priors[perm]]),
-                 np.column_stack([scenario.beta[:, 1], scenario.priors]))
-
-
-def _multitreatment_trial(payload) -> list[dict]:
-    label, n, trial, data_seed, fit_seed, _ = payload
-    scenario = two_state_discrete()
-    start = time.perf_counter()
-    try:
-        data, _ = simulate_multitreatment(scenario, n, seed=data_seed)
-        model = fit_multitreatment(data["a1"], data["a2"], data["a3"],
-                                   data["y"], 2, seed=fit_seed)
-    except LatentCauseError as exc:
-        return _error_row(label, n, trial, data_seed, str(exc))
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    perm = align_permutation(model.gamma, scenario.gamma)
-    norms = [np.linalg.norm(g) for g in model.gamma[perm]]
-    return _rows(label, n, trial, data_seed, wall_ms, ("gamma_norm", "prior"),
-                 np.column_stack([norms, model.priors[perm]]),
-                 np.column_stack([np.linalg.norm(scenario.gamma, axis=1), scenario.priors]))
+        return [row | {"error": str(exc)}]
+    row["wall_ms"] = (time.perf_counter() - start) * 1000.0
+    if mode == "multiproxy":
+        perm = align_permutation(model.outcome.beta, scenario.beta)
+        slope, estimate, truth = "beta_a", model.outcome.beta[perm, 1], scenario.beta[:, 1]
+    else:
+        perm = align_permutation(model.gamma, scenario.gamma)
+        slope, estimate = "gamma_norm", [np.linalg.norm(g) for g in model.gamma[perm]]
+        truth = np.linalg.norm(scenario.gamma, axis=1)
+    estimates = np.column_stack([estimate, model.priors[perm]])
+    truths = np.column_stack([truth, scenario.priors])
+    return [row | {"component": u, "parameter": parameter, "estimate": float(e),
+                   "truth": float(t), "aligned_abs_error": float(abs(e - t))}
+            for u in range(k) for parameter, e, t in zip((slope, "prior"), estimates[u], truths[u])]
 
 
 def run_benchmark(mode: str, ns, trials: int, seed=0, workers: int | None = None,
@@ -119,9 +94,7 @@ def run_benchmark(mode: str, ns, trials: int, seed=0, workers: int | None = None
     the arguments. Failed trials become rows with the error column filled
     in; they never abort the sweep. ``workers=None`` uses every logical core.
     """
-    trial_fn = {"multiproxy": _multiproxy_trial,
-                "multitreatment": _multitreatment_trial}.get(mode)
-    if trial_fn is None:
+    if mode not in _DESIGNS:
         raise InvalidConfig(f"unknown benchmark mode {mode!r}")
     ns = [_integer(n, "sample sizes must be positive integers", 1) for n in ns]
     if not ns:
@@ -137,15 +110,15 @@ def run_benchmark(mode: str, ns, trials: int, seed=0, workers: int | None = None
     for i, n in enumerate(ns):
         for trial in range(trials):
             state = children[i * trials + trial].generate_state(2)
-            payloads.append((label, n, trial, int(state[0]), int(state[1]), kernel))
+            payloads.append((mode, label, n, trial, int(state[0]), int(state[1]), kernel))
 
     workers = workers if workers is not None else os.cpu_count() or 1
     if workers <= 1 or len(payloads) == 1:
-        results = [trial_fn(p) for p in payloads]
+        results = [_trial(p) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread,
                                  initargs=(mode == "multiproxy",)) as pool:
-            results = list(pool.map(trial_fn, payloads))
+            results = list(pool.map(_trial, payloads))
     return [row for rows in results for row in rows]
 
 

@@ -31,17 +31,12 @@ from .errors import DegenerateSpectrum, InvalidConfig, LatentCauseError
 from .kernels import KernelSpec
 from .mixture import _seed_sequence, fit_multiview, scree, scree_discrete, select_rank
 from .multitreatment import MultiTreatmentModel, fit_multitreatment, mt_ate, mt_cate
-from .scenarios import (
-    simulate_multiproxy,
-    simulate_multitreatment,
-    three_cluster_gaussian,
-    two_state_discrete,
-)
+from .scenarios import _DESIGNS
 
 USAGE_EXIT = 1
 NUMERIC_EXIT = 2
 
-SCENARIO_NAMES = {"paper-7.1": "multiproxy", "paper-7.2": "multitreatment"}
+SCENARIO_NAMES = {name: mode for mode, (name, *_) in _DESIGNS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,13 +68,10 @@ def _float_list(text: str) -> list[float]:
         ) from None
 
 
-def _builtin_scenario(mode: str):
-    return three_cluster_gaussian() if mode == "multiproxy" else two_state_discrete()
-
-
 def cmd_simulate(args) -> int:
     if args.n < 0:
         raise InvalidConfig(f"sample count must be nonnegative, got {args.n}")
+    _, builtin, simulate, _ = _DESIGNS[args.mode]
     if args.scenario_config is not None:
         doc = _load_json(args.scenario_config)
         scenario = scenario_from_dict(doc)
@@ -88,11 +80,8 @@ def cmd_simulate(args) -> int:
                 f"scenario config describes the other mode; expected {args.mode}"
             )
     else:
-        scenario = _builtin_scenario(args.mode)
-    if args.mode == "multiproxy":
-        data, labels = simulate_multiproxy(scenario, args.n, seed=args.seed)
-    else:
-        data, labels = simulate_multitreatment(scenario, args.n, seed=args.seed)
+        scenario = builtin()
+    data, labels = simulate(scenario, args.n, seed=args.seed)
     write_dataset(args.out, data)
     sidecar = truth_path(args.out)
     write_truth(sidecar, scenario, labels, seed=args.seed, n=args.n)
@@ -176,6 +165,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    if args.max_k < 2:
+        raise InvalidConfig(f"max-k must be at least 2 to pick a rank, got {args.max_k}")
     data, mode = read_dataset(args.input)
     _seed_sequence(args.seed)   # refused for both modes, though only the kernel scree draws
     n = data["a" if mode == "multiproxy" else "a1"].shape[0]
@@ -191,8 +182,9 @@ def cmd_rank(args) -> int:
                        seed=args.seed)
     else:
         values = scree_discrete(data["a1"], data["a2"], max_k=max_k)
+    rank = select_rank(values)
     print("singular values: " + " ".join(f"{v:.6g}" for v in values))
-    print(f"selected rank: {select_rank(values)}")
+    print(f"selected rank: {rank}")
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -223,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="draw a synthetic dataset")
-    p.add_argument("mode", choices=("multiproxy", "multitreatment"))
+    p.add_argument("mode", choices=tuple(_DESIGNS))
     p.add_argument("--scenario-config", default=None,
                    help="JSON file with scenario parameters (default: built-in)")
     p.add_argument("--n", type=int, required=True, help="number of samples")

@@ -34,10 +34,6 @@ _MULTIPROXY_KEYS = ("z1", "z2", "z3", "a", "y")
 _MULTITREATMENT_KEYS = ("a1", "a2", "a3", "y")
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 # ---------------------------------------------------------------------------
 # datasets
 # ---------------------------------------------------------------------------
@@ -198,6 +194,8 @@ def _from_doc(cls, doc):
     """``cls(**doc)``, with the nested dataclass keys decoded first."""
     if not isinstance(doc, dict):
         raise TypeError(f"{cls.__name__} needs a JSON object, got {type(doc).__name__}")
+    if not isinstance(doc.get("diagnostics", {}), dict):
+        raise TypeError(f"{cls.__name__} diagnostics must be a JSON object")
     return cls(**{k: _from_doc(_NESTED[k], v) if k in _NESTED else v
                   for k, v in doc.items()})
 
@@ -297,13 +295,8 @@ def _load_json(path):
 def write_report(path, rows) -> None:
     """Benchmark rows as CSV, one row per (trial, component, parameter)."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            out = []
-            for col in REPORT_COLUMNS:
-                val = row.get(col, "")
-                if isinstance(val, (float, np.floating)):
-                    val = _fmt(val)
-                out.append(str(val))
-            writer.writerow(out)
+        writer = csv.DictWriter(fh, REPORT_COLUMNS, restval="", extrasaction="ignore",
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({col: format(val, ".17g") if isinstance(val, (float, np.floating))
+                          else val for col, val in row.items()} for row in rows)

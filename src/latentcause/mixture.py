@@ -486,6 +486,8 @@ def density(est: MixtureEstimate, view: int, component: int, z) -> float:
     component = _check_component(component, est.n_components)
     point = np.atleast_1d(z) if est.backend == "discrete" else np.atleast_2d(z)
     (point,) = _checked_views(est, point)
+    if point.shape[0] != 1:
+        raise DimensionMismatch(f"density takes one point, got {point.shape[0]}")
     return float(_density_matrix(est, view, point)[0, component])
 
 

@@ -217,6 +217,14 @@ def simulate_multitreatment(s: MultiTreatmentScenario, n: int, seed=0):
     return data, u
 
 
+# The bundled designs of the paper's two simulation studies, by mode:
+# (CLI scenario name, scenario factory, simulator, true K).
+_DESIGNS = {
+    "multiproxy": ("paper-7.1", three_cluster_gaussian, simulate_multiproxy, 3),
+    "multitreatment": ("paper-7.2", two_state_discrete, simulate_multitreatment, 2),
+}
+
+
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from latentcause import (
     DimensionMismatch,
     EmptyInput,
     InvalidConfig,
+    LatentCauseError,
     KernelSpec,
     PosteriorMatrix,
     SingularSystem,
@@ -422,3 +423,40 @@ def test_fit_effects_requires_complete_data(proxy_case):
     partial = {k: v for k, v in data.items() if k != "y"}
     with pytest.raises(InvalidConfig):
         fit_effects(partial, mixture)
+
+
+def test_drawn_small_inputs_fit_finite_or_raise_typed():
+    # tiny proxy tables with tied rows and badly scaled outcomes: the kernel
+    # pipeline either answers in finite numbers or fails with a LatentCauseError
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    kernel = KernelSpec(bandwidth=1.0, landmark_count=8)
+
+    @st.composite
+    def cases(draw):
+        n, d, distinct = draw(st.integers(1, 12)), draw(st.integers(1, 2)), draw(st.integers(1, 4))
+        points = np.array(draw(st.lists(st.floats(-3, 3), min_size=3 * distinct * d,
+                                        max_size=3 * distinct * d))).reshape(3, distinct, d)
+        rows = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+        a, y = (np.array(draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n)))
+                for _ in range(2))
+        data = {"z1": points[0][rows], "z2": points[1][rows], "z3": points[2][rows],
+                "a": a, "y": y * draw(st.sampled_from([1.0, 1e-300, 1e300]))}
+        return data, draw(st.integers(1, 3))
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(cases())
+    def finite_or_typed(case):
+        data, k = case
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                est = fit_multiview(data["z1"], data["z2"], data["z3"], k, kernel=kernel, seed=0)
+                ce = fit_effects(data, est)
+                ate = estimate_ate(ce, 1.0)
+        except LatentCauseError:
+            return
+        assert np.all(np.isfinite(ce.priors)) and np.all(np.isfinite(ce.outcome.beta))
+        assert np.isfinite(ate)
+
+    finite_or_typed()

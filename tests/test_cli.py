@@ -203,6 +203,20 @@ def test_rank_clips_oversized_max_k(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "clipping" in captured.err
     assert "selected rank:" in captured.out
+    # the gap needs two singular values; a smaller max-k is refused before
+    # the input is read (a missing input would otherwise exit 1)
+    spectrum = tmp_path / "scree.csv"
+    for source in (out, tmp_path / "missing.csv"):
+        assert main(["rank", "--input", str(source), "--max-k", "1",
+                     "--out", str(spectrum)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "max-k must be at least 2" in captured.err
+    # clipped to one sample, it fails the same way before printing
+    one_row = tmp_path / "one.csv"
+    one_row.write_text("a1,a2,a3,y\n1,0,1,0.5\n", encoding="utf-8")
+    assert main(["rank", "--input", str(one_row), "--out", str(spectrum)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not spectrum.exists()
 
 
 def test_fit_reports_degenerate_spectrum(proxy_csv, tmp_path, capsys):

@@ -314,6 +314,8 @@ def test_malformed_model_documents_rejected(tmp_path, discrete_case, proxy_case)
          DimensionMismatch),
         (("treatment", "alpha"), [row[:-1] for row in kernel_doc["treatment"]["alpha"]],
          DimensionMismatch),
+        (("mixture", "diagnostics"), 5, InvalidConfig),
+        (("diagnostics",), [1, 2], InvalidConfig),
     ]
     path = tmp_path / "bad.json"
     for base, keys, value, error in ([(doc, *c) for c in cases]
@@ -407,11 +409,18 @@ def test_report_round_trip(tmp_path):
         {"scenario": "s", "n": 10, "trial": 1, "seed": 2, "component": "",
          "parameter": "", "estimate": "", "truth": "",
          "aligned_abs_error": "", "wall_ms": "", "error": "boom"},
+        {"scenario": "s", "n": 10, "estimate": 0.1},            # columns missing
+        {"scenario": "s", "n": 10, "truth": np.float64(0.4), "extra": 1},
     ]
     path = tmp_path / "rep.csv"
     write_report(path, rows)
     with path.open(encoding="utf-8", newline="") as fh:
         back = list(csv.DictReader(fh))
-    assert len(back) == 2
+    assert len(back) == 4
     assert back[0]["n"] == "10" and float(back[0]["estimate"]) == 0.5
     assert back[1]["error"] == "boom" and back[1]["estimate"] == ""
+    # missing columns are written empty, extra keys are dropped, floats take .17g
+    assert path.read_text(encoding="utf-8").splitlines()[3:] == [
+        "s,10,,,,,0.10000000000000001,,,,",
+        "s,10,,,,,,0.40000000000000002,,,",
+    ]

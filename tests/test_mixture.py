@@ -351,6 +351,14 @@ def _kernel_density_with_columns(cols):
     density(_proxy_fit()[0], 0, 0, np.zeros(cols))
 
 
+def _kernel_density_at_points(count):
+    density(_proxy_fit()[0], 0, 0, np.zeros((count, 3)))
+
+
+def _discrete_density_at_levels(count):
+    density(_discrete_fit()[0], 0, 1, np.ones(count, dtype=int))
+
+
 def _discrete_fit_with_level(bad):
     _, data = _discrete_fit()
     a1 = list(data["a1"])                                # a user's plain list
@@ -435,6 +443,8 @@ def _kernel_estimate_with(parts):
     (_discrete_scree_with_max_k, 2.5),
     (_discrete_scree_with_max_k, "3"),
     (_discrete_scree_with_max_k, True),
+    (_kernel_density_at_points, 2),                     # density scores one point
+    (_discrete_density_at_levels, 2),
 ])
 def test_non_finite_input_raises_typed_error(build, bad):
     with pytest.raises(LatentCauseError):

@@ -10,6 +10,7 @@ import pytest
 from latentcause import (
     DimensionMismatch,
     InvalidConfig,
+    LatentCauseError,
     MixtureEstimate,
     align_permutation,
     fit_multitreatment,
@@ -192,3 +193,34 @@ def test_fallbacks_are_counted_in_rows(monkeypatch):
     assert record[0].category is RuntimeWarning
     assert record[0].filename == __file__
     assert model.diagnostics["fallbacks"] == 4
+
+
+def test_drawn_small_inputs_fit_finite_or_raise_typed():
+    # on tiny, tied or badly scaled tables a fit either answers in finite
+    # numbers or fails with a LatentCauseError
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        n, s = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+        views = [draw(st.lists(st.integers(0, s - 1), min_size=n, max_size=n))
+                 for _ in range(3)]
+        y = np.array(draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
+        return views, y * draw(st.sampled_from([1.0, 1e-300, 1e300])), draw(st.integers(1, 3))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(cases())
+    def finite_or_typed(case):
+        views, y, k = case
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                model = fit_multitreatment(*views, y, k, seed=0)
+                ate = mt_ate(model, (1, 1, 1))
+        except LatentCauseError:
+            return
+        assert np.all(np.isfinite(model.priors)) and np.all(np.isfinite(model.gamma))
+        assert np.isfinite(ate)
+
+    finite_or_typed()
