@@ -50,23 +50,25 @@ def _one_blas_thread(kernel_fits: bool = True) -> None:
         pass
 
 
+def _fit(mode: str, data: dict, k: int, kernel: KernelSpec, seed):
+    """The mode's fit of one dataset: mixture then effects, or the treatment-only model."""
+    if mode == "multiproxy":
+        return fit_effects(data, fit_multiview(data["z1"], data["z2"], data["z3"], k,
+                                               kernel=kernel, seed=seed))
+    return fit_multitreatment(data["a1"], data["a2"], data["a3"], data["y"], k, seed=seed)
+
+
 def _trial(payload) -> list[dict]:
     """One trial's rows: simulate, fit at the design's true K, align to the truth."""
-    mode, label, n, trial, data_seed, fit_seed, kernel = payload
-    _, builtin, simulate, k = _DESIGNS[mode]
+    mode, n, trial, data_seed, fit_seed, kernel = payload
+    name, builtin, simulate, k = _DESIGNS[mode]
     scenario = builtin()
-    row = dict.fromkeys(REPORT_COLUMNS, "") | {"scenario": label, "n": n, "trial": trial,
+    row = dict.fromkeys(REPORT_COLUMNS, "") | {"scenario": name, "n": n, "trial": trial,
                                                "seed": data_seed}
     start = time.perf_counter()
     try:
         data, _ = simulate(scenario, n, seed=data_seed)
-        if mode == "multiproxy":
-            est = fit_multiview(data["z1"], data["z2"], data["z3"], k,
-                                kernel=kernel, seed=fit_seed)
-            model = fit_effects(data, est)
-        else:
-            model = fit_multitreatment(data["a1"], data["a2"], data["a3"],
-                                       data["y"], k, seed=fit_seed)
+        model = _fit(mode, data, k, kernel, fit_seed)
     except LatentCauseError as exc:
         return [row | {"error": str(exc)}]
     row["wall_ms"] = (time.perf_counter() - start) * 1000.0
@@ -86,12 +88,12 @@ def _trial(payload) -> list[dict]:
 
 def run_benchmark(mode: str, ns, trials: int, seed=0, workers: int | None = None,
                   bandwidth: float = KernelSpec.bandwidth,
-                  landmarks: int = KernelSpec.landmark_count,
-                  label: str | None = None) -> list[dict]:
+                  landmarks: int = KernelSpec.landmark_count) -> list[dict]:
     """All trial rows for one design over the given sample sizes.
 
     Trials are seeded from one root, so the output is a pure function of
-    the arguments. Failed trials become rows with the error column filled
+    the arguments. Each row's ``scenario`` is the design's name (paper-7.1
+    or paper-7.2). Failed trials become rows with the error column filled
     in; they never abort the sweep. ``workers=None`` uses every logical core.
     """
     if mode not in _DESIGNS:
@@ -102,7 +104,6 @@ def run_benchmark(mode: str, ns, trials: int, seed=0, workers: int | None = None
     trials = _integer(trials, "need at least one trial", 1)
     if workers is not None:
         workers = _integer(workers, "workers must be an integer or None")
-    label = label if label is not None else mode
     kernel = KernelSpec(bandwidth=bandwidth, landmark_count=landmarks)
 
     children = _seed_sequence(seed).spawn(len(ns) * trials)
@@ -110,7 +111,7 @@ def run_benchmark(mode: str, ns, trials: int, seed=0, workers: int | None = None
     for i, n in enumerate(ns):
         for trial in range(trials):
             state = children[i * trials + trial].generate_state(2)
-            payloads.append((mode, label, n, trial, int(state[0]), int(state[1]), kernel))
+            payloads.append((mode, n, trial, int(state[0]), int(state[1]), kernel))
 
     workers = workers if workers is not None else os.cpu_count() or 1
     if workers <= 1 or len(payloads) == 1:

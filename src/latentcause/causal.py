@@ -29,6 +29,7 @@ from .errors import (
     EmptyInput,
     InvalidConfig,
     SingularSystem,
+    _floats,
 )
 from .mixture import (
     MixtureEstimate,
@@ -59,16 +60,14 @@ def _regressors(a, z, width: int | None = None) -> np.ndarray:
     """
     parts = []
     if a is not None:
-        a_cols = np.asarray(a, dtype=float)
+        a_cols = _floats(a, "treatment and z values")
         parts.append(a_cols.reshape(-1, 1) if a_cols.ndim < 2 else a_cols)
     if z is not None:
-        parts.append(np.atleast_2d(np.asarray(z, dtype=float)))
+        parts.append(np.atleast_2d(_floats(z, "treatment and z values")))
     if not parts:
         raise InvalidConfig("the treatment regressors need a z input")
     if any(p.ndim != 2 for p in parts):
         raise DimensionMismatch("treatment and z inputs must be at most 2-d")
-    if not all(np.all(np.isfinite(p)) for p in parts):
-        raise InvalidConfig("treatment and z values must be finite")
     n = max(p.shape[0] for p in parts)
     if any(p.shape[0] not in (1, n) for p in parts):
         raise DimensionMismatch("treatment and z inputs disagree on rows")
@@ -95,14 +94,12 @@ class TreatmentModel:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        sigma2 = np.asarray(self.sigma2, dtype=float)
+        alpha = _floats(self.alpha, "treatment parameters")
+        sigma2 = _floats(self.sigma2, "treatment parameters")
         if alpha.ndim != 2:
             raise DimensionMismatch("alpha must be K x L")
         if sigma2.shape != (alpha.shape[0],):
             raise DimensionMismatch("need one variance per component")
-        if not np.all(np.isfinite(alpha)) or not np.all(np.isfinite(sigma2)):
-            raise InvalidConfig("treatment parameters must be finite")
         if np.any(sigma2 < SIGMA_FLOOR):
             raise InvalidConfig(f"variances must be at least {SIGMA_FLOOR:g}")
         object.__setattr__(self, "alpha", alpha)
@@ -121,11 +118,9 @@ class OutcomeModel:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
+        beta = _floats(self.beta, "outcome coefficients")
         if beta.ndim != 2:
             raise DimensionMismatch("beta must be K x M")
-        if not np.all(np.isfinite(beta)):
-            raise InvalidConfig("outcome coefficients must be finite")
         object.__setattr__(self, "beta", beta)
 
     @property
@@ -150,12 +145,10 @@ class CausalEstimate:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        zbar = np.asarray(self.z_feature_means, dtype=float)
+        zbar = _floats(self.z_feature_means, "stored feature averages")
         k = self.mixture.n_components
         if zbar.ndim != 2 or zbar.shape[0] != k:
             raise DimensionMismatch("need one stored feature row per component")
-        if not np.all(np.isfinite(zbar)):
-            raise InvalidConfig("stored feature averages must be finite")
         if self.treatment.n_components != k or self.outcome.n_components != k:
             raise DimensionMismatch("stage models disagree on component count")
         d_z = zbar.shape[1]
@@ -232,11 +225,9 @@ def _check_rows(n, *arrays):
 
 
 def _scalar_target(x, name):
-    vec = np.asarray(x, dtype=float).ravel()
+    vec = _floats(x, f"{name} values").ravel()
     if vec.shape[0] == 0:
         raise EmptyInput(f"no {name} values")
-    if not np.all(np.isfinite(vec)):
-        raise InvalidConfig(f"{name} values must be finite")
     return vec
 
 
@@ -365,7 +356,7 @@ def estimate_ate(ce: CausalEstimate, a) -> float:
 
 def _ate_by_component(ce: CausalEstimate, a) -> np.ndarray:
     """Each component's expected outcome at level a; ``estimate_ate`` mixes them."""
-    level = np.asarray(a, dtype=float).ravel()
+    level = _floats(a, "treatment and z values").ravel()
     if level.shape != (1,):
         raise DimensionMismatch(f"the dose response takes one treatment level, "
                                 f"got {level.size}")
@@ -384,7 +375,7 @@ def fit_effects(data: dict, mixture: MixtureEstimate) -> CausalEstimate:
     for key in ("z1", "z2", "z3", "a", "y"):
         if key not in data:
             raise InvalidConfig(f"dataset is missing the {key!r} column")
-    z1 = np.asarray(data["z1"], dtype=float)
+    z1 = _floats(data["z1"], "view values")
     if z1.ndim == 1:
         z1 = z1[:, None]
     a_vec = _scalar_target(data["a"], "treatment")

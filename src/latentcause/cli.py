@@ -7,14 +7,13 @@ for numerical or degeneracy failures raised by the estimation layers.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
 import numpy as np
 
-from .benchmark import run_benchmark, summarize
-from .causal import _ate_by_component, estimate_cate, fit_effects
+from .benchmark import _fit, run_benchmark, summarize
+from .causal import _ate_by_component, estimate_cate
 from .dataio import (
     _jsonable,
     _load_json,
@@ -29,8 +28,8 @@ from .dataio import (
 )
 from .errors import DegenerateSpectrum, InvalidConfig, LatentCauseError
 from .kernels import KernelSpec
-from .mixture import _seed_sequence, fit_multiview, scree, scree_discrete, select_rank
-from .multitreatment import MultiTreatmentModel, fit_multitreatment, mt_ate, mt_cate
+from .mixture import _seed_sequence, scree, scree_discrete, select_rank
+from .multitreatment import MultiTreatmentModel, mt_ate, mt_cate
 from .scenarios import _DESIGNS
 
 USAGE_EXIT = 1
@@ -69,8 +68,6 @@ def _float_list(text: str) -> list[float]:
 
 
 def cmd_simulate(args) -> int:
-    if args.n < 0:
-        raise InvalidConfig(f"sample count must be nonnegative, got {args.n}")
     _, builtin, simulate, _ = _DESIGNS[args.mode]
     if args.scenario_config is not None:
         doc = _load_json(args.scenario_config)
@@ -91,16 +88,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     data, mode = read_dataset(args.input)
+    kernel = KernelSpec(bandwidth=args.bandwidth, landmark_count=args.landmarks)
     try:
-        if mode == "multiproxy":
-            kernel = KernelSpec(bandwidth=args.bandwidth,
-                                landmark_count=args.landmarks)
-            mixture = fit_multiview(data["z1"], data["z2"], data["z3"], args.k,
-                                    kernel=kernel, seed=args.seed)
-            model = fit_effects(data, mixture)
-        else:
-            model = fit_multitreatment(data["a1"], data["a2"], data["a3"],
-                                       data["y"], args.k, seed=args.seed)
+        model = _fit(mode, data, args.k, kernel, args.seed)
     except DegenerateSpectrum as exc:
         raise DegenerateSpectrum(
             f"mixture stage: degenerate spectrum at k={args.k}: {exc}"
@@ -186,11 +176,9 @@ def cmd_rank(args) -> int:
     print("singular values: " + " ".join(f"{v:.6g}" for v in values))
     print(f"selected rank: {rank}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["index", "singular_value"])
-            for i, v in enumerate(values, start=1):
-                writer.writerow([i, format(float(v), ".17g")])
+        np.savetxt(args.out, np.column_stack([np.arange(1, values.shape[0] + 1), values]),
+                   fmt=["%d", "%.17g"], delimiter=",", header="index,singular_value",
+                   comments="")
     return 0
 
 
@@ -198,7 +186,7 @@ def cmd_benchmark(args) -> int:
     mode = SCENARIO_NAMES[args.scenario]
     rows = run_benchmark(mode, args.ns, args.trials, seed=args.seed,
                          workers=args.workers, bandwidth=args.bandwidth,
-                         landmarks=args.landmarks, label=args.scenario)
+                         landmarks=args.landmarks)
     write_report(args.out, rows)
     for entry in summarize(rows):
         print("n={n} {parameter}: median abs error {median_abs_error:.4f} "
@@ -213,22 +201,24 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Causal effect estimation under a latent "
                                  "categorical confounder.")
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    kernel = argparse.ArgumentParser(add_help=False)
+    kernel.add_argument("--bandwidth", type=float, default=KernelSpec.bandwidth)
+    kernel.add_argument("--landmarks", type=int, default=KernelSpec.landmark_count)
 
-    p = sub.add_parser("simulate", help="draw a synthetic dataset")
+    p = sub.add_parser("simulate", parents=[seeded], help="draw a synthetic dataset")
     p.add_argument("mode", choices=tuple(_DESIGNS))
     p.add_argument("--scenario-config", default=None,
                    help="JSON file with scenario parameters (default: built-in)")
     p.add_argument("--n", type=int, required=True, help="number of samples")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(handler=cmd_simulate)
 
-    p = sub.add_parser("fit", help="fit the mixture and effect models")
+    p = sub.add_parser("fit", parents=[seeded, kernel],
+                       help="fit the mixture and effect models")
     p.add_argument("--input", required=True, help="dataset CSV path")
     p.add_argument("--k", type=int, required=True, help="component count")
-    p.add_argument("--bandwidth", type=float, default=KernelSpec.bandwidth)
-    p.add_argument("--landmarks", type=int, default=KernelSpec.landmark_count)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output model JSON path")
     p.set_defaults(handler=cmd_fit)
 
@@ -246,24 +236,19 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated proxy values")
     p.set_defaults(handler=cmd_estimate)
 
-    p = sub.add_parser("rank", help="spectral rank diagnostic")
+    p = sub.add_parser("rank", parents=[seeded, kernel], help="spectral rank diagnostic")
     p.add_argument("--input", required=True, help="dataset CSV path")
     p.add_argument("--max-k", type=int, default=10, dest="max_k")
-    p.add_argument("--bandwidth", type=float, default=KernelSpec.bandwidth)
-    p.add_argument("--landmarks", type=int, default=KernelSpec.landmark_count)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="optional CSV of the spectrum")
     p.set_defaults(handler=cmd_rank)
 
-    p = sub.add_parser("benchmark", help="seeded recovery sweep over sample sizes")
+    p = sub.add_parser("benchmark", parents=[seeded, kernel],
+                       help="seeded recovery sweep over sample sizes")
     p.add_argument("--scenario", choices=tuple(SCENARIO_NAMES), required=True)
     p.add_argument("--ns", type=_int_list, default=[500, 1000, 2000, 4000],
                    help="comma-separated sample sizes")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--bandwidth", type=float, default=KernelSpec.bandwidth)
-    p.add_argument("--landmarks", type=int, default=KernelSpec.landmark_count)
     p.add_argument("--out", required=True, help="report CSV path")
     p.set_defaults(handler=cmd_benchmark)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .causal import CausalEstimate, OutcomeModel, TreatmentModel
-from .errors import DimensionMismatch, InvalidConfig
+from .errors import DimensionMismatch, InvalidConfig, _floats
 from .kernels import KernelSpec
 from .mixture import MixtureEstimate
 from .multitreatment import MultiTreatmentModel
@@ -54,17 +54,8 @@ def _multiproxy_header(d: int) -> list[str]:
     return cols + ["a", "y"]
 
 
-def _float_column(data: dict, key: str) -> np.ndarray:
-    try:
-        return np.asarray(data[key], dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidConfig(f"dataset column {key} must be numeric") from None
-
-
-def _check_values(values: np.ndarray, n_levels: int, path) -> None:
-    """Finite values, the first ``n_levels`` columns nonnegative integer levels."""
-    if not np.all(np.isfinite(values)):
-        raise InvalidConfig(f"{path}: dataset values must be finite")
+def _check_levels(values: np.ndarray, n_levels: int, path) -> None:
+    """The first ``n_levels`` columns of checked values are nonnegative integer levels."""
     levels = values[:, :n_levels]
     if np.any(levels < 0) or np.any(levels != np.round(levels)):
         raise InvalidConfig(f"{path}: treatment levels must be nonnegative integers")
@@ -77,23 +68,24 @@ def write_dataset(path, data: dict) -> None:
     values, and nonnegative integer treatment levels.
     """
     mode = dataset_mode(data)
+    what = f"{path}: dataset values"
     if mode == "multiproxy":
-        views = [_float_column(data, k) for k in ("z1", "z2", "z3")]
+        views = [_floats(data[k], what) for k in ("z1", "z2", "z3")]
         views = [v[:, None] if v.ndim == 1 else v for v in views]
         if any(v.ndim != 2 or v.shape != views[0].shape for v in views):
             raise DimensionMismatch(f"views must share one n x d shape, got "
                                     f"{[v.shape for v in views]}")
         header = _multiproxy_header(views[0].shape[1])
-        columns = views + [_float_column(data, k).reshape(-1, 1) for k in ("a", "y")]
+        columns = views + [_floats(data[k], what).reshape(-1, 1) for k in ("a", "y")]
     else:
         header = list(_MULTITREATMENT_KEYS)
-        columns = [_float_column(data, k).reshape(-1, 1) for k in header]
+        columns = [_floats(data[k], what).reshape(-1, 1) for k in header]
     if any(c.shape[0] != columns[0].shape[0] for c in columns):
         raise DimensionMismatch(f"columns disagree on the row count: "
                                 f"{[c.shape[0] for c in columns]}")
     values = np.hstack(columns)
     n_levels = 3 if mode == "multitreatment" else 0
-    _check_values(values, n_levels, path)
+    _check_levels(values, n_levels, path)
     fmt = ["%d"] * n_levels + ["%.17g"] * (values.shape[1] - n_levels)
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         np.savetxt(fh, values, fmt=fmt, delimiter=",", header=",".join(header),
@@ -130,7 +122,8 @@ def read_dataset(path) -> tuple[dict, str]:
         values = values.reshape(0, width)
     if values.shape[1] != width:
         raise InvalidConfig(f"{path}: rows have {values.shape[1]} fields, expected {width}")
-    _check_values(values, 3 if mode == "multitreatment" else 0, path)
+    values = _floats(values, f"{path}: dataset values")
+    _check_levels(values, 3 if mode == "multitreatment" else 0, path)
 
     if mode == "multitreatment":
         treats = values[:, :3]
@@ -222,7 +215,7 @@ def _decode(table, fields: dict, what):
         if mode not in table:
             raise ValueError(f"unknown mode {mode!r}")
         return _from_doc(table[mode], fields)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InvalidConfig) as exc:
         raise InvalidConfig(f"malformed {what} document: {exc}") from None
 
 

@@ -3,10 +3,13 @@
 Every error raised by the library derives from :class:`LatentCauseError`, so
 callers (including the CLI, which maps them to exit code 2) can catch one
 type. Each subclass names a specific failure mode of the spectral or
-regression stages. ``_integer`` is the one check of integer arguments.
+regression stages. ``_integer`` is the one check of integer arguments and
+``_floats`` the one reader of numeric ones.
 """
 
 import numbers
+
+import numpy as np
 
 
 class LatentCauseError(Exception):
@@ -58,3 +61,18 @@ def _integer(value, message: str, lo=None, hi=None) -> int:
             or lo is not None and value < lo or hi is not None and value > hi):
         raise InvalidConfig(f"{message}, got {value!r}")
     return int(value)
+
+
+def _floats(value, what: str) -> np.ndarray:
+    """``value`` as a float array when every entry is a finite number.
+
+    Anything else raises InvalidConfig: "{what} must be numbers" when numpy
+    cannot read it as floats, "{what} must be finite" for NaN or infinity.
+    """
+    try:
+        values = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidConfig(f"{what} must be numbers") from None
+    if not np.all(np.isfinite(values)):
+        raise InvalidConfig(f"{what} must be finite")
+    return values

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, _integer
+from .errors import InvalidConfig, _floats, _integer
 
 _BLOCK_CELLS = 1 << 16      # kernel entries per row block: 512 KiB of float64
 
@@ -47,7 +47,7 @@ def _augmented(x: np.ndarray, y: np.ndarray, c: float) -> tuple[np.ndarray, np.n
 
     x is padded with ``[||x||^2, 1]``, and c*y with ``[-c/2, -c ||y||^2 / 2]``.
     """
-    x, y = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (x, y))
+    x, y = (np.atleast_2d(_floats(a, "kernel points")) for a in (x, y))
     xa = np.column_stack([x, np.sum(x * x, axis=1), np.ones(x.shape[0])])
     half = -0.5 * c
     ya = np.vstack([c * y.T, np.full(y.shape[0], half), half * np.sum(y * y, axis=1)])

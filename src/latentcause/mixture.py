@@ -30,6 +30,7 @@ from .errors import (
     NonConvergence,
     RankDeficiency,
     UnfittedModel,
+    _floats,
     _integer,
 )
 from .kernels import (
@@ -78,15 +79,15 @@ class MixtureEstimate:
     def __post_init__(self):
         if self.backend not in ("kernel", "discrete"):
             raise InvalidConfig(f"unknown backend {self.backend!r}")
-        object.__setattr__(self, "lambdas", np.asarray(self.lambdas, dtype=float))
+        object.__setattr__(self, "lambdas", _floats(self.lambdas, "lambdas"))
         for name in ("anchors", "coefficients", "emissions"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(
-                    np.asarray(a, dtype=float) for a in getattr(self, name)))
+                what = "emission entries" if name == "emissions" else "anchors and coefficients"
+                object.__setattr__(self, name, tuple(_floats(a, what) for a in getattr(self, name)))
         lam = self.lambdas
         if lam.ndim != 1 or lam.size == 0:
             raise DimensionMismatch("lambdas must be a nonempty vector")
-        if not np.all(np.isfinite(lam) & (lam > 0)):
+        if not np.all(lam > 0):
             raise InvalidConfig("lambdas must be finite and positive")
         if self.seed is not None:
             _seed_sequence(self.seed)
@@ -101,15 +102,13 @@ class MixtureEstimate:
                     or any(c.shape != (k,) + a.shape[:1] for c, a in zip(coefs, anchors))):
                 raise DimensionMismatch("need three m_v x d anchor sets and three "
                                         f"{k} x m_v coefficient blocks")
-            if not all(np.all(np.isfinite(a)) for a in anchors + coefs):
-                raise InvalidConfig("anchors and coefficients must be finite")
         else:
             ems = self.emissions
             if ems is None:
                 raise UnfittedModel("discrete backend needs emission matrices")
             if len(ems) != 3 or any(e.shape != ems[0].shape[:1] + (k,) for e in ems):
                 raise DimensionMismatch(f"need three S x {k} emission matrices")
-            if not all(np.all(np.isfinite(e) & (e >= 0)) for e in ems):
+            if not all(np.all(e >= 0) for e in ems):
                 raise InvalidConfig("emission entries must be finite and nonnegative")
 
     @property
@@ -136,13 +135,11 @@ class PosteriorMatrix:
     fallback_count: int = 0
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = _floats(self.weights, "posterior entries")
         if w.ndim != 2:
             raise DimensionMismatch(f"weights must be 2-d, got shape {w.shape}")
         if self.flavor not in ("proxy_only", "treatment_updated"):
             raise InvalidConfig(f"unknown flavor {self.flavor!r}")
-        if not np.all(np.isfinite(w)):
-            raise InvalidConfig("posterior entries must be finite")
         if np.any(w < -1e-12) or np.any(w > 1.0 + 1e-12):
             raise InvalidConfig("posterior entries must lie in [0, 1]")
         if w.size and np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-12:
@@ -167,7 +164,7 @@ def _as_views(*views):
     """Continuous views as n x d float arrays of one shape, all finite."""
     out = []
     for z in views:
-        a = np.asarray(z, dtype=float)
+        a = _floats(z, "view values")
         if a.ndim == 1:
             a = a[:, None]
         if a.ndim != 2:
@@ -179,8 +176,6 @@ def _as_views(*views):
         )
     if out[0].shape[0] == 0:
         raise EmptyInput("views contain no samples")
-    if not all(np.all(np.isfinite(v)) for v in out):
-        raise InvalidConfig("view values must be finite")
     return out
 
 
@@ -225,7 +220,7 @@ def priors_from_lambdas(lambdas: np.ndarray):
     clamped to [1e-6, 1] (finite samples can push them outside the simplex)
     and renormalized to sum to 1.
     """
-    lam = np.asarray(lambdas, dtype=float)
+    lam = _floats(lambdas, "lambdas")
     with np.errstate(divide="ignore"):
         raw = lam ** -2.0
     clipped = np.clip(raw, PRIOR_MIN, PRIOR_MAX)
@@ -590,9 +585,11 @@ def scree_discrete(a1, a2, max_k: int = 10) -> np.ndarray:
 
 def select_rank(singular_values: np.ndarray) -> int:
     """Component count from the largest successive spectral-gap ratio."""
-    sv = np.asarray(singular_values, dtype=float)
+    sv = _floats(singular_values, "singular values")
     if sv.ndim != 1 or sv.shape[0] < 2:
         raise InvalidConfig("need at least two singular values to pick a rank")
+    if np.any(sv < 0):
+        raise InvalidConfig("singular values must be nonnegative")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(sv[1:] > 0.0, sv[:-1] / sv[1:], np.inf)
     return int(np.argmax(ratios)) + 1
@@ -610,13 +607,11 @@ def align_permutation(estimated, reference) -> np.ndarray:
     reference[j]; applying it minimizes the total per-pair Euclidean
     distance, exactly for any K.
     """
-    a, b = (np.asarray(x, dtype=float) for x in (estimated, reference))
+    a, b = (_floats(x, "summary blocks") for x in (estimated, reference))
     a, b = (x[:, None] if x.ndim == 1 else x for x in (a, b))
     if a.ndim != 2 or a.shape != b.shape:
         raise DimensionMismatch(f"need two K x p summary blocks of one shape, "
                                 f"got {a.shape} and {b.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise InvalidConfig("summary blocks must be finite")
     return _assignment(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .causal import _check_rows, _regressors, _scalar_target, _stacked_regression
-from .errors import DimensionMismatch, InvalidConfig
+from .errors import DimensionMismatch, InvalidConfig, _floats
 from .mixture import (
     _FLOOR_FALLBACK,
     DENSITY_FLOOR,
@@ -44,13 +44,11 @@ class MultiTreatmentModel:
     def __post_init__(self):
         if self.mixture.backend != "discrete":
             raise InvalidConfig("the treatment-only pipeline is categorical")
-        g = np.asarray(self.gamma, dtype=float)
+        g = _floats(self.gamma, "outcome coefficients")
         k = self.mixture.n_components
         if g.shape != (k, 4):
             raise DimensionMismatch(f"gamma must be {k} x 4, one row per component "
                                     f"over [1, a1, a2, a3], got {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise InvalidConfig("outcome coefficients must be finite")
         object.__setattr__(self, "gamma", g)
 
     @property
@@ -96,7 +94,7 @@ def fit_multitreatment(a1, a2, a3, y, k: int, seed=0) -> MultiTreatmentModel:
 
 
 def _point_features(a) -> np.ndarray:
-    point = np.asarray(a, dtype=float).reshape(1, -1)
+    point = _floats(a, "treatment and z values").reshape(1, -1)
     if point.shape[1] != 3:
         raise DimensionMismatch("a multitreatment intervention takes exactly three "
                                 f"treatment values, got {point.shape[1]}")

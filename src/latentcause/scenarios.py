@@ -22,7 +22,7 @@ from importlib import resources
 import numpy as np
 
 from .causal import _regressors
-from .errors import DimensionMismatch, InvalidConfig, _integer
+from .errors import DimensionMismatch, InvalidConfig, _floats, _integer
 from .mixture import PosteriorMatrix, _seed_sequence
 
 _EMISSIONS_RESOURCE = "two_state_emissions.json"
@@ -51,27 +51,27 @@ class MultiProxyScenario:
     outcome_sigma: float = 1.0
 
     def __post_init__(self):
-        p = np.asarray(self.priors, dtype=float)
+        p = _floats(self.priors, "priors")
         if abs(p.sum() - 1.0) > 1e-10 or np.any(p < 0):
             raise InvalidConfig("priors must be a probability vector")
         k = p.shape[0]
-        means = tuple(np.asarray(m, dtype=float) for m in self.means)
+        means = tuple(_floats(m, "means") for m in self.means)
         if len(means) != 3 or any(m.shape != means[0].shape for m in means):
             raise DimensionMismatch("need three equally shaped mean matrices")
         d = means[0].shape[1]
         if means[0].shape[0] != k:
             raise DimensionMismatch("means rows must match the number of states")
-        alpha = np.asarray(self.alpha, dtype=float)
-        beta = np.asarray(self.beta, dtype=float)
-        tvar = np.asarray(self.treatment_var, dtype=float)
+        alpha = _floats(self.alpha, "alpha")
+        beta = _floats(self.beta, "beta")
+        tvar = _floats(self.treatment_var, "treatment variances")
         if alpha.shape != (k, d):
             raise DimensionMismatch(f"alpha must be {k} x {d}, got {alpha.shape}")
         if beta.shape != (k, 2 + d):
             raise DimensionMismatch(f"beta must be {k} x {2 + d}, got {beta.shape}")
         if tvar.shape != (k,) or np.any(tvar <= 0):
             raise InvalidConfig("treatment variances must be positive, one per state")
-        object.__setattr__(self, "proxy_sigma", float(self.proxy_sigma))
-        object.__setattr__(self, "outcome_sigma", float(self.outcome_sigma))
+        for name in ("proxy_sigma", "outcome_sigma"):
+            object.__setattr__(self, name, float(_floats(getattr(self, name), "noise scales")))
         if not self.proxy_sigma > 0 or not self.outcome_sigma > 0:
             raise InvalidConfig("noise scales must be positive")
         object.__setattr__(self, "priors", p)
@@ -99,11 +99,11 @@ class MultiTreatmentScenario:
     noise_sigma: float = 1.0
 
     def __post_init__(self):
-        p = np.asarray(self.priors, dtype=float)
+        p = _floats(self.priors, "priors")
         if abs(p.sum() - 1.0) > 1e-10 or np.any(p < 0):
             raise InvalidConfig("priors must be a probability vector")
         k = p.shape[0]
-        ems = tuple(np.asarray(e, dtype=float) for e in self.emissions)
+        ems = tuple(_floats(e, "emissions") for e in self.emissions)
         if len(ems) != 3 or any(e.shape != ems[0].shape for e in ems):
             raise DimensionMismatch("need three equally shaped emission matrices")
         if ems[0].shape[1] != k:
@@ -113,10 +113,10 @@ class MultiTreatmentScenario:
                 raise InvalidConfig("emission columns must be stochastic")
             if np.linalg.matrix_rank(e) < k:
                 raise InvalidConfig("emission matrices must have full column rank")
-        g = np.asarray(self.gamma, dtype=float)
+        g = _floats(self.gamma, "gamma")
         if g.shape != (k, 4):
             raise DimensionMismatch(f"gamma must be {k} x 4, got {g.shape}")
-        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
+        object.__setattr__(self, "noise_sigma", float(_floats(self.noise_sigma, "noise scale")))
         if not self.noise_sigma > 0:
             raise InvalidConfig("noise scale must be positive")
         object.__setattr__(self, "priors", p)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, DimensionMismatch, EmptyInput, NonConvergence
+from .errors import DegenerateSpectrum, DimensionMismatch, EmptyInput, NonConvergence, _floats
 
 EIG_FLOOR_REL = 1e-10
 SLICE_DRAWS = 3
@@ -47,7 +47,7 @@ def build_whitener(m: np.ndarray, k: int) -> Whitener:
     requested K exceeds what the data supports, and we fail loudly rather
     than regularize.
     """
-    m = np.asarray(m, dtype=float)
+    m = _floats(m, "moment entries")
     if m.ndim != 2 or not k <= m.shape[0] == m.shape[1]:
         raise DimensionMismatch(f"cannot take k={k} eigenpairs of a {m.shape} moment")
     vals, vecs = np.linalg.eigh(m)
@@ -69,7 +69,7 @@ def whitened_third_moment(xi1: np.ndarray, xi2: np.ndarray,
     view. The estimate averages the rank-1 tensor of every sample over all
     orderings of the three views, which makes the result exactly symmetric.
     """
-    xi1, xi2, xi3 = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (xi1, xi2, xi3))
+    xi1, xi2, xi3 = (np.atleast_2d(_floats(x, "whitened features")) for x in (xi1, xi2, xi3))
     if xi1.shape[0] == 0:
         raise EmptyInput("no whitened triples supplied")
     if not (xi1.shape == xi2.shape == xi3.shape):
@@ -90,7 +90,7 @@ def robust_power_method(t: np.ndarray, k: int,
     (the eigenvalue at a fixed point) is at or below EIG_FLOOR_REL times the
     largest eigenvalue found means the tensor carries fewer than k components.
     """
-    t = np.asarray(t, dtype=float)
+    t = _floats(t, "tensor entries")
     if t.ndim != 3 or len(set(t.shape)) != 1 or k > t.shape[0]:
         raise DimensionMismatch(f"cannot extract {k} components from a {t.shape} tensor")
     thetas = np.random.default_rng(seed).standard_normal((SLICE_DRAWS, t.shape[0]))

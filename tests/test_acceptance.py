@@ -53,7 +53,7 @@ from oracles import (
 def slope_sweep():
     """20-trial recovery sweep of the three-cluster design over four sizes."""
     rows = run_benchmark("multiproxy", [500, 1000, 2000, 4000], trials=20,
-                         seed=0, label="paper-7.1")
+                         seed=0)
     assert not any(r["error"] for r in rows)
     return rows
 
@@ -100,8 +100,7 @@ def test_criterion_2_error_shrinks_with_sample_size(slope_sweep):
 def test_criterion_3_gamma_norm_recovery_at_n5000():
     # 20 trials at n=5000: aligned coefficient norms within +-0.25 of
     # (2.784, 2.211) in at least 90% of trials
-    rows = run_benchmark("multitreatment", [5000], trials=20, seed=0,
-                         label="paper-7.2")
+    rows = run_benchmark("multitreatment", [5000], trials=20, seed=0)
     assert not any(r["error"] for r in rows)
     norms = [r for r in rows if r["parameter"] == "gamma_norm"]
     by_trial = collections.defaultdict(list)

@@ -24,7 +24,7 @@ def test_row_count_and_columns():
     # 2 sizes x 3 trials x 2 components x 2 parameters
     assert len(rows) == 24
     for row in rows:
-        assert row["scenario"] == "multitreatment"
+        assert row["scenario"] == "paper-7.2"
         assert row["parameter"] in ("gamma_norm", "prior")
         assert row["error"] == ""
         assert row["aligned_abs_error"] >= 0.0
@@ -60,8 +60,7 @@ def test_failed_trials_become_error_rows(monkeypatch):
 
 
 def test_multiproxy_rows_track_slope_and_prior():
-    rows = run_benchmark("multiproxy", [400], trials=1, seed=3, workers=1,
-                         label="paper-7.1")
+    rows = run_benchmark("multiproxy", [400], trials=1, seed=3, workers=1)
     assert len(rows) == 6
     assert {r["parameter"] for r in rows} == {"beta_a", "prior"}
     assert all(r["scenario"] == "paper-7.1" for r in rows)

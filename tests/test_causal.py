@@ -19,6 +19,7 @@ from latentcause import (
     PosteriorMatrix,
     SingularSystem,
     align_permutation,
+    build_whitener,
     estimate_ate,
     estimate_cate,
     fit_effects,
@@ -26,10 +27,12 @@ from latentcause import (
     fit_multiview,
     fit_outcome,
     fit_treatment,
+    gram,
     mt_ate,
     mt_cate,
     oracle_posteriors,
     posteriors,
+    priors_from_lambdas,
     true_ate_multiproxy,
     update_posteriors,
 )
@@ -134,6 +137,34 @@ NON_FINITE_INPUTS = {
 def test_non_finite_treatment_or_z_raises_invalid_config(small_models, case):
     with pytest.raises(InvalidConfig, match="treatment and z values must be finite"):
         NON_FINITE_INPUTS[case](*small_models)
+
+
+# each public reader of numbers refuses a value that is not one, as it does
+# a non-finite value
+NON_NUMERIC_INPUTS = {
+    "estimate_ate": lambda ce, mt, z, a, w, bad: estimate_ate(ce, bad),
+    "estimate_cate": lambda ce, mt, z, a, w, bad: estimate_cate(ce.outcome, 0, bad, z=z[0]),
+    "mt_ate": lambda ce, mt, z, a, w, bad: mt_ate(mt, (bad, 1, 1)),
+    "mt_cate": lambda ce, mt, z, a, w, bad: mt_cate(mt, 0, (1, bad, 1)),
+    "fit_treatment_a": lambda ce, mt, z, a, w, bad: fit_treatment([bad, *a[1:]], z, w),
+    "fit_multitreatment_y": lambda ce, mt, z, a, w, bad: fit_multitreatment(
+        [0, 1, 1], [1, 0, 1], [0, 0, 1], [bad, 1.0, 2.0], 1),
+    "align_permutation": lambda ce, mt, z, a, w, bad: align_permutation(
+        [[bad], [1.0]], [[0.0], [1.0]]),
+    "priors_from_lambdas": lambda ce, mt, z, a, w, bad: priors_from_lambdas([bad, 1.0]),
+    "build_whitener": lambda ce, mt, z, a, w, bad: build_whitener(
+        [[bad, 0.0], [0.0, 1.0]], 1),
+    "gram": lambda ce, mt, z, a, w, bad: gram(KernelSpec(), [[bad]], [[0.0]]),
+}
+
+
+@pytest.mark.parametrize("case, bad", [(case, "x") for case in NON_NUMERIC_INPUTS] + [
+    (case, np.nan) for case in ("fit_treatment_a", "fit_multitreatment_y",
+                                "align_permutation", "priors_from_lambdas", "build_whitener",
+                                "gram")])
+def test_non_numeric_input_raises_invalid_config(small_models, case, bad):
+    with pytest.raises(InvalidConfig, match="must be (numbers|finite)"):
+        NON_NUMERIC_INPUTS[case](*small_models, bad)
 
 
 # --------------------------------------------------------------------------

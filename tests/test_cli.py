@@ -10,9 +10,11 @@ import pytest
 from latentcause import (
     fit_multitreatment,
     load_model,
+    mt_cate,
     save_model,
     scenario_to_dict,
     simulate_multitreatment,
+    three_cluster_gaussian,
     two_state_discrete,
     write_dataset,
 )
@@ -68,6 +70,13 @@ def test_simulate_accepts_scenario_config(tmp_path):
     assert main(["simulate", "multiproxy", "--n", "50",
                  "--scenario-config", str(config),
                  "--out", str(tmp_path / "x.csv")]) == 2
+    doc = scenario_to_dict(three_cluster_gaussian())
+    doc["priors"][0] = float("nan")
+    config.write_text(json.dumps(doc))
+    assert main(["simulate", "multiproxy", "--n", "50",
+                 "--scenario-config", str(config),
+                 "--out", str(tmp_path / "nan.csv")]) == 2
+    assert not (tmp_path / "nan.csv").exists()
 
 
 def test_fit_emits_diagnostics_and_is_deterministic(tmp_path, proxy_csv,
@@ -120,6 +129,11 @@ def test_multiproxy_cate_needs_proxy_values(proxy_model, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "error: a multiproxy cate needs the proxy values (--z)" in out.err
+    assert main(["estimate", "--model", str(proxy_model), "cate",
+                 "--u", "0", "--a", "1", "2", "--z", "0,0,0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error: cate takes a single treatment value, got 2" in out.err
 
 
 def test_estimate_multitreatment_requires_three_values(tmp_path, capsys):
@@ -136,6 +150,15 @@ def test_estimate_multitreatment_requires_three_values(tmp_path, capsys):
     assert main(["estimate", "--model", str(path), "ate", "--a", "1"]) == 2
     assert ("a multitreatment intervention takes exactly three treatment values, "
             "got 1") in capsys.readouterr().err
+    assert main(["estimate", "--model", str(path), "cate", "--u", "0",
+                 "--a", "1", "1", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["value"] == mt_cate(load_model(path), 0, (1, 1, 1))
+    assert main(["estimate", "--model", str(path), "cate", "--u", "0",
+                 "--a", "1", "1", "1", "--z", "0,0,0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error: multitreatment models take no proxy values" in out.err
 
 
 def test_estimate_rejects_non_finite_values(tmp_path, proxy_model, capsys):
@@ -273,6 +296,11 @@ def test_fit_takes_the_mode_from_the_dataset(tmp_path, capsys):
                  "--out", str(tmp_path / "mt.json")]) == 0
     diagnostics = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diagnostics["mode"] == "multitreatment"
+    # the kernel options are checked for either mode
+    assert main(["fit", "--input", str(data), "--k", "2", "--bandwidth", "0",
+                 "--out", str(tmp_path / "bad.json")]) == 2
+    assert "bandwidth must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_malformed_input_files_exit_two(tmp_path, capsys):

@@ -250,6 +250,7 @@ def test_posterior_matrix_validation():
 
 def _fit_with_bad_value(bad):
     views, _ = symmetric_views([0.5, 0.5], 300, seed=15)
+    views[1] = list(views[1])                           # a user's plain list
     views[1][7] = bad
     # more rows than landmarks, so the bad value reaches the cross moments
     fit_multiview(*views, 2, kernel=KernelSpec(bandwidth=0.6, landmark_count=50),
@@ -259,6 +260,7 @@ def _fit_with_bad_value(bad):
 def _posteriors_with_bad_value(bad):
     views, _ = symmetric_views([0.5, 0.5], 300, seed=15)
     est = fit_multiview(*views, 2, kernel=KernelSpec(bandwidth=0.6), seed=0)
+    views[2] = list(views[2])
     views[2][3] = bad
     posteriors(est, *views)
 
@@ -400,8 +402,10 @@ def _kernel_estimate_with(parts):
 @pytest.mark.parametrize("build, bad", [
     (_fit_with_bad_value, np.nan),
     (_fit_with_bad_value, np.inf),
+    (_fit_with_bad_value, "x"),
     (_posteriors_with_bad_value, np.nan),
     (_posteriors_with_bad_value, -np.inf),
+    (_posteriors_with_bad_value, "x"),
     (_posterior_matrix_with_bad_value, np.nan),
     (_discrete_posteriors_with_bad_level, np.nan),
     (_discrete_posteriors_with_bad_level, LEVELS),

@@ -36,6 +36,13 @@ def test_select_rank_needs_two_values():
         select_rank(np.array([1.0]))
 
 
+@pytest.mark.parametrize("values", [[np.nan, 1.0], [None, 1.0], ["x", 1.0], [1.0, -2.0, 0.5]],
+                         ids=["nan", "none", "string", "negative"])
+def test_select_rank_refuses_values_that_are_not_singular_values(values):
+    with pytest.raises(InvalidConfig):
+        select_rank(values)
+
+
 def test_scree_recovers_three_cluster_rank():
     scenario = three_cluster_gaussian()
     hits = 0

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from latentcause import (
+    DimensionMismatch,
     InvalidConfig,
     oracle_discrete_posteriors,
     oracle_posteriors,
+    scenario_from_dict,
+    scenario_to_dict,
     simulate_multiproxy,
     simulate_multitreatment,
     three_cluster_gaussian,
@@ -151,3 +154,55 @@ def test_simulate_rejects_negative_n():
     for bad in (True, 2.5, "10"):
         with pytest.raises(InvalidConfig, match="n must be a nonnegative integer"):
             simulate_multitreatment(two_state_discrete(), bad)
+
+
+# (design, key path into its scenario document, edit of the value there, error):
+# one case per refusal in the two scenario checks, then non-numeric values
+@pytest.mark.parametrize("design, keys, edit, error", [
+    pytest.param(three_cluster_gaussian, ("priors",), lambda p: [0.5, 0.5, 0.5],
+                 InvalidConfig, id="proxy-priors-sum"),
+    pytest.param(three_cluster_gaussian, ("means",), lambda m: m[:2],
+                 DimensionMismatch, id="proxy-two-mean-matrices"),
+    pytest.param(three_cluster_gaussian, ("means",), lambda m: [v[:2] for v in m],
+                 DimensionMismatch, id="proxy-mean-rows"),
+    pytest.param(three_cluster_gaussian, ("alpha",), lambda a: a[:2],
+                 DimensionMismatch, id="proxy-alpha-shape"),
+    pytest.param(three_cluster_gaussian, ("beta",), lambda b: [row[:-1] for row in b],
+                 DimensionMismatch, id="proxy-beta-shape"),
+    pytest.param(three_cluster_gaussian, ("treatment_var", 1), lambda v: 0.0,
+                 InvalidConfig, id="proxy-treatment-variance"),
+    pytest.param(three_cluster_gaussian, ("outcome_sigma",), lambda s: -1.0,
+                 InvalidConfig, id="proxy-noise-scale"),
+    pytest.param(three_cluster_gaussian, ("priors", 0), lambda p: float("nan"),
+                 InvalidConfig, id="proxy-nan-prior"),
+    pytest.param(three_cluster_gaussian, ("means", 1, 0, 2), lambda m: float("inf"),
+                 InvalidConfig, id="proxy-inf-mean"),
+    pytest.param(two_state_discrete, ("priors",), lambda p: [0.7, 0.7],
+                 InvalidConfig, id="discrete-priors-sum"),
+    pytest.param(two_state_discrete, ("emissions", 2), lambda e: e[:-1],
+                 DimensionMismatch, id="discrete-emission-shapes"),
+    pytest.param(two_state_discrete, ("emissions",),
+                 lambda ems: [[row + [0.0] for row in e] for e in ems],
+                 DimensionMismatch, id="discrete-emission-columns"),
+    pytest.param(two_state_discrete, ("emissions", 0, 0, 0), lambda v: -0.1,
+                 InvalidConfig, id="discrete-emission-not-stochastic"),
+    pytest.param(two_state_discrete, ("emissions", 1),
+                 lambda e: [[row[0], row[0]] for row in e],
+                 InvalidConfig, id="discrete-emission-rank"),
+    pytest.param(two_state_discrete, ("gamma",), lambda g: [row[:3] for row in g],
+                 DimensionMismatch, id="discrete-gamma-shape"),
+    pytest.param(two_state_discrete, ("noise_sigma",), lambda s: 0.0,
+                 InvalidConfig, id="discrete-noise-scale"),
+    pytest.param(two_state_discrete, ("emissions", 0, 0, 1), lambda v: float("nan"),
+                 InvalidConfig, id="discrete-nan-emission"),
+    pytest.param(two_state_discrete, ("gamma", 0, 0), lambda g: "x",
+                 InvalidConfig, id="discrete-string-gamma"),
+])
+def test_scenario_documents_with_bad_fields_are_refused(design, keys, edit, error):
+    doc = scenario_to_dict(design())
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = edit(target[keys[-1]])
+    with pytest.raises(error):
+        scenario_from_dict(doc)
