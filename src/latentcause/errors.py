@@ -66,11 +66,16 @@ def _integer(value, message: str, lo=None, hi=None) -> int:
 def _floats(value, what: str) -> np.ndarray:
     """``value`` as a float array when every entry is a finite number.
 
-    Anything else raises InvalidConfig: "{what} must be numbers" when numpy
-    cannot read it as floats, "{what} must be finite" for NaN or infinity.
+    Anything else raises InvalidConfig: "{what} must be numbers" for a string
+    entry (numeric ones too, as ``_integer`` refuses "3") or one numpy cannot
+    read as a float, "{what} must be finite" for NaN or infinity.
     """
     try:
-        values = np.asarray(value, dtype=float)
+        raw = np.asarray(value)
+        if raw.dtype.kind in "SU" or raw.dtype.kind == "O" and any(
+                isinstance(x, (str, bytes)) for x in raw.flat):
+            raise TypeError
+        values = raw.astype(float, copy=False)
     except (TypeError, ValueError):
         raise InvalidConfig(f"{what} must be numbers") from None
     if not np.all(np.isfinite(values)):

@@ -46,6 +46,7 @@ DENSITY_FLOOR = 1e-12
 PRIOR_MIN = 1e-6
 PRIOR_MAX = 1.0
 RANK_FLOOR_REL = 1e-10
+PIVOT_FLOOR = 1e-6         # landmark factor's last pivot, relative to the kernel diagonal of 1
 DENSE_SVD_MAX = 64
 _FLOOR_FALLBACK = ("had every likelihood at the floor; "
                    "their posteriors fall back to the priors")
@@ -270,12 +271,15 @@ def _nystrom_features(view, kernel, rng):
 
     The features are ``rows @ factor`` and are never multiplied out. A pivoted
     Cholesky of the landmark gram stops at the first pivot at or below
-    RANK_FLOOR_REL (the kernel diagonal is 1); its r pivot landmarks are the
-    anchors, ``rows`` is a ``KernelRows`` source of the n x r kernel against
-    them and ``factor`` the inverse transpose of the r x r triangle. The
-    features then have identity second moment over the anchors, and the
-    view's density coefficients are ``factor @ feature_means``. scipy's LAPACK
-    is imported here, so only kernel fits and ``scree`` load it.
+    PIVOT_FLOOR (the kernel diagonal is 1): a landmark whose residual variance
+    is that small adds nothing measurable, and the floor keeps the triangle's
+    diagonal above sqrt(PIVOT_FLOOR), which bounds the inverse factor and so
+    the rounding it amplifies. Its r pivot landmarks are the anchors, ``rows``
+    is a ``KernelRows`` source of the n x r kernel against them and ``factor``
+    the inverse transpose of the r x r triangle. The features then have
+    identity second moment over the anchors, and the view's density
+    coefficients are ``factor @ feature_means``. scipy's LAPACK is imported
+    here, so only kernel fits and ``scree`` load it.
     """
     from scipy.linalg.lapack import dpstrf, dtrtri
 
@@ -284,7 +288,7 @@ def _nystrom_features(view, kernel, rng):
     idx = np.sort(rng.choice(n, size=n_a, replace=False)) if n_a < n else np.arange(n)
     landmarks = view[idx]
     kmm = gram(kernel, landmarks, landmarks)
-    chol, piv, r, _ = dpstrf(kmm, lower=1, tol=RANK_FLOOR_REL)
+    chol, piv, r, _ = dpstrf(kmm, lower=1, tol=PIVOT_FLOOR)
     keep = piv[:r] - 1
     inv_l = dtrtri(np.tril(chol[:r, :r]), lower=1)[0]    # dpstrf keeps kmm's upper part
     return KernelRows(kernel, view, landmarks[keep]), inv_l.T, landmarks[keep]

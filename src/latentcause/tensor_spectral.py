@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, DimensionMismatch, EmptyInput, NonConvergence, _floats
+from .errors import (DegenerateSpectrum, DimensionMismatch, EmptyInput, NonConvergence, _floats,
+                     _integer)
 
 EIG_FLOOR_REL = 1e-10
 SLICE_DRAWS = 3
@@ -48,6 +49,7 @@ def build_whitener(m: np.ndarray, k: int) -> Whitener:
     than regularize.
     """
     m = _floats(m, "moment entries")
+    k = _integer(k, "component count must be a positive integer", 1)
     if m.ndim != 2 or not k <= m.shape[0] == m.shape[1]:
         raise DimensionMismatch(f"cannot take k={k} eigenpairs of a {m.shape} moment")
     vals, vecs = np.linalg.eigh(m)
@@ -91,6 +93,7 @@ def robust_power_method(t: np.ndarray, k: int,
     largest eigenvalue found means the tensor carries fewer than k components.
     """
     t = _floats(t, "tensor entries")
+    k = _integer(k, "component count must be a positive integer", 1)
     if t.ndim != 3 or len(set(t.shape)) != 1 or k > t.shape[0]:
         raise DimensionMismatch(f"cannot extract {k} components from a {t.shape} tensor")
     thetas = np.random.default_rng(seed).standard_normal((SLICE_DRAWS, t.shape[0]))

@@ -33,6 +33,7 @@ from latentcause import (
     oracle_posteriors,
     posteriors,
     priors_from_lambdas,
+    select_rank,
     true_ate_multiproxy,
     update_posteriors,
 )
@@ -140,7 +141,8 @@ def test_non_finite_treatment_or_z_raises_invalid_config(small_models, case):
 
 
 # each public reader of numbers refuses a value that is not one, as it does
-# a non-finite value
+# a non-finite value; a string is not a number even when it reads as one, as
+# for integer arguments
 NON_NUMERIC_INPUTS = {
     "estimate_ate": lambda ce, mt, z, a, w, bad: estimate_ate(ce, bad),
     "estimate_cate": lambda ce, mt, z, a, w, bad: estimate_cate(ce.outcome, 0, bad, z=z[0]),
@@ -155,16 +157,25 @@ NON_NUMERIC_INPUTS = {
     "build_whitener": lambda ce, mt, z, a, w, bad: build_whitener(
         [[bad, 0.0], [0.0, 1.0]], 1),
     "gram": lambda ce, mt, z, a, w, bad: gram(KernelSpec(), [[bad]], [[0.0]]),
+    "select_rank": lambda ce, mt, z, a, w, bad: select_rank([bad, 1.0]),
 }
 
 
 @pytest.mark.parametrize("case, bad", [(case, "x") for case in NON_NUMERIC_INPUTS] + [
     (case, np.nan) for case in ("fit_treatment_a", "fit_multitreatment_y",
                                 "align_permutation", "priors_from_lambdas", "build_whitener",
-                                "gram")])
+                                "gram")] + [(case, "3") for case in NON_NUMERIC_INPUTS] + [
+    ("estimate_ate", b"1")])
 def test_non_numeric_input_raises_invalid_config(small_models, case, bad):
     with pytest.raises(InvalidConfig, match="must be (numbers|finite)"):
         NON_NUMERIC_INPUTS[case](*small_models, bad)
+
+
+def test_all_string_inputs_raise_invalid_config(small_models):
+    with pytest.raises(InvalidConfig, match="treatment and z values must be numbers"):
+        mt_ate(small_models[1], ("1", "1", "1"))
+    with pytest.raises(InvalidConfig, match="singular values must be numbers"):
+        select_rank(["3", "1"])
 
 
 # --------------------------------------------------------------------------

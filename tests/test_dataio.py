@@ -293,6 +293,7 @@ def test_malformed_model_documents_rejected(tmp_path, discrete_case, proxy_case)
         (("mixture", "seed"), -1, InvalidConfig),
         (("mixture", "seed"), True, InvalidConfig),
         (("gamma", 0, 0), "x", InvalidConfig),
+        (("gamma", 0, 0), "1.5", InvalidConfig),    # refused, not read as 1.5
         (("gamma",), [row[:3] for row in doc["gamma"]], DimensionMismatch),
         (("mixture", "bogus"), 1, InvalidConfig),              # unknown key
         (("mixture", "emissions", 0, 0), [0.5], InvalidConfig),  # ragged
@@ -321,10 +322,11 @@ def test_malformed_model_documents_rejected(tmp_path, discrete_case, proxy_case)
     for base, keys, value, error in ([(doc, *c) for c in cases]
                                      + [(kernel_doc, *c) for c in kernel_cases]):
         bad = _replaced(base, keys, value)
-        with pytest.raises(error):
+        message = "malformed model document" if error is InvalidConfig else None
+        with pytest.raises(error, match=message):
             model_from_dict(bad)
         path.write_text(json.dumps(bad))
-        with pytest.raises(error):
+        with pytest.raises(error, match=message):
             load_model(path)
 
 

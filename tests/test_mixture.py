@@ -34,6 +34,7 @@ from latentcause import (
     three_cluster_gaussian,
     two_state_discrete,
 )
+from latentcause import mixture
 from latentcause.kernels import _BLOCK_CELLS, KernelRows, gram
 from latentcause.mixture import (
     _PANEL_CELLS,
@@ -695,6 +696,36 @@ def test_landmark_factor_drops_near_duplicates_and_whitens_the_rest(landmark_cou
     assert np.array_equal(k_v[:], gram(kernel, view, anchors))
     whitened = a.T @ gram(kernel, anchors, anchors) @ a
     assert np.max(np.abs(whitened - np.eye(r))) <= 1e-8
+
+
+def test_landmark_factor_keeps_eigenvector_rounding_at_its_own_scale(monkeypatch):
+    # eigenvectors nudged by one part in 1e15: a factor kept down to tiny pivots
+    # (1e-10 kept about 940 anchors here) amplified that into a 4.6e-7 shift
+    # of the density coefficients; the pivot floor holds it near 2e-9
+    data, _ = simulate_multiproxy(three_cluster_gaussian(), 2000, seed=7)
+    views = [data[f"z{v}"] for v in (1, 2, 3)]
+    base = fit_multiview(*views, 3, seed=0)
+    exact = mixture.robust_power_method
+
+    def nudged(*args, **kwargs):
+        eig = exact(*args, **kwargs)
+        return dataclasses.replace(eig, vectors=eig.vectors * (1.0 + 1e-15))
+
+    monkeypatch.setattr(mixture, "robust_power_method", nudged)
+    moved = fit_multiview(*views, 3, seed=0)
+    shift = max(np.max(np.abs(c1 - c0)) / np.max(np.abs(c0))
+                for c0, c1 in zip(base.coefficients, moved.coefficients))
+    assert max(base.diagnostics["landmark_rank"]) < 800
+    assert shift <= 1e-7
+
+
+def test_overlap_fit_keeps_every_landmark():
+    # the overlap design's landmark gram never reaches the pivot floor, so its
+    # default fit keeps the 1000 anchors and the estimates of a full factor
+    scenario = dataclasses.replace(three_cluster_gaussian(), proxy_sigma=2.4)
+    data, _ = simulate_multiproxy(scenario, 4000, seed=1000)
+    est = fit_multiview(data["z1"], data["z2"], data["z3"], 3, seed=0)
+    assert est.diagnostics["landmark_rank"] == [1000, 1000, 1000]
 
 
 def test_fit_records_the_landmarks_kept_per_view():

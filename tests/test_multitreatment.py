@@ -13,6 +13,7 @@ from latentcause import (
     LatentCauseError,
     MixtureEstimate,
     align_permutation,
+    fit_discrete_multiview,
     fit_multitreatment,
     mt_ate,
     mt_cate,
@@ -135,6 +136,28 @@ def _wide_case(n, seed):
                       for _ in range(3))
     scenario = dataclasses.replace(two_state_discrete(), emissions=emissions)
     return simulate_multitreatment(scenario, n, seed=seed)[0]
+
+
+def test_prior_error_falls_at_the_root_n_rate():
+    # the n-ladder of the paper's rate: the median over 20 data seeds of the
+    # max prior error, at n = 1e3, 1e4 and 1e5, falls with a log-log slope
+    # near -1/2. On 50 sets of 20 other seeds (1000-1999) the slope read
+    # -0.50 +- 0.064 (range -0.61 to -0.34); the bound is that mean +- 4 sd,
+    # so a bias floor (slope 0) or a broken estimator fails it
+    scenario = two_state_discrete()
+    ref = np.hstack([e.T for e in scenario.emissions])
+    ns = (1_000, 10_000, 100_000)
+    medians = []
+    for n in ns:
+        errors = []
+        for seed in range(20):
+            data, _ = simulate_multitreatment(scenario, n, seed=seed)
+            est = fit_discrete_multiview(data["a1"], data["a2"], data["a3"], 2, seed=0)
+            perm = align_permutation(np.hstack([e.T for e in est.emissions]), ref)
+            errors.append(np.max(np.abs(est.priors[perm] - scenario.priors)))
+        medians.append(np.median(errors))
+    slope = np.polyfit(np.log(ns), np.log(medians), 1)[0]
+    assert -0.75 <= slope <= -0.25, (slope, medians)
 
 
 @pytest.mark.parametrize("case", [

@@ -10,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from latentcause import (
     DegenerateSpectrum,
     DimensionMismatch,
+    InvalidConfig,
     KernelSpec,
     NonConvergence,
     build_whitener,
@@ -121,6 +122,16 @@ def test_whitener_raises_on_degenerate_spectrum(diag):
 def test_whitener_rejects_k_beyond_dimension():
     with pytest.raises(DimensionMismatch):
         build_whitener(np.eye(3), 4)
+
+
+@pytest.mark.parametrize("call", [lambda: build_whitener(np.eye(2), 0),
+                                  lambda: build_whitener(np.eye(2), -1),
+                                  lambda: robust_power_method(np.ones((2, 2, 2)), 1.5),
+                                  lambda: robust_power_method(np.ones((2, 2, 2)), True)],
+                         ids=["whitener_zero", "whitener_negative", "power_fraction", "power_bool"])
+def test_tensor_functions_refuse_a_non_positive_integer_k(call):
+    with pytest.raises(InvalidConfig, match="component count must be a positive integer"):
+        call()
 
 
 def test_whitener_identity():
