@@ -186,7 +186,7 @@ def _as_levels(*views, levels: int | None = None):
     S is ``levels`` when given, else one past the largest observed level;
     every value must be an integer in 0..S-1.
     """
-    out = []
+    out, tops = [], []
     for a in views:
         arr = np.asarray(a)
         if arr.ndim != 1:
@@ -195,13 +195,14 @@ def _as_levels(*views, levels: int | None = None):
             raise EmptyInput("views contain no samples")
         whole = arr.dtype.kind in "biu" or arr.dtype.kind == "f" and np.all(
             np.isfinite(arr) & (np.floor(arr) == arr))
-        if not whole or np.any(arr < 0):
+        if not whole or arr.min() < 0:
             raise InvalidConfig("categorical views must hold nonnegative integers")
         out.append(arr.astype(int, copy=False))
+        tops.append(int(out[-1].max()))
     if any(v.shape != out[0].shape for v in out):
         raise DimensionMismatch("views must share one length")
-    s = int(levels) if levels is not None else max(int(v.max()) for v in out) + 1
-    if any(v.max() >= s for v in out):
+    s = int(levels) if levels is not None else max(tops) + 1
+    if max(tops) >= s:
         raise InvalidConfig(f"a view holds a level outside 0..{s - 1}")
     return out, s
 
@@ -405,17 +406,32 @@ def fit_discrete_multiview(a1, a2, a3, k: int, seed=0) -> MixtureEstimate:
     density floor and renormalized into column-stochastic emission matrices.
     k = 1 short-circuits to empirical marginals.
     """
+    views, s, k = _checked_levels(a1, a2, a3, k, seed)
+    triples, counts, _ = _triple_table(views, s)
+    return _fit_table(triples, counts, s, k, seed)
+
+
+def _checked_levels(a1, a2, a3, k, seed):
+    """The discrete fits' checks in their order: k, the seed, the levels, S >= k."""
     k = _check_k(k)
-    power_ss = _seed_sequence(seed).spawn(1)[0]
+    _seed_sequence(seed)
     views, s = _as_levels(a1, a2, a3)
-    n = views[0].shape[0]
     if s < k:
         raise InvalidConfig(f"need at least k={k} levels, views have {s}")
+    return views, s, k
 
+
+def _fit_table(triples, counts, s, k, seed) -> MixtureEstimate:
+    """The discrete mixture fit of a triple count table from ``_triple_table``.
+
+    Inputs are checked already. At k = 1 the emissions are the marginals, the
+    count-weighted bincounts of the triple columns (exact integer sums).
+    """
     if k == 1:
+        n = counts.sum()
         emissions = tuple(
-            _stochastic_columns(np.bincount(v, minlength=s)[:, None] / n)
-            for v in views
+            _stochastic_columns(np.bincount(t, weights=counts, minlength=s)[:, None] / n)
+            for t in triples
         )
         return MixtureEstimate(
             backend="discrete", lambdas=np.ones(1), emissions=emissions,
@@ -423,7 +439,7 @@ def fit_discrete_multiview(a1, a2, a3, k: int, seed=0) -> MixtureEstimate:
             diagnostics={"method": "discrete_marginal", "levels": s},
         )
 
-    triples, counts, _ = _triple_table(views, s)
+    power_ss = _seed_sequence(seed).spawn(1)[0]
     eye = np.eye(s)
     lam, means, info = _cross_moment_core([(eye[t], eye) for t in triples], k, power_ss,
                                           counts)
@@ -438,10 +454,10 @@ def fit_discrete_multiview(a1, a2, a3, k: int, seed=0) -> MixtureEstimate:
 def _triple_table(views, s, y=None):
     """Distinct observed level triples, their row counts and, given y, their sums of y.
 
-    Two bincounts group the rows: one of the pair key a1 S + a2, whose P present
-    pairs are numbered in order, then one of that number times S plus a3. Its
-    P S cells are no more than one one-hot view of the distinct triples, and
-    the triples come out in lexicographic order.
+    Two bincounts group the rows: one of the pair key a1 S + a2 (up to S^2
+    cells), whose P present pairs are numbered in order, then one of that
+    number times S plus a3. Its P S cells are no more than one one-hot view of
+    the distinct triples, and the triples come out in lexicographic order.
     """
     a1, a2, a3 = views
     pair = a1 * s + a2

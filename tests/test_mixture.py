@@ -462,6 +462,8 @@ SEED_CONSUMERS = {
     "fit_multiview": lambda seed: fit_multiview(_POINTS, _POINTS, _POINTS, 2, seed=seed),
     "fit_discrete_multiview_k1": lambda seed: fit_discrete_multiview(
         _LEVELS, _LEVELS, _LEVELS, 1, seed=seed),
+    "fit_multitreatment_k1": lambda seed: fit_multitreatment(
+        _LEVELS, _LEVELS, _LEVELS, np.arange(30.0), 1, seed=seed),
     "scree": lambda seed: scree(_POINTS, _POINTS, seed=seed),
     "simulate_multiproxy": lambda seed: simulate_multiproxy(
         three_cluster_gaussian(), 10, seed=seed),

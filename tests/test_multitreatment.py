@@ -22,7 +22,7 @@ from latentcause import (
     true_ate_multitreatment,
     two_state_discrete,
 )
-from latentcause import multitreatment
+from latentcause import mixture, multitreatment
 from latentcause.causal import _regressors, _stacked_regression
 from latentcause.mixture import (
     DENSE_SVD_MAX,
@@ -198,11 +198,55 @@ def test_triple_table_matches_unique_rows_within_its_memory_bound():
     assert peak <= 3 * 600 * WIDE_LEVELS * 8 < WIDE_LEVELS ** 3 * 8
 
 
+def _paper_72(n, seed):
+    return simulate_multitreatment(two_state_discrete(), n, seed=seed)[0]
+
+
+@pytest.mark.parametrize("case, k", [
+    pytest.param(lambda: _paper_72(5000, 7), 1, id="paper-7.2-k1"),
+    pytest.param(lambda: _paper_72(5000, 7), 2, id="paper-7.2-k2"),
+    pytest.param(lambda: _wide_case(600, 5), 2, id="80-levels-k2"),   # ARPACK's svds
+])
+def test_treatment_fit_mixture_is_the_discrete_fit(case, k):
+    data = case()
+    views = [data[f"a{v}"] for v in (1, 2, 3)]
+    got = fit_multitreatment(*views, data["y"], k, seed=4).mixture
+    want = fit_discrete_multiview(*views, k, seed=4)
+    assert np.array_equal(got.lambdas, want.lambdas)
+    for a, b in zip(got.emissions, want.emissions):
+        assert np.array_equal(a, b)
+    assert got.diagnostics.keys() == want.diagnostics.keys()
+    for key, value in want.diagnostics.items():
+        assert np.array_equal(got.diagnostics[key], value), key
+    assert got.seed == want.seed == 4
+
+
+def test_treatment_fit_checks_and_groups_the_rows_once(monkeypatch, discrete_case):
+    _, data, _ = discrete_case
+    n = data["y"].shape[0]
+    calls = {"_as_levels": 0, "_triple_table": 0}
+
+    def count(name, rows):
+        original = getattr(mixture, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += rows(args) == n
+            return original(*args, **kwargs)
+        for module in (mixture, multitreatment):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+
+    count("_as_levels", lambda args: len(args[0]))
+    count("_triple_table", lambda args: len(args[0][0]))
+    fit_multitreatment(data["a1"], data["a2"], data["a3"], data["y"], 2, seed=0)
+    assert calls == {"_as_levels": 1, "_triple_table": 1}
+
+
 def test_fallbacks_are_counted_in_rows(monkeypatch):
     emission = np.array([[0.5, 0.4], [0.5, 0.6], [0.0, 0.0]])   # level 2 at the floor
     est = MixtureEstimate(backend="discrete", lambdas=np.array([2 ** 0.5, 2 ** 0.5]),
                           emissions=(emission,) * 3)
-    monkeypatch.setattr(multitreatment, "fit_discrete_multiview", lambda *a, **kw: est)
+    monkeypatch.setattr(multitreatment, "_fit_table", lambda *a, **kw: est)
     rng = np.random.default_rng(0)
     a = rng.integers(0, 2, size=(3, 20))
     a[:, :4] = 2                                     # one floored triple on four rows

@@ -134,6 +134,13 @@ def test_tensor_functions_refuse_a_non_positive_integer_k(call):
         call()
 
 
+@pytest.mark.parametrize("seed", ["x", 1.5, -1, True],
+                         ids=["text", "float", "negative", "bool"])
+def test_power_method_refuses_a_bad_seed(seed):
+    with pytest.raises(InvalidConfig, match="seed must be a nonnegative integer"):
+        robust_power_method(np.ones((2, 2, 2)), 1, seed=seed)
+
+
 def test_whitener_identity():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((500, 6))
