@@ -397,36 +397,21 @@ def _cross_moment_core(views, k, power_ss, weights=None):
     return eig.lambdas, [a1.T @ t1, a2.T @ t2, m3], info
 
 
-def fit_discrete_multiview(a1, a2, a3, k: int, seed=0) -> MixtureEstimate:
+def fit_discrete_multiview(a1, a2, a3, k: int, seed=0, counts=None) -> MixtureEstimate:
     """Mixture fit for three categorical views coded 0..S-1.
 
     The one-hot features of the distinct observed triples, paired with an
     identity factor and weighted by their row counts, feed the shared
     cross-moment decomposition; recovered conditional means are clamped at the
     density floor and renormalized into column-stochastic emission matrices.
-    k = 1 short-circuits to empirical marginals.
+    k = 1 short-circuits to empirical marginals. ``counts``, one nonnegative
+    integer per row, makes each row stand for that many: a count table fits as
+    its rows repeated would, bit for bit.
     """
     views, s, k = _checked_levels(a1, a2, a3, k, seed)
-    triples, counts, _ = _triple_table(views, s)
-    return _fit_table(triples, counts, s, k, seed)
-
-
-def _checked_levels(a1, a2, a3, k, seed):
-    """The discrete fits' checks in their order: k, the seed, the levels, S >= k."""
-    k = _check_k(k)
-    _seed_sequence(seed)
-    views, s = _as_levels(a1, a2, a3)
-    if s < k:
-        raise InvalidConfig(f"need at least k={k} levels, views have {s}")
-    return views, s, k
-
-
-def _fit_table(triples, counts, s, k, seed) -> MixtureEstimate:
-    """The discrete mixture fit of a triple count table from ``_triple_table``.
-
-    Inputs are checked already. At k = 1 the emissions are the marginals, the
-    count-weighted bincounts of the triple columns (exact integer sums).
-    """
+    if counts is not None:
+        counts = _row_counts(counts, views[0].shape[0])
+    triples, counts, _ = _triple_table(views, s, counts=counts)
     if k == 1:
         n = counts.sum()
         emissions = tuple(
@@ -451,19 +436,43 @@ def _fit_table(triples, counts, s, k, seed) -> MixtureEstimate:
     )
 
 
-def _triple_table(views, s, y=None):
+def _checked_levels(a1, a2, a3, k, seed):
+    """The discrete fits' checks in their order: k, the seed, the levels, S >= k."""
+    k = _check_k(k)
+    _seed_sequence(seed)
+    views, s = _as_levels(a1, a2, a3)
+    if s < k:
+        raise InvalidConfig(f"need at least k={k} levels, views have {s}")
+    return views, s, k
+
+
+def _row_counts(counts, n: int) -> np.ndarray:
+    """Row counts as floats: n nonnegative whole numbers, not all zero."""
+    c = _floats(counts, "row counts")
+    if c.shape != (n,):
+        raise DimensionMismatch(f"need one row count per row ({n}), got shape {c.shape}")
+    if np.any((c < 0) | (np.floor(c) != c)):
+        raise InvalidConfig("row counts must be nonnegative integers")
+    if not c.any():
+        raise EmptyInput("row counts are all zero")
+    return c
+
+
+def _triple_table(views, s, y=None, counts=None):
     """Distinct observed level triples, their row counts and, given y, their sums of y.
 
     Two bincounts group the rows: one of the pair key a1 S + a2 (up to S^2
     cells), whose P present pairs are numbered in order, then one of that
     number times S plus a3. Its P S cells are no more than one one-hot view of
     the distinct triples, and the triples come out in lexicographic order.
+    Given ``counts``, a row counts that many times and a triple of count 0
+    drops out.
     """
     a1, a2, a3 = views
     pair = a1 * s + a2
     seen = np.bincount(pair) > 0
     key = (np.cumsum(seen) - 1)[pair] * s + a3
-    counts = np.bincount(key)
+    counts = np.bincount(key, weights=counts)
     cells = np.flatnonzero(counts)
     pairs = np.flatnonzero(seen)[cells // s]
     sums = None if y is None else np.bincount(key, weights=y)[cells]

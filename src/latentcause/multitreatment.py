@@ -27,9 +27,8 @@ from .mixture import (
     MixtureEstimate,
     _check_component,
     _checked_levels,
-    _fit_table,
     _triple_table,
-    fit_discrete_multiview,  # not called here, but perfbench's tracer wraps this name
+    fit_discrete_multiview,
     posteriors,
 )
 
@@ -64,6 +63,8 @@ class MultiTreatmentModel:
 def fit_multitreatment(a1, a2, a3, y, k: int, seed=0) -> MultiTreatmentModel:
     """Recover the hidden state from the treatments and fit the outcome.
 
+    The rows are checked and grouped once, into the distinct triples with
+    their row counts and sums of y; the mixture is fitted on that count table.
     Posteriors are scored once per distinct triple; scaling a triple's weights
     by the root of its row count, against its sum of y over that root, gives
     the stacked regression the row-level normal equations. Rank or alignment
@@ -73,7 +74,7 @@ def fit_multitreatment(a1, a2, a3, y, k: int, seed=0) -> MultiTreatmentModel:
     y_vec = _scalar_target(y, "outcome")
     _check_rows(y_vec.shape[0], views[0])
     triples, counts, y_sums = _triple_table(views, s, y_vec)
-    est = _fit_table(triples, counts, s, k, seed)
+    est = fit_discrete_multiview(*triples, k, seed=seed, counts=counts)
     with warnings.catch_warnings():     # it would count triples; rows are counted below
         warnings.filterwarnings("ignore", ".*" + re.escape(_FLOOR_FALLBACK), RuntimeWarning)
         w = posteriors(est, *triples)

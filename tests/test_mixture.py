@@ -12,6 +12,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from latentcause import (
     DimensionMismatch,
+    EmptyInput,
     InvalidConfig,
     KernelSpec,
     LatentCauseError,
@@ -480,6 +481,40 @@ SEED_CONSUMERS = {
 def test_every_seed_consumer_refuses_a_bad_seed(consumer, seed):
     with pytest.raises(InvalidConfig, match="seed must be a nonnegative integer"):
         SEED_CONSUMERS[consumer](seed)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_discrete_fit_of_a_count_table_is_the_fit_of_its_rows(k):
+    data, _ = simulate_multitreatment(two_state_discrete(), 2000, seed=9)
+    views = [data[f"a{v}"] for v in (1, 2, 3)]
+    table, counts = np.unique(np.column_stack(views), axis=0, return_counts=True)
+    # shuffled, with an observed and an unobserved triple at count 0
+    table = np.vstack([table, table[:1], [[LEVELS - 1] * 3]])
+    counts = np.concatenate([counts, [0, 0]])
+    order = np.random.default_rng(0).permutation(len(counts))
+    got = fit_discrete_multiview(*table[order].T, k, seed=3, counts=counts[order])
+    want = fit_discrete_multiview(*views, k, seed=3)
+    assert np.array_equal(got.lambdas, want.lambdas)
+    for a, b in zip(got.emissions, want.emissions):
+        assert np.array_equal(a, b)
+    assert got.diagnostics.keys() == want.diagnostics.keys()
+    for key, value in want.diagnostics.items():
+        assert np.array_equal(got.diagnostics[key], value), key
+
+
+@pytest.mark.parametrize("counts, error", [
+    (np.ones(599), DimensionMismatch),
+    (np.ones((600, 1)), DimensionMismatch),
+    (np.full(600, -1), InvalidConfig),
+    (np.full(600, 1.5), InvalidConfig),
+    (np.full(600, np.nan), InvalidConfig),
+    (["1"] * 600, InvalidConfig),
+    (np.zeros(600), EmptyInput),
+], ids=["short", "column", "negative", "fraction", "nan", "text", "all-zero"])
+def test_discrete_fit_refuses_bad_row_counts(counts, error):
+    data = _discrete_fit()[1]
+    with pytest.raises(error):
+        fit_discrete_multiview(data["a1"], data["a2"], data["a3"], 2, counts=counts)
 
 
 def test_numpy_integer_seed_fits_as_the_plain_integer():

@@ -246,7 +246,7 @@ def test_fallbacks_are_counted_in_rows(monkeypatch):
     emission = np.array([[0.5, 0.4], [0.5, 0.6], [0.0, 0.0]])   # level 2 at the floor
     est = MixtureEstimate(backend="discrete", lambdas=np.array([2 ** 0.5, 2 ** 0.5]),
                           emissions=(emission,) * 3)
-    monkeypatch.setattr(multitreatment, "_fit_table", lambda *a, **kw: est)
+    monkeypatch.setattr(multitreatment, "fit_discrete_multiview", lambda *a, **kw: est)
     rng = np.random.default_rng(0)
     a = rng.integers(0, 2, size=(3, 20))
     a[:, :4] = 2                                     # one floored triple on four rows
