@@ -51,6 +51,7 @@ DENSE_SVD_MAX = 64
 _FLOOR_FALLBACK = ("had every likelihood at the floor; "
                    "their posteriors fall back to the priors")
 _PANEL_CELLS = 1 << 19     # entries per view in one c12 row panel: short panels slow its r x r product
+_TABLE_CELLS = 1 << 22     # S x S cells a discrete fit may allocate (32 MiB of float64): S <= 2048
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,8 @@ def _as_levels(*views, levels: int | None = None):
     """Categorical views as int arrays of one length, with their level count S.
 
     S is ``levels`` when given, else one past the largest observed level;
-    every value must be an integer in 0..S-1.
+    every value must be an integer in 0..S-1, and S^2 within _TABLE_CELLS,
+    the budget of the S x S arrays a discrete fit or ``scree_discrete`` forms.
     """
     out, tops = [], []
     for a in views:
@@ -195,15 +197,23 @@ def _as_levels(*views, levels: int | None = None):
             raise EmptyInput("views contain no samples")
         whole = arr.dtype.kind in "biu" or arr.dtype.kind == "f" and np.all(
             np.isfinite(arr) & (np.floor(arr) == arr))
+        if whole:
+            with np.errstate(invalid="ignore"):
+                arr = arr.astype(int, copy=False)
+        # the sign is read after the cast: levels of 2**63 or more wrap negative
         if not whole or arr.min() < 0:
-            raise InvalidConfig("categorical views must hold nonnegative integers")
-        out.append(arr.astype(int, copy=False))
-        tops.append(int(out[-1].max()))
+            raise InvalidConfig("categorical views must hold nonnegative integers "
+                                "below 2**63")
+        out.append(arr)
+        tops.append(int(arr.max()))
     if any(v.shape != out[0].shape for v in out):
         raise DimensionMismatch("views must share one length")
     s = int(levels) if levels is not None else max(tops) + 1
     if max(tops) >= s:
         raise InvalidConfig(f"a view holds a level outside 0..{s - 1}")
+    if s * s > _TABLE_CELLS:
+        raise InvalidConfig(f"S = {s} levels need S x S tables of {s * s} cells, "
+                            f"above the budget of {_TABLE_CELLS}")
     return out, s
 
 
@@ -290,9 +300,11 @@ def _nystrom_features(view, kernel, rng):
     landmarks = view[idx]
     kmm = gram(kernel, landmarks, landmarks)
     chol, piv, r, _ = dpstrf(kmm, lower=1, tol=PIVOT_FLOOR)
-    keep = piv[:r] - 1
-    inv_l = dtrtri(np.tril(chol[:r, :r]), lower=1)[0]    # dpstrf keeps kmm's upper part
-    return KernelRows(kernel, view, landmarks[keep]), inv_l.T, landmarks[keep]
+    del kmm
+    anchors = landmarks[piv[:r] - 1]
+    inv_l = dtrtri(chol[:r, :r], lower=1, overwrite_c=1)[0]    # reads the lower triangle only
+    np.copyto(inv_l, 0.0, where=np.tri(r, k=-1, dtype=bool).T)  # dpstrf kept kmm's upper part
+    return KernelRows(kernel, view, anchors), inv_l.T, anchors
 
 
 def _top_singular(c: np.ndarray, k: int):
@@ -334,7 +346,8 @@ def _cross_moment(view1, view2, weights=None):
     part = np.empty_like(c)
     for lo, _, (b1, b2) in _row_blocks((k1, k2), _PANEL_CELLS):
         c += np.matmul(b1.T, _weighted(b2, weights, lo), out=part)
-    return a1.T @ (c / k1.shape[0]) @ a2
+    c /= k1.shape[0]
+    return np.matmul(np.matmul(a1.T, c, out=part), a2, out=c)
 
 
 def _cross_moment_core(views, k, power_ss, weights=None):
@@ -347,7 +360,8 @@ def _cross_moment_core(views, k, power_ss, weights=None):
     decomposition recovers the eigenvalues and all three conditional feature
     means. Four passes over the rows, each needing the one before:
 
-    1. c12 = a1'(k1'k2/n)a2 = U S V', the only moment formed at feature size;
+    1. c12 = a1'(k1'k2/n)a2 = U S V', the only moment formed at feature size,
+       in one r x r array and one work buffer;
     2. g1 = k1 a1 U and g2 = k2 a2 V (n x k), with g1'k3 and g2'k3, which give
        V' c23 and U' c13: the maps are x1 = (f1 U S^-1)(V' c23) and
        x2 = (f2 V S^-1)(U' c13), whose cross moment lies in the 2k-dim row
@@ -356,9 +370,9 @@ def _cross_moment_core(views, k, power_ss, weights=None):
        the view-3 means m3 lie in span(q), the weights h = f3 pinv(m3)'/prior;
     4. k1'h and k2'h, the view-1 and view-2 means.
 
-    Memory is O(block r + n k). Count-table rows carry their counts as
-    ``weights``, which scale one factor of every sum over rows once normalised
-    to mean one; kernel fits pass none.
+    Beyond the factors and c12's two r x r arrays, memory is O(block r + n k).
+    Count-table rows carry their counts as ``weights``, which scale one factor
+    of every sum over rows once normalised to mean one; kernel fits pass none.
     """
     (k1, a1), (k2, a2), (k3, a3) = views
     n = k1.shape[0]

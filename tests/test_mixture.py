@@ -517,6 +517,35 @@ def test_discrete_fit_refuses_bad_row_counts(counts, error):
         fit_discrete_multiview(data["a1"], data["a2"], data["a3"], 2, counts=counts)
 
 
+LEVEL_READERS = {
+    "fit_discrete_multiview": lambda v: fit_discrete_multiview(v, v, v, 2, seed=0),
+    "fit_multitreatment": lambda v: fit_multitreatment(v, v, v, np.ones(v.shape[0]), 2,
+                                                       seed=0),
+    "scree_discrete": lambda v: scree_discrete(v, v),
+}
+
+
+@pytest.mark.parametrize("levels", [
+    np.array([0, 1, 2**63] * 10, dtype=np.uint64),
+    np.array([0.0, 1.0, 2.0**63] * 10),
+], ids=["uint64", "whole_float"])
+@pytest.mark.parametrize("reader", list(LEVEL_READERS))
+def test_levels_beyond_int64_are_refused(reader, levels):
+    # cast to int64 they wrap negative; no cast warning may leak either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidConfig):
+            LEVEL_READERS[reader](levels)
+
+
+@pytest.mark.parametrize("reader", list(LEVEL_READERS))
+def test_level_counts_beyond_the_table_budget_are_refused(reader):
+    levels = np.zeros(1000, dtype=int)
+    levels[0] = 10**6                                    # S x S tables of 7.3 TiB
+    with pytest.raises(InvalidConfig, match="S = 1000001 levels"):
+        LEVEL_READERS[reader](levels)
+
+
 def test_numpy_integer_seed_fits_as_the_plain_integer():
     data, _ = simulate_multitreatment(two_state_discrete(), 2000, seed=np.int64(7))
     assert np.array_equal(data["y"], simulate_multitreatment(
@@ -798,3 +827,35 @@ def test_posteriors_peak_memory_stays_far_below_one_landmark_gram():
     finally:
         tracemalloc.stop()
     assert peak <= 0.25 * n * m * 8
+
+
+def test_warm_kernel_fit_holds_at_most_nine_r_by_r_arrays():
+    # while c12 is summed: three factors, c12, its work buffer and two row
+    # panels (2.9 r^2 at r = 600); 8.0 r^2 measured, and 10.0 with a copy of
+    # c12 and two sandwich products
+    scenario = dataclasses.replace(three_cluster_gaussian(), proxy_sigma=2.4)
+    data, _ = simulate_multiproxy(scenario, 2000, seed=7)
+    views = data["z1"], data["z2"], data["z3"]
+    r = 600
+    kernel = KernelSpec(landmark_count=r)
+    fit_multiview(*views, 3, kernel=kernel, seed=0)     # warm: scipy's LAPACK and ARPACK
+    tracemalloc.start()
+    try:
+        est = fit_multiview(*views, 3, kernel=kernel, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.diagnostics["landmark_rank"] == [r] * 3
+    assert peak <= 9 * r * r * 8
+
+
+def test_fit_anchors_are_the_in_order_landmark_draws():
+    # views 1, 2 and 3 draw their landmarks in that order from one seeded stream
+    data, _ = simulate_multiproxy(three_cluster_gaussian(), 1500, seed=9)
+    views = [data[f"z{v}"] for v in (1, 2, 3)]
+    kernel = KernelSpec(landmark_count=300)
+    est = fit_multiview(*views, 3, kernel=kernel, seed=4)
+    rng = np.random.default_rng(mixture._seed_sequence(4).spawn(3)[1])
+    eager = [_nystrom_features(v, kernel, rng)[2] for v in views]
+    for got, want in zip(est.anchors, eager):
+        assert np.array_equal(got, want)
