@@ -5,15 +5,17 @@ that the design table in ``scenarios`` gives its mode, aligns the fitted
 components to the generating truth, and reports per-component errors.
 Trials are independent and seed-split up front. They run in a pool of
 ``workers`` processes, one per logical core unless the caller says
-otherwise. Pool workers run BLAS on one thread, so pooled rows can differ
-from inline ones by BLAS rounding, which depends on the thread count
-(about 1e-12 relative).
+otherwise. A fit's linear algebra all runs in numpy, on one OpenBLAS,
+which pool workers cap at one thread, so pooled rows can differ from
+inline ones by BLAS rounding, which depends on the thread count (about
+1e-12 relative).
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -27,25 +29,28 @@ from .mixture import _seed_sequence, align_permutation, fit_multiview
 from .multitreatment import fit_multitreatment
 from .scenarios import _DESIGNS
 
+_OPENBLAS_NAME = re.compile(r"lib(\w*?)openblas(64_)?", re.IGNORECASE)
 
-def _one_blas_thread(kernel_fits: bool = True) -> None:
-    """Pool initializer: each worker has a core, so cap every OpenBLAS a trial uses at one thread.
 
-    Kernel fits load scipy's LAPACK, which brings scipy's own OpenBLAS, on
-    first use; for pools that run them it is loaded here, so it is capped too.
+def _one_blas_thread() -> None:
+    """Pool initializer: each worker has a core, so cap every loaded OpenBLAS at one thread.
+
+    A fit's BLAS calls all go through numpy. An OpenBLAS built with a symbol
+    prefix or suffix carries them in its file name (lib<prefix>openblas<suffix>),
+    and its thread setter has the same ones.
     """
-    if kernel_fits:
-        import scipy.linalg.lapack  # noqa: F401
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-        for lib in map(ctypes.CDLL, paths):
-            for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                           "openblas_set_num_threads64_", "openblas_set_num_threads"):
-                if hasattr(lib, symbol):
-                    setter = getattr(lib, symbol)
-                    setter.argtypes, setter.restype = [ctypes.c_int], None
-                    setter(1)
+        for path in paths:
+            name = _OPENBLAS_NAME.match(os.path.basename(path))
+            if name is None:
+                continue
+            prefix, suffix = name.groups(default="")
+            setter = getattr(ctypes.CDLL(path), f"{prefix}openblas_set_num_threads{suffix}", None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
     except OSError:
         pass
 
@@ -117,8 +122,7 @@ def run_benchmark(mode: str, ns, trials: int, seed=0, workers: int | None = None
     if workers <= 1 or len(payloads) == 1:
         results = [_trial(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread,
-                                 initargs=(mode == "multiproxy",)) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             results = list(pool.map(_trial, payloads))
     return [row for rows in results for row in rows]
 

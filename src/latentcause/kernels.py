@@ -90,14 +90,15 @@ class KernelRows:
 def _row_blocks(sources, cells: int = _BLOCK_CELLS):
     """(lo, hi, blocks): rows lo:hi of each source, about ``cells`` entries apiece.
 
-    A source is a ``KernelRows``, evaluated into one buffer that every block
-    reuses (fresh pages cost as much as the kernel arithmetic), so a block is
-    valid only until the next is drawn; or an n x r ndarray, sliced, which
-    serves one-hot views and test fixtures.
+    A source is an n x r ndarray, sliced, which serves test fixtures; or a
+    row source with ``shape`` and ``fill(lo, out)``, such as ``KernelRows``,
+    evaluated into one buffer that every block reuses (fresh pages cost as
+    much as the kernel arithmetic), so a block is valid only until the next
+    is drawn.
     """
     n = sources[0].shape[0]
     step = max(1, cells // max(max(src.shape[1] for src in sources), 1))
-    bufs = [np.empty((min(step, n), src.shape[1])) if isinstance(src, KernelRows) else None
+    bufs = [None if isinstance(src, np.ndarray) else np.empty((min(step, n), src.shape[1]))
             for src in sources]
     for lo in range(0, n, step):
         hi = min(lo + step, n)

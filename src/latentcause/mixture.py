@@ -40,6 +40,7 @@ from .kernels import (
     _row_product,
     gram,
 )
+from .linalg import _lanczos_svd, _pivoted_cholesky, _triangular_inverse
 from .tensor_spectral import build_whitener, robust_power_method, whitened_third_moment
 
 DENSITY_FLOOR = 1e-12
@@ -289,49 +290,43 @@ def _nystrom_features(view, kernel, rng):
     is a ``KernelRows`` source of the n x r kernel against them and ``factor``
     the inverse transpose of the r x r triangle. The features then have
     identity second moment over the anchors, and the view's density
-    coefficients are ``factor @ feature_means``. scipy's LAPACK is imported
-    here, so only kernel fits and ``scree`` load it.
+    coefficients are ``factor @ feature_means``. The factor and its inverse
+    run in numpy, in place in the gram, so the fit's BLAS calls share one pool.
     """
-    from scipy.linalg.lapack import dpstrf, dtrtri
-
     n = view.shape[0]
     n_a = min(n, kernel.landmark_count)
     idx = np.sort(rng.choice(n, size=n_a, replace=False)) if n_a < n else np.arange(n)
     landmarks = view[idx]
     kmm = gram(kernel, landmarks, landmarks)
-    chol, piv, r, _ = dpstrf(kmm, lower=1, tol=PIVOT_FLOOR)
+    piv, r = _pivoted_cholesky(kmm, PIVOT_FLOOR)
+    anchors = landmarks[piv[:r]]
+    inv_l = kmm if r == n_a else kmm[:r, :r].copy()
     del kmm
-    anchors = landmarks[piv[:r] - 1]
-    inv_l = dtrtri(chol[:r, :r], lower=1, overwrite_c=1)[0]    # reads the lower triangle only
-    np.copyto(inv_l, 0.0, where=np.tri(r, k=-1, dtype=bool).T)  # dpstrf kept kmm's upper part
+    np.copyto(inv_l, 0.0, where=np.tri(r, k=-1, dtype=bool).T)  # scratch above the diagonal
+    _triangular_inverse(inv_l)
     return KernelRows(kernel, view, anchors), inv_l.T, anchors
 
 
 def _top_singular(c: np.ndarray, k: int):
     """Top k singular triplets (u, s, v) of c, fails loudly when s_k dies.
 
-    ARPACK finds k + 1 triplets where c allows and is wider than DENSE_SVD_MAX
-    on its smaller side (few one-hot levels take a dense SVD, which is faster
-    there); the margin s_k / s_(k+1) is None without a nonzero (k+1)-th value.
+    Golub-Kahan-Lanczos finds k + 1 triplets where c allows and is wider
+    than DENSE_SVD_MAX on its smaller side (few one-hot levels take a dense
+    SVD, which is faster there); the margin s_k / s_(k+1) is None without a
+    nonzero (k+1)-th value.
     """
     if min(c.shape) > max(k + 1, DENSE_SVD_MAX):
-        from scipy.sparse.linalg import ArpackError, svds
-
         v0 = np.random.default_rng(0).standard_normal(min(c.shape))
-        try:
-            u, s, vt = svds(c, k=k + 1, v0=v0, tol=0)
-        except ArpackError as exc:
-            raise NonConvergence(f"truncated SVD of a cross moment failed: {exc}") from exc
-        order = np.argsort(s)[::-1]
-        u, s, vt = u[:, order], s[order], vt[order]
+        u, s, v = _lanczos_svd(c, k + 1, v0)
     else:
         u, s, vt = np.linalg.svd(c, full_matrices=False)
+        v = vt.T
     tail = s[k - 1] if s.shape[0] >= k else 0.0
     if tail < RANK_FLOOR_REL * max(s[0], 1e-300):
         raise RankDeficiency(f"cross-moment singular value {k} is {tail:.3e}; "
                              "views carry fewer than K components")
     margin = float(s[k - 1] / s[k]) if s.shape[0] > k and s[k] > 0 else None
-    return u[:, :k], s[:k], vt[:k].T, margin
+    return u[:, :k], s[:k], v[:, :k], margin
 
 
 def _weighted(rows, weights, lo=0):
@@ -414,8 +409,9 @@ def _cross_moment_core(views, k, power_ss, weights=None):
 def fit_discrete_multiview(a1, a2, a3, k: int, seed=0, counts=None) -> MixtureEstimate:
     """Mixture fit for three categorical views coded 0..S-1.
 
-    The one-hot features of the distinct observed triples, paired with an
-    identity factor and weighted by their row counts, feed the shared
+    The one-hot features of the distinct observed triples, streamed a row
+    block at a time, paired with an identity factor and weighted by their
+    row counts, feed the shared
     cross-moment decomposition; recovered conditional means are clamped at the
     density floor and renormalized into column-stochastic emission matrices.
     k = 1 short-circuits to empirical marginals. ``counts``, one nonnegative
@@ -440,14 +436,32 @@ def fit_discrete_multiview(a1, a2, a3, k: int, seed=0, counts=None) -> MixtureEs
 
     power_ss = _seed_sequence(seed).spawn(1)[0]
     eye = np.eye(s)
-    lam, means, info = _cross_moment_core([(eye[t], eye) for t in triples], k, power_ss,
-                                          counts)
+    lam, means, info = _cross_moment_core([(_OneHotRows(t, s), eye) for t in triples], k,
+                                          power_ss, counts)
     emissions = tuple(_stochastic_columns(m) for m in means)
     info.update(method="discrete_cross_moment", levels=s)
     return MixtureEstimate(
         backend="discrete", lambdas=lam, emissions=emissions,
         seed=int(seed), diagnostics=info,
     )
+
+
+class _OneHotRows:
+    """Row source of the one-hot rows of ``levels`` over s levels, for ``_row_blocks``.
+
+    Like ``KernelRows``, it writes rows into a buffer that every block reuses,
+    so no P x S array of the P distinct triples is formed.
+    """
+
+    def __init__(self, levels: np.ndarray, s: int):
+        self._levels = levels
+        self.shape = (levels.shape[0], s)
+
+    def fill(self, lo: int, out: np.ndarray) -> np.ndarray:
+        """Write rows lo .. lo + len(out) into ``out``."""
+        out.fill(0.0)
+        out[np.arange(out.shape[0]), self._levels[lo:lo + out.shape[0]]] = 1.0
+        return out
 
 
 def _checked_levels(a1, a2, a3, k, seed):

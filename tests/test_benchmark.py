@@ -153,8 +153,8 @@ if __name__ == "__main__":
 
 
 def test_pool_workers_cap_the_openblas_a_kernel_fit_loads(tmp_path):
-    # scipy's OpenBLAS arrives with the first kernel fit, after the pool
-    # initializer ran, unless the initializer loads it first
+    # a kernel fit in a pool worker runs every BLAS call on the one thread the
+    # initializer set: it loads no OpenBLAS of its own after the initializer ran
     try:
         inline = _openblas_thread_counts()
     except OSError:

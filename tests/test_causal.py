@@ -237,17 +237,48 @@ assert lc.mt_ate(lc.load_model(path), (1, 1, 1)) == lc.mt_ate(model, (1, 1, 1))
 """
 
 
+_KERNEL_AND_WIDE_DISCRETE_FITS = """
+import sys
+import numpy as np
+import latentcause as lc
+data, _ = lc.simulate_multiproxy(lc.three_cluster_gaussian(), 600, seed=3)
+kernel = lc.KernelSpec(landmark_count=200)
+model = lc.fit_effects(data, lc.fit_multiview(data["z1"], data["z2"], data["z3"], 3,
+                                              kernel=kernel, seed=0))
+lc.scree(data["z1"], data["z2"], kernel=kernel, max_k=5)
+path = sys.argv[1]
+lc.save_model(path, model)
+assert lc.estimate_ate(lc.load_model(path), 1.0) == lc.estimate_ate(model, 1.0)
+rng = np.random.default_rng(3)
+u = rng.integers(0, 2, size=5000)
+views = [np.where(rng.random(5000) < 0.7, 40 * u + rng.integers(0, 40, 5000),
+                  rng.integers(0, 80, 5000)) for _ in range(3)]
+assert lc.fit_discrete_multiview(*views, 2, seed=0).emissions[0].shape == (80, 2)
+"""
+
+
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
-    # the Gaussian densities are written out, the normal equations and the
-    # component matching use numpy, and scipy's LAPACK and ARPACK are imported
-    # by kernel fits only: neither the import nor a multitreatment fit, its
-    # effect and a save/load round trip load any scipy module
+    # the Gaussian densities are written out and the normal equations and the
+    # component matching use numpy: neither the import nor a multitreatment
+    # fit, its effect and a save/load round trip load any scipy module
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     report = "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     for code in ("import latentcause", _MULTITREATMENT_ROUND_TRIP):
         out = subprocess.run([sys.executable, "-c", code + report, str(tmp_path / "mt.json")],
                              capture_output=True, text=True, check=True, env=env)
         assert out.stdout.strip() == "[]", code
+
+
+def test_no_fit_loads_scipy(tmp_path):
+    # the landmark factor, its inverse and the truncated SVD run in numpy: a
+    # kernel fit with its effects, scree, a save/load round trip and a
+    # discrete fit over more than DENSE_SVD_MAX levels load no scipy module
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    report = "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", _KERNEL_AND_WIDE_DISCRETE_FITS + report,
+                          str(tmp_path / "kernel.json")],
+                         capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_update_posteriors_matches_loop_oracle(proxy_case):

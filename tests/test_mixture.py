@@ -8,7 +8,6 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from latentcause import (
     DimensionMismatch,
@@ -16,6 +15,7 @@ from latentcause import (
     InvalidConfig,
     KernelSpec,
     LatentCauseError,
+    NonConvergence,
     PosteriorMatrix,
     RankDeficiency,
     align_permutation,
@@ -35,13 +35,14 @@ from latentcause import (
     three_cluster_gaussian,
     two_state_discrete,
 )
-from latentcause import mixture
+from latentcause import linalg, mixture
 from latentcause.kernels import _BLOCK_CELLS, KernelRows, gram
 from latentcause.mixture import (
     _PANEL_CELLS,
     DENSE_SVD_MAX,
     _cross_moment_core,
     _nystrom_features,
+    _triple_table,
 )
 from latentcause.tensor_spectral import (
     build_whitener,
@@ -724,26 +725,40 @@ def test_rank_deficient_features_raise_through_truncated_svd(monkeypatch):
     hidden = rng.standard_normal((n, k - 1))
     feats = [hidden @ rng.standard_normal((k - 1, m)) for _ in range(3)]
     calls = []
+    exact = mixture._lanczos_svd
 
-    def counting_svds(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svds(*args, **kwargs)
+    def counting_lanczos(c, *args):
+        calls.append(c.shape)
+        return exact(c, *args)
 
-    monkeypatch.setattr("scipy.sparse.linalg.svds", counting_svds)
+    monkeypatch.setattr(mixture, "_lanczos_svd", counting_lanczos)
     with pytest.raises(RankDeficiency):
         _cross_moment_core([(f, np.eye(m)) for f in feats], k, np.random.SeedSequence(0))
     assert calls == [(m, m)]
 
 
-def test_arpack_failure_surfaces_as_typed_error(monkeypatch):
-    def fail(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
-
-    monkeypatch.setattr("scipy.sparse.linalg.svds", fail)
+def test_truncated_svd_step_cap_surfaces_as_typed_error(monkeypatch):
+    monkeypatch.setattr(linalg, "_KRYLOV_STEPS", 3)
     views, _ = symmetric_views([0.5, 0.5], 300, seed=15)
     kernel = KernelSpec(bandwidth=0.15)      # keeps about 80 landmarks, above DENSE_SVD_MAX
-    with pytest.raises(LatentCauseError):
+    with pytest.raises(NonConvergence, match="3 Lanczos steps"):
         fit_multiview(*views, 2, kernel=kernel, seed=0)
+
+
+def test_discrete_fit_streams_its_one_hot_rows():
+    # 300 levels over 10,000 rows: nearly every triple is distinct, and the
+    # three one-hot arrays of the distinct triples would take 3 P S floats
+    rng = np.random.default_rng(23)
+    s, n = 300, 10_000
+    views = [rng.integers(0, s, size=n) for _ in range(3)]
+    p = _triple_table(views, s)[1].shape[0]
+    tracemalloc.start()
+    try:
+        fit_discrete_multiview(*views, 2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= p * s * 8
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +853,7 @@ def test_warm_kernel_fit_holds_at_most_nine_r_by_r_arrays():
     views = data["z1"], data["z2"], data["z3"]
     r = 600
     kernel = KernelSpec(landmark_count=r)
-    fit_multiview(*views, 3, kernel=kernel, seed=0)     # warm: scipy's LAPACK and ARPACK
+    fit_multiview(*views, 3, kernel=kernel, seed=0)     # warm: first-call set-up
     tracemalloc.start()
     try:
         est = fit_multiview(*views, 3, kernel=kernel, seed=0)
