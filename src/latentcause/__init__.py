@@ -14,9 +14,6 @@ from .causal import (
     estimate_ate,
     estimate_cate,
     fit_effects,
-    fit_outcome,
-    fit_treatment,
-    update_posteriors,
 )
 from .dataio import (
     load_model,
@@ -43,7 +40,7 @@ from .errors import (
     SingularSystem,
     UnfittedModel,
 )
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec
 from .mixture import (
     MixtureEstimate,
     PosteriorMatrix,
@@ -52,7 +49,6 @@ from .mixture import (
     fit_discrete_multiview,
     fit_multiview,
     posteriors,
-    priors_from_lambdas,
     scree,
     scree_discrete,
     select_rank,
@@ -74,13 +70,6 @@ from .scenarios import (
     true_ate_multiproxy,
     true_ate_multitreatment,
     two_state_discrete,
-)
-from .tensor_spectral import (
-    TensorEigenSet,
-    Whitener,
-    build_whitener,
-    robust_power_method,
-    whitened_third_moment,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ class DimensionMismatch(LatentCauseError):
 
 
 class NonConvergence(LatentCauseError):
-    """An iterative solver (the tensor eigenvector polish, ARPACK) did not converge."""
+    """An iterative solver (the tensor eigenvector polish, the Lanczos SVD) did not converge."""
 
 
 class RankDeficiency(LatentCauseError):

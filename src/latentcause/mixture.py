@@ -134,15 +134,12 @@ class PosteriorMatrix:
     """Per-sample component weights; rows are probability vectors."""
 
     weights: np.ndarray
-    flavor: str                              # proxy_only | treatment_updated
     fallback_count: int = 0
 
     def __post_init__(self):
         w = _floats(self.weights, "posterior entries")
         if w.ndim != 2:
             raise DimensionMismatch(f"weights must be 2-d, got shape {w.shape}")
-        if self.flavor not in ("proxy_only", "treatment_updated"):
-            raise InvalidConfig(f"unknown flavor {self.flavor!r}")
         if np.any(w < -1e-12) or np.any(w > 1.0 + 1e-12):
             raise InvalidConfig("posterior entries must lie in [0, 1]")
         if w.size and np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-12:
@@ -233,9 +230,8 @@ def priors_from_lambdas(lambdas: np.ndarray):
     clamped to [1e-6, 1] (finite samples can push them outside the simplex)
     and renormalized to sum to 1.
     """
-    lam = _floats(lambdas, "lambdas")
     with np.errstate(divide="ignore"):
-        raw = lam ** -2.0
+        raw = lambdas ** -2.0
     clipped = np.clip(raw, PRIOR_MIN, PRIOR_MAX)
     return raw, clipped / clipped.sum()
 
@@ -383,6 +379,8 @@ def _cross_moment_core(views, k, power_ss, weights=None):
         c23 += _weighted(g2[lo:hi], r, lo).T @ k3b
     b1, b2 = c23 @ a3 / n, c13 @ a3 / n              # V' c23, U' c13
     q = np.linalg.qr(np.vstack((b1, b2)).T)[0]       # r3 x 2k orthonormal
+    if q.shape[1] < k:                               # q has min(r3, 2k) columns
+        raise RankDeficiency(f"view 3's features have rank {q.shape[1]}, below k={k}")
     e1, e2 = b1 @ q / s[:, None], b2 @ q / s[:, None]   # x1 q = g1 e1, x2 q = g2 e2
     cross = e1.T @ (g1.T @ _weighted(g2, r) / n) @ e2
     whitener = build_whitener((cross + cross.T) / 2.0, k)
@@ -577,10 +575,10 @@ def posteriors(est: MixtureEstimate, z1, z2, z3) -> PosteriorMatrix:
         log_w += np.log(dm)
 
     return _bayes_rows(log_w, at_floor.all(axis=1), np.broadcast_to(est.priors, (n, k)),
-                       "proxy_only", _FLOOR_FALLBACK)
+                       _FLOOR_FALLBACK)
 
 
-def _bayes_rows(log_w, fallback, replacement, flavor: str, reason: str) -> PosteriorMatrix:
+def _bayes_rows(log_w, fallback, replacement, reason: str) -> PosteriorMatrix:
     """Posterior rows from n x K log weights, normalised after a row-max shift.
 
     A row falls back to its row of ``replacement`` when ``fallback`` flags
@@ -597,7 +595,7 @@ def _bayes_rows(log_w, fallback, replacement, flavor: str, reason: str) -> Poste
         w[fallback] = replacement[fallback]
         warnings.warn(f"{count} of {w.shape[0]} rows {reason}", RuntimeWarning,
                       stacklevel=3)
-    return PosteriorMatrix(weights=w, flavor=flavor, fallback_count=count)
+    return PosteriorMatrix(weights=w, fallback_count=count)
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,7 @@ def oracle_posteriors(s: MultiProxyScenario, data: dict,
     log_w -= log_w.max(axis=1, keepdims=True)
     w = np.exp(log_w)
     w /= w.sum(axis=1, keepdims=True)
-    return PosteriorMatrix(weights=w, flavor=flavor)
+    return PosteriorMatrix(weights=w)
 
 
 def oracle_discrete_posteriors(s: MultiTreatmentScenario, data: dict) -> PosteriorMatrix:
@@ -273,7 +273,7 @@ def oracle_discrete_posteriors(s: MultiTreatmentScenario, data: dict) -> Posteri
     log_w -= log_w.max(axis=1, keepdims=True)
     w = np.exp(log_w)
     w /= w.sum(axis=1, keepdims=True)
-    return PosteriorMatrix(weights=w, flavor="proxy_only")
+    return PosteriorMatrix(weights=w)
 
 
 def true_ate_multiproxy(s: MultiProxyScenario, a: float) -> float:

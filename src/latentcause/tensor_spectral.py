@@ -5,6 +5,7 @@ orthogonal decomposition: the eigenvectors of one random slice T(I, I, theta)
 (simultaneous diagonalization), each polished by power steps on the tensor
 with the earlier rank-1 terms deflated. Tensors are plain dense symmetric
 K x K x K arrays; K is the number of latent components and stays small.
+The fits in ``mixture`` build every input, so nothing here re-checks them.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateSpectrum, DimensionMismatch, EmptyInput, NonConvergence, _floats,
-                     _integer)
+from .errors import DegenerateSpectrum, NonConvergence
 
 EIG_FLOOR_REL = 1e-10
 SLICE_DRAWS = 3
@@ -48,10 +48,6 @@ def build_whitener(m: np.ndarray, k: int) -> Whitener:
     requested K exceeds what the data supports, and we fail loudly rather
     than regularize.
     """
-    m = _floats(m, "moment entries")
-    k = _integer(k, "component count must be a positive integer", 1)
-    if m.ndim != 2 or not k <= m.shape[0] == m.shape[1]:
-        raise DimensionMismatch(f"cannot take k={k} eigenpairs of a {m.shape} moment")
     vals, vecs = np.linalg.eigh(m)
     vals, vecs = vals[::-1][:k], vecs[:, ::-1][:, :k]
     floor = EIG_FLOOR_REL * max(float(vals[0]), 0.0)
@@ -71,11 +67,6 @@ def whitened_third_moment(xi1: np.ndarray, xi2: np.ndarray,
     view. The estimate averages the rank-1 tensor of every sample over all
     orderings of the three views, which makes the result exactly symmetric.
     """
-    xi1, xi2, xi3 = (np.atleast_2d(_floats(x, "whitened features")) for x in (xi1, xi2, xi3))
-    if xi1.shape[0] == 0:
-        raise EmptyInput("no whitened triples supplied")
-    if not (xi1.shape == xi2.shape == xi3.shape):
-        raise DimensionMismatch("whitened views must share one shape")
     raw = np.einsum("ni,nj,nk->ijk", xi1, xi2, xi3) / xi1.shape[0]
     return sum(raw.transpose(p) for p in itertools.permutations(range(3))) / 6.0
 
@@ -93,12 +84,6 @@ def robust_power_method(t: np.ndarray, k: int,
     largest eigenvalue found means the tensor carries fewer than k components.
     ``seed`` is a nonnegative integer or the SeedSequence a fit hands down.
     """
-    t = _floats(t, "tensor entries")
-    k = _integer(k, "component count must be a positive integer", 1)
-    if t.ndim != 3 or len(set(t.shape)) != 1 or k > t.shape[0]:
-        raise DimensionMismatch(f"cannot extract {k} components from a {t.shape} tensor")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = _integer(seed, "seed must be a nonnegative integer", 0)
     thetas = np.random.default_rng(seed).standard_normal((SLICE_DRAWS, t.shape[0]))
     thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
     vals, vecs = np.linalg.eigh(np.moveaxis(t @ thetas.T, -1, 0))

@@ -26,11 +26,11 @@ def discrete_case():
 
 @pytest.fixture()
 def one_hot_weights():
-    def build(labels, k, flavor="proxy_only"):
+    def build(labels, k):
         from latentcause import PosteriorMatrix
 
         w = np.zeros((labels.shape[0], k))
         w[np.arange(labels.shape[0]), labels] = 1.0
-        return PosteriorMatrix(weights=w, flavor=flavor)
+        return PosteriorMatrix(weights=w)
 
     return build

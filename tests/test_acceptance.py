@@ -19,8 +19,6 @@ from latentcause import (
     fit_effects,
     fit_multitreatment,
     fit_multiview,
-    fit_outcome,
-    fit_treatment,
     load_model,
     mt_ate,
     posteriors,
@@ -33,6 +31,7 @@ from latentcause import (
     two_state_discrete,
     write_dataset,
 )
+from latentcause.causal import fit_outcome, fit_treatment
 from latentcause.cli import main
 from latentcause.tensor_spectral import (
     build_whitener,
@@ -174,7 +173,7 @@ def test_criterion_6_oracle_equivalence_suite(proxy_case, discrete_case,
     hot = one_hot_weights(labels, 3)
     alpha = fit_treatment(data["a"], data["z1"], hot).alpha
     ols_alpha = per_group_ols(data["z1"], data["a"], labels, 3)
-    hot_out = one_hot_weights(labels, 3, flavor="treatment_updated")
+    hot_out = one_hot_weights(labels, 3)
     om = fit_outcome(data["a"], data["z1"], data["y"], hot_out)
     feats = np.column_stack([np.ones(labels.shape[0]), data["a"], data["z1"]])
     ols_beta = per_group_ols(feats, data["y"], labels, 3)

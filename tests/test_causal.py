@@ -19,25 +19,26 @@ from latentcause import (
     PosteriorMatrix,
     SingularSystem,
     align_permutation,
-    build_whitener,
     estimate_ate,
     estimate_cate,
     fit_effects,
     fit_multitreatment,
     fit_multiview,
-    fit_outcome,
-    fit_treatment,
-    gram,
     mt_ate,
     mt_cate,
     oracle_posteriors,
     posteriors,
-    priors_from_lambdas,
     select_rank,
     true_ate_multiproxy,
+)
+from latentcause.causal import (
+    _component_means,
+    _regressors,
+    fit_outcome,
+    fit_treatment,
     update_posteriors,
 )
-from latentcause.causal import _component_means, _regressors
+from latentcause.kernels import gram
 
 from oracles import (
     per_group_mean_sq_residual,
@@ -83,7 +84,7 @@ def small_models(proxy_case, discrete_case):
     _, mt_data, _ = discrete_case
     mt = fit_multitreatment(mt_data["a1"], mt_data["a2"], mt_data["a3"],
                             mt_data["y"], 2, seed=0)
-    w = PosteriorMatrix(weights=np.full((5, 3), 1.0 / 3.0), flavor="proxy_only")
+    w = PosteriorMatrix(weights=np.full((5, 3), 1.0 / 3.0))
     return ce, mt, part["z1"][:5], part["a"][:5], w
 
 
@@ -92,8 +93,6 @@ PREDICTION_EDGES = {
     "regressor_rows": lambda ce, mt, z, a, w: _regressors(np.ones(3), np.ones((4, 1))),
     "cate_wide_z": lambda ce, mt, z, a, w: estimate_cate(ce.outcome, 0, 1.0,
                                                          z=np.zeros(4)),
-    "update_narrow_z": lambda ce, mt, z, a, w: update_posteriors(w, ce.treatment,
-                                                                 a, z[:, :2]),
     "ate_two_levels": lambda ce, mt, z, a, w: estimate_ate(ce, [1.0, 2.0]),
     "mt_cate_two_treatments": lambda ce, mt, z, a, w: mt_cate(mt, 0, (1, 1)),
     "mt_ate_four_treatments": lambda ce, mt, z, a, w: mt_ate(mt, (1, 1, 1, 1)),
@@ -112,16 +111,12 @@ def _with_nan(x):
     return out
 
 
-def _updated(w):
-    return PosteriorMatrix(weights=w.weights, flavor="treatment_updated")
-
-
 # every stage and prediction builds its regressors in one place, which
 # refuses non-finite treatment or z values
 NON_FINITE_INPUTS = {
     "fit_treatment_z": lambda ce, mt, z, a, w: fit_treatment(a, _with_nan(z), w),
-    "fit_outcome_a": lambda ce, mt, z, a, w: fit_outcome(_with_nan(a), z, a, _updated(w)),
-    "fit_outcome_z": lambda ce, mt, z, a, w: fit_outcome(a, _with_nan(z), a, _updated(w)),
+    "fit_outcome_a": lambda ce, mt, z, a, w: fit_outcome(_with_nan(a), z, a, w),
+    "fit_outcome_z": lambda ce, mt, z, a, w: fit_outcome(a, _with_nan(z), a, w),
     "update_posteriors_z": lambda ce, mt, z, a, w: update_posteriors(
         w, ce.treatment, a, _with_nan(z)),
     "cate_a": lambda ce, mt, z, a, w: estimate_cate(ce.outcome, 0, np.nan, z=z[0]),
@@ -148,22 +143,17 @@ NON_NUMERIC_INPUTS = {
     "estimate_cate": lambda ce, mt, z, a, w, bad: estimate_cate(ce.outcome, 0, bad, z=z[0]),
     "mt_ate": lambda ce, mt, z, a, w, bad: mt_ate(mt, (bad, 1, 1)),
     "mt_cate": lambda ce, mt, z, a, w, bad: mt_cate(mt, 0, (1, bad, 1)),
-    "fit_treatment_a": lambda ce, mt, z, a, w, bad: fit_treatment([bad, *a[1:]], z, w),
     "fit_multitreatment_y": lambda ce, mt, z, a, w, bad: fit_multitreatment(
         [0, 1, 1], [1, 0, 1], [0, 0, 1], [bad, 1.0, 2.0], 1),
     "align_permutation": lambda ce, mt, z, a, w, bad: align_permutation(
         [[bad], [1.0]], [[0.0], [1.0]]),
-    "priors_from_lambdas": lambda ce, mt, z, a, w, bad: priors_from_lambdas([bad, 1.0]),
-    "build_whitener": lambda ce, mt, z, a, w, bad: build_whitener(
-        [[bad, 0.0], [0.0, 1.0]], 1),
     "gram": lambda ce, mt, z, a, w, bad: gram(KernelSpec(), [[bad]], [[0.0]]),
     "select_rank": lambda ce, mt, z, a, w, bad: select_rank([bad, 1.0]),
 }
 
 
 @pytest.mark.parametrize("case, bad", [(case, "x") for case in NON_NUMERIC_INPUTS] + [
-    (case, np.nan) for case in ("fit_treatment_a", "fit_multitreatment_y",
-                                "align_permutation", "priors_from_lambdas", "build_whitener",
+    (case, np.nan) for case in ("fit_multitreatment_y", "align_permutation",
                                 "gram")] + [(case, "3") for case in NON_NUMERIC_INPUTS] + [
     ("estimate_ate", b"1")])
 def test_non_numeric_input_raises_invalid_config(small_models, case, bad):
@@ -286,7 +276,6 @@ def test_update_posteriors_matches_loop_oracle(proxy_case):
     w = oracle_posteriors(scenario, data)
     tm = fit_treatment(data["a"], data["z1"], w)
     updated = update_posteriors(w, tm, data["a"], data["z1"])
-    assert updated.flavor == "treatment_updated"
     for i in range(50):
         means = [float(tm.alpha[u] @ data["z1"][i]) for u in range(3)]
         want = treatment_updated_row(w.weights[i], float(data["a"][i]),
@@ -324,13 +313,6 @@ def test_update_posteriors_is_oracle_fixed_point(proxy_case):
     assert np.max(np.abs(updated.weights - want.weights)) <= 1e-10
 
 
-def test_fit_treatment_rejects_updated_flavor(proxy_case):
-    scenario, data, _ = proxy_case
-    w = oracle_posteriors(scenario, data, flavor="treatment_updated")
-    with pytest.raises(InvalidConfig):
-        fit_treatment(data["a"], data["z1"], w)
-
-
 def test_variance_floor_clamps_deterministic_treatment(one_hot_weights):
     rng = np.random.default_rng(0)
     z = rng.standard_normal((200, 2))
@@ -356,7 +338,7 @@ def fitted_estimate(scenario, data, seed=0):
 
 def test_one_hot_outcome_equals_per_group_ols(proxy_case, one_hot_weights):
     scenario, data, labels = proxy_case
-    w = one_hot_weights(labels, 3, flavor="treatment_updated")
+    w = one_hot_weights(labels, 3)
     om = fit_outcome(data["a"], data["z1"], data["y"], w)
     feats = np.column_stack([np.ones(labels.shape[0]), data["a"], data["z1"]])
     want = per_group_ols(feats, data["y"], labels, 3)
@@ -432,7 +414,7 @@ def test_single_component_reduces_to_ols(one_hot_weights):
     z = rng.standard_normal((n, 2))
     a = z @ np.array([1.0, -0.5]) + 0.3 * rng.standard_normal(n)
     y = 2.0 + 1.5 * a + z @ np.array([0.5, 0.25]) + 0.2 * rng.standard_normal(n)
-    w = one_hot_weights(np.zeros(n, dtype=int), 1, flavor="treatment_updated")
+    w = one_hot_weights(np.zeros(n, dtype=int), 1)
     om = fit_outcome(a, z, y, w)
     feats = np.column_stack([np.ones(n), a, z])
     want, *_ = np.linalg.lstsq(feats, y, rcond=None)
@@ -480,13 +462,29 @@ def test_stacked_solver_raises_when_ridge_ladder_exhausted(one_hot_weights):
             fit_treatment(a, huge, w)
 
 
-def test_empty_and_nonfinite_inputs_rejected(one_hot_weights):
-    w = one_hot_weights(np.zeros(0, dtype=int), 1)
-    with pytest.raises(EmptyInput):
-        fit_treatment(np.zeros(0), np.zeros((0, 2)), w)
-    w2 = one_hot_weights(np.zeros(3, dtype=int), 1, flavor="treatment_updated")
-    with pytest.raises(InvalidConfig):
-        fit_outcome(np.ones(3), np.ones((3, 1)), np.array([1.0, np.nan, 2.0]), w2)
+# fit_effects reads the treatment and outcome columns once, before any stage
+# runs; each case edits a copy of the first rows: (edit, error, message)
+FIT_EFFECTS_REFUSALS = {
+    "a_nan": (lambda d: {**d, "a": _with_nan(d["a"])}, InvalidConfig,
+              "treatment values must be finite"),
+    "a_text": (lambda d: {**d, "a": ["x", *d["a"][1:]]}, InvalidConfig,
+               "treatment values must be numbers"),
+    "a_numeric_text": (lambda d: {**d, "a": ["3", *d["a"][1:]]}, InvalidConfig,
+                       "treatment values must be numbers"),
+    "y_nan": (lambda d: {**d, "y": _with_nan(d["y"])}, InvalidConfig,
+              "outcome values must be finite"),
+    "a_short": (lambda d: {**d, "a": d["a"][1:]}, DimensionMismatch, None),
+    "y_short": (lambda d: {**d, "y": d["y"][1:]}, DimensionMismatch, None),
+    "no_rows": (lambda d: {key: col[:0] for key, col in d.items()}, EmptyInput, None),
+}
+
+
+@pytest.mark.parametrize("case", list(FIT_EFFECTS_REFUSALS))
+def test_fit_effects_refuses_bad_treatment_and_outcome(proxy_case, small_models, case):
+    _, data, _ = proxy_case
+    edit, error, message = FIT_EFFECTS_REFUSALS[case]
+    with pytest.raises(error, match=message):
+        fit_effects(edit({key: col[:40] for key, col in data.items()}), small_models[0].mixture)
 
 
 def test_fit_effects_requires_complete_data(proxy_case):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from latentcause import InvalidConfig, KernelSpec, gram
+from latentcause import InvalidConfig, KernelSpec
+from latentcause.kernels import gram
 from latentcause.kernels import _BLOCK_CELLS, KernelRows, _row_product
 
 

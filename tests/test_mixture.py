@@ -26,7 +26,6 @@ from latentcause import (
     mt_cate,
     oracle_posteriors,
     posteriors,
-    priors_from_lambdas,
     run_benchmark,
     scree,
     scree_discrete,
@@ -43,6 +42,7 @@ from latentcause.mixture import (
     _cross_moment_core,
     _nystrom_features,
     _triple_table,
+    priors_from_lambdas,
 )
 from latentcause.tensor_spectral import (
     build_whitener,
@@ -108,7 +108,6 @@ def test_posteriors_rows_are_stochastic():
     views, _ = symmetric_views([0.3, 0.7], 2000, seed=8)
     est = fit_multiview(*views, 2, kernel=KernelSpec(bandwidth=0.6), seed=0)
     w = posteriors(est, *views)
-    assert w.flavor == "proxy_only"
     assert np.all(w.weights >= 0.0)
     assert np.max(np.abs(w.weights.sum(axis=1) - 1.0)) <= 1e-12
 
@@ -185,6 +184,14 @@ def test_rank_deficiency_when_views_lack_components():
                                                     landmark_count=30), seed=0)
 
 
+def test_rank_deficiency_when_view_three_lacks_components():
+    # views 1 and 2 carry k components and view 3 one: its span is too narrow to whiten
+    data, _ = simulate_multiproxy(three_cluster_gaussian(), 600, seed=3)
+    with pytest.raises(RankDeficiency, match="view 3's features have rank 1, below k=2"):
+        fit_multiview(data["z1"], data["z2"], np.zeros_like(data["z3"]), 2,
+                      kernel=KernelSpec(landmark_count=100), seed=0)
+
+
 def test_align_permutation_matches_brute_force():
     rng = np.random.default_rng(13)
     for _ in range(20):
@@ -244,11 +251,9 @@ def test_kernel_posteriors_fall_back_to_priors_at_the_density_floor():
 
 def test_posterior_matrix_validation():
     with pytest.raises(InvalidConfig):
-        PosteriorMatrix(weights=np.array([[0.5, 0.6]]), flavor="proxy_only")
-    with pytest.raises(InvalidConfig):
-        PosteriorMatrix(weights=np.array([[0.5, 0.5]]), flavor="rumor")
+        PosteriorMatrix(weights=np.array([[0.5, 0.6]]))
     with pytest.raises(DimensionMismatch):
-        PosteriorMatrix(weights=np.ones(3), flavor="proxy_only")
+        PosteriorMatrix(weights=np.ones(3))
 
 
 def _fit_with_bad_value(bad):
@@ -269,7 +274,7 @@ def _posteriors_with_bad_value(bad):
 
 
 def _posterior_matrix_with_bad_value(bad):
-    PosteriorMatrix(weights=np.array([[0.5, 0.5], [bad, 1.0]]), flavor="proxy_only")
+    PosteriorMatrix(weights=np.array([[0.5, 0.5], [bad, 1.0]]))
 
 
 @functools.lru_cache(maxsize=None)
