@@ -6,8 +6,8 @@ intercept: one stacked weighted least-squares solve for the mean
 coefficients, then a residual decomposition for the per-component noise
 variances. Stage three folds the treatment likelihood back into the weights
 and fits outcome coefficients on the affine regressors [1, a, z] the same
-stacked way. These layouts are fixed, and one private helper builds both and
-refuses non-finite treatment or z values. The fit stores the
+stacked way. The stages take the columns ``fit_effects`` has checked, and
+one private helper lays out [1, a, z] from checked arrays. The fit stores the
 posterior-weighted per-component averages of z, and the dose response is
 read from them alone, so no explicit integration over the proxy
 distribution is needed and a saved model reproduces it without data.
@@ -50,29 +50,24 @@ _SQRT_2PI = np.sqrt(2 * np.pi)
 # ---------------------------------------------------------------------------
 
 def _regressors(a, z, width: int | None = None) -> np.ndarray:
-    """Stage regressors, one row per sample: z alone when a is None, else [1, a, z].
+    """Stage regressors [1, a, z], one row per sample, from checked arrays.
 
     A 1-d ``a`` holds one scalar treatment per row and a 2-d ``a`` one column
-    per treatment; z may be left out after a treatment, which is how the
-    basis [1, a1, a2, a3] arises. A single-row argument is repeated to the
+    per treatment; z may be None after a treatment, which is how the basis
+    [1, a1, a2, a3] arises. A single-row argument is repeated to the
     other's rows, which is how a fixed intervention level is paired with
     many samples. ``width`` is the column count fitted coefficients expect.
     """
-    parts = []
-    if a is not None:
-        a_cols = _floats(a, "treatment and z values")
-        parts.append(a_cols.reshape(-1, 1) if a_cols.ndim < 2 else a_cols)
+    parts = [a.reshape(-1, 1) if a.ndim < 2 else a]
     if z is not None:
-        parts.append(np.atleast_2d(_floats(z, "treatment and z values")))
-    if not parts:
-        raise InvalidConfig("the treatment regressors need a z input")
+        parts.append(np.atleast_2d(z))
     if any(p.ndim != 2 for p in parts):
         raise DimensionMismatch("treatment and z inputs must be at most 2-d")
     n = max(p.shape[0] for p in parts)
     if any(p.shape[0] not in (1, n) for p in parts):
         raise DimensionMismatch("treatment and z inputs disagree on rows")
-    blocks = [np.ones((n, 1))] if a is not None else []
-    feats = np.hstack(blocks + [np.broadcast_to(p, (n, p.shape[1])) for p in parts])
+    feats = np.hstack([np.ones((n, 1))]
+                      + [np.broadcast_to(p, (n, p.shape[1])) for p in parts])
     if width is not None and feats.shape[1] != width:
         raise DimensionMismatch(
             f"the inputs give {feats.shape[1]} regressor columns, the model "
@@ -257,10 +252,9 @@ def fit_treatment(a, z, w: PosteriorMatrix) -> TreatmentModel:
     the target before the K x K solve. Variances below the floor are clamped
     to it.
     """
-    feats = _regressors(None, z)
-    alpha, used = _stacked_regression(feats, w.weights, a)
+    alpha, used = _stacked_regression(z, w.weights, a)
 
-    means = feats @ alpha.T                                 # n x K
+    means = z @ alpha.T                                     # n x K
     mixed = np.einsum("nk,nk->n", w.weights, means)
     spread = np.einsum("nk,nk->n", w.weights, means ** 2) - mixed ** 2
     target = (a - mixed) ** 2 - spread
@@ -294,7 +288,7 @@ def update_posteriors(w: PosteriorMatrix, tm: TreatmentModel, a, z) -> Posterior
     collapse (a likelihood that underflows or overflows) fall back to the
     incoming weights and are counted, as in the proxy stage.
     """
-    means = _regressors(None, z) @ tm.alpha.T                # n x K
+    means = z @ tm.alpha.T                                   # n x K
     sd = np.sqrt(tm.sigma2)[None, :]
     z_score = (a[:, None] - means) / sd
     with np.errstate(divide="ignore", over="ignore"):     # such rows fall back below
@@ -320,8 +314,9 @@ def estimate_cate(om: OutcomeModel, u: int, a, z):
     Scalar inputs give a float; row inputs give one value per row.
     """
     u = _check_component(u, om.n_components)
+    a, z = (_floats(x, "treatment and z values") for x in (a, z))
     vals = _regressors(a, z, om.beta.shape[1]) @ om.beta[u]
-    if np.ndim(a) == 0 and vals.shape[0] == 1:
+    if a.ndim == 0 and vals.shape[0] == 1:
         return float(vals[0])
     return vals
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, _floats, _integer
+from .errors import InvalidConfig, _integer
 
 _BLOCK_CELLS = 1 << 16      # kernel entries per row block: 512 KiB of float64
 
@@ -43,11 +43,10 @@ class KernelSpec:
 
 
 def _augmented(x: np.ndarray, y: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Factors with ``xa @ ya = -c ||x_i - y_j||^2 / 2``.
+    """Factors with ``xa @ ya = -c ||x_i - y_j||^2 / 2`` of checked float points.
 
     x is padded with ``[||x||^2, 1]``, and c*y with ``[-c/2, -c ||y||^2 / 2]``.
     """
-    x, y = (np.atleast_2d(_floats(a, "kernel points")) for a in (x, y))
     xa = np.column_stack([x, np.sum(x * x, axis=1), np.ones(x.shape[0])])
     half = -0.5 * c
     ya = np.vstack([c * y.T, np.full(y.shape[0], half), half * np.sum(y * y, axis=1)])
@@ -55,17 +54,17 @@ def _augmented(x: np.ndarray, y: np.ndarray, c: float) -> tuple[np.ndarray, np.n
 
 
 def gram(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kernel matrix with entry (i, j) = k(x_i, y_j)."""
-    return KernelRows(kernel, x, y)[:]
+    """Kernel matrix with entry (i, j) = k(x_i, y_j), for checked float points."""
+    return KernelRows(kernel, x, y).fill(0, np.empty((x.shape[0], y.shape[0])))
 
 
 class KernelRows:
-    """Row source of ``gram(kernel, x, y)``: ``rows[lo:hi]`` evaluates those rows.
+    """Row source of ``gram(kernel, x, y)`` for ``_row_blocks``.
 
-    Nothing n x m is stored; each slice is rebuilt from the augmented factors.
-    Each row block of about _BLOCK_CELLS entries is one product of them,
-    -||x - y||^2 / (2 s^2), then clamped at 0 (rounding can leave a tiny
-    positive value where x = y) and exponentiated in cache.
+    Nothing n x m is stored; ``fill`` rebuilds any run of rows from the
+    augmented factors. Each row block of about _BLOCK_CELLS entries is one
+    product of them, -||x - y||^2 / (2 s^2), then clamped at 0 (rounding can
+    leave a tiny positive value where x = y) and exponentiated in cache.
     """
 
     def __init__(self, kernel: KernelSpec, x: np.ndarray, y: np.ndarray):
@@ -82,28 +81,22 @@ class KernelRows:
             np.exp(block, out=block)
         return out
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        lo, hi, _ = rows.indices(self.shape[0])
-        return self.fill(lo, np.empty((max(hi - lo, 0), self.shape[1])))
-
 
 def _row_blocks(sources, cells: int = _BLOCK_CELLS):
     """(lo, hi, blocks): rows lo:hi of each source, about ``cells`` entries apiece.
 
-    A source is an n x r ndarray, sliced, which serves test fixtures; or a
-    row source with ``shape`` and ``fill(lo, out)``, such as ``KernelRows``,
-    evaluated into one buffer that every block reuses (fresh pages cost as
-    much as the kernel arithmetic), so a block is valid only until the next
-    is drawn.
+    A row source has ``shape`` and ``fill(lo, out)``, which writes rows
+    lo .. lo + len(out) into ``out``: ``KernelRows`` or the discrete fit's
+    one-hot rows. Each source is evaluated into one buffer that every block
+    reuses (fresh pages cost as much as the kernel arithmetic), so a block is
+    valid only until the next is drawn.
     """
     n = sources[0].shape[0]
     step = max(1, cells // max(max(src.shape[1] for src in sources), 1))
-    bufs = [None if isinstance(src, np.ndarray) else np.empty((min(step, n), src.shape[1]))
-            for src in sources]
+    bufs = [np.empty((min(step, n), src.shape[1])) for src in sources]
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        yield lo, hi, [src[lo:hi] if buf is None else src.fill(lo, buf[:hi - lo])
-                       for src, buf in zip(sources, bufs)]
+        yield lo, hi, [src.fill(lo, buf[:hi - lo]) for src, buf in zip(sources, bufs)]
 
 
 def _row_product(rows, coefficients: np.ndarray) -> np.ndarray:

@@ -27,7 +27,6 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     InvalidConfig,
-    NonConvergence,
     RankDeficiency,
     UnfittedModel,
     _floats,

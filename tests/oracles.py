@@ -117,6 +117,52 @@ def discrete_posteriors_loop(priors, emissions, a1, a2, a3) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# population tables for planted discrete mixtures
+# ---------------------------------------------------------------------------
+
+def population_triple_table(priors, emissions, gamma, scale):
+    """Every level triple of a planted discrete design, at population size ``scale``.
+
+    Returns (a1, a2, a3, counts, y_sums): the S^3 triples in lexicographic
+    order, P(t) * scale rounded to whole counts, and each triple's sum of y
+    without noise, its count times E[y | t] = sum_u P(u | t) gamma_u . (1, t).
+    """
+    s = len(emissions[0])
+    triples, counts, y_sums = [], [], []
+    for t in itertools.product(range(s), repeat=3):
+        joint = [p * emissions[0][t[0]][u] * emissions[1][t[1]][u] * emissions[2][t[2]][u]
+                 for u, p in enumerate(priors)]
+        means = [g[0] + g[1] * t[0] + g[2] * t[1] + g[3] * t[2] for g in gamma]
+        triples.append(t)
+        count = round(sum(joint) * scale)
+        counts.append(count)
+        y_sums.append(count * sum(j * m for j, m in zip(joint, means)) / sum(joint))
+    a1, a2, a3 = (np.array(col) for col in zip(*triples))
+    return a1, a2, a3, np.array(counts, dtype=float), np.array(y_sums)
+
+
+# ---------------------------------------------------------------------------
+# dense row sources
+# ---------------------------------------------------------------------------
+
+class DenseRows:
+    """A row source (``shape`` and ``fill(lo, out)``) over rows held whole."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        self.shape = rows.shape
+
+    def fill(self, lo: int, out: np.ndarray) -> np.ndarray:
+        out[:] = self.rows[lo:lo + out.shape[0]]
+        return out
+
+
+def materialized(source) -> np.ndarray:
+    """Every row of a row source, in one array."""
+    return source.fill(0, np.empty(source.shape))
+
+
+# ---------------------------------------------------------------------------
 # regression oracles
 # ---------------------------------------------------------------------------
 

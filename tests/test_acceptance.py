@@ -6,14 +6,12 @@ so the -v report reads as a pass/fail line per guarantee.
 
 import collections
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
 from latentcause import (
     KernelSpec,
-    align_permutation,
     estimate_ate,
     fit_discrete_multiview,
     fit_effects,
@@ -39,7 +37,6 @@ from latentcause.tensor_spectral import (
     whitened_third_moment,
 )
 
-import frozen
 from oracles import (
     discrete_posteriors_loop,
     per_group_ols,

@@ -7,7 +7,6 @@ import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
 import pytest
 
 from latentcause import InvalidConfig, RankDeficiency, run_benchmark, summarize

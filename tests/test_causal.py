@@ -38,7 +38,6 @@ from latentcause.causal import (
     fit_treatment,
     update_posteriors,
 )
-from latentcause.kernels import gram
 
 from oracles import (
     per_group_mean_sq_residual,
@@ -50,11 +49,6 @@ from oracles import (
 # --------------------------------------------------------------------------
 # regressor layouts
 # --------------------------------------------------------------------------
-
-def test_treatment_feature_map_shapes():
-    z = np.arange(12.0).reshape(4, 3)
-    assert np.array_equal(_regressors(None, z), z)
-
 
 def test_outcome_feature_map_layout():
     a = np.array([1.0, 2.0])
@@ -111,14 +105,9 @@ def _with_nan(x):
     return out
 
 
-# every stage and prediction builds its regressors in one place, which
-# refuses non-finite treatment or z values
+# each effect summary reads its own treatment and z values and refuses
+# non-finite ones; the stages take columns fit_effects has checked
 NON_FINITE_INPUTS = {
-    "fit_treatment_z": lambda ce, mt, z, a, w: fit_treatment(a, _with_nan(z), w),
-    "fit_outcome_a": lambda ce, mt, z, a, w: fit_outcome(_with_nan(a), z, a, w),
-    "fit_outcome_z": lambda ce, mt, z, a, w: fit_outcome(a, _with_nan(z), a, w),
-    "update_posteriors_z": lambda ce, mt, z, a, w: update_posteriors(
-        w, ce.treatment, a, _with_nan(z)),
     "cate_a": lambda ce, mt, z, a, w: estimate_cate(ce.outcome, 0, np.nan, z=z[0]),
     "cate_z": lambda ce, mt, z, a, w: estimate_cate(ce.outcome, 0, 1.0,
                                                     z=_with_nan(z[0])),
@@ -147,15 +136,13 @@ NON_NUMERIC_INPUTS = {
         [0, 1, 1], [1, 0, 1], [0, 0, 1], [bad, 1.0, 2.0], 1),
     "align_permutation": lambda ce, mt, z, a, w, bad: align_permutation(
         [[bad], [1.0]], [[0.0], [1.0]]),
-    "gram": lambda ce, mt, z, a, w, bad: gram(KernelSpec(), [[bad]], [[0.0]]),
     "select_rank": lambda ce, mt, z, a, w, bad: select_rank([bad, 1.0]),
 }
 
 
 @pytest.mark.parametrize("case, bad", [(case, "x") for case in NON_NUMERIC_INPUTS] + [
-    (case, np.nan) for case in ("fit_multitreatment_y", "align_permutation",
-                                "gram")] + [(case, "3") for case in NON_NUMERIC_INPUTS] + [
-    ("estimate_ate", b"1")])
+    (case, np.nan) for case in ("fit_multitreatment_y", "align_permutation")] + [
+    (case, "3") for case in NON_NUMERIC_INPUTS] + [("estimate_ate", b"1")])
 def test_non_numeric_input_raises_invalid_config(small_models, case, bad):
     with pytest.raises(InvalidConfig, match="must be (numbers|finite)"):
         NON_NUMERIC_INPUTS[case](*small_models, bad)
@@ -462,9 +449,11 @@ def test_stacked_solver_raises_when_ridge_ladder_exhausted(one_hot_weights):
             fit_treatment(a, huge, w)
 
 
-# fit_effects reads the treatment and outcome columns once, before any stage
-# runs; each case edits a copy of the first rows: (edit, error, message)
+# fit_effects reads the z1, treatment and outcome columns once, before any
+# stage runs; each case edits a copy of the first rows: (edit, error, message)
 FIT_EFFECTS_REFUSALS = {
+    "z1_nan": (lambda d: {**d, "z1": _with_nan(d["z1"])}, InvalidConfig,
+               "view values must be finite"),
     "a_nan": (lambda d: {**d, "a": _with_nan(d["a"])}, InvalidConfig,
               "treatment values must be finite"),
     "a_text": (lambda d: {**d, "a": ["x", *d["a"][1:]]}, InvalidConfig,

@@ -51,7 +51,7 @@ from latentcause.tensor_spectral import (
 )
 
 from frozen import PRIOR_FROM_LAMBDA_TWO
-from oracles import brute_force_alignment, discrete_posteriors_loop
+from oracles import DenseRows, brute_force_alignment, discrete_posteriors_loop, materialized
 
 
 def symmetric_views(priors, n, seed, means=(-2.0, 2.0), sigma=0.6):
@@ -648,11 +648,11 @@ def _one_hot_features():
     scenario = dataclasses.replace(two_state_discrete(), emissions=emissions)
     data, _ = simulate_multitreatment(scenario, 20000, seed=3)
     eye = np.eye(levels)
-    return [(eye[data[f"a{v}"]], eye) for v in (1, 2, 3)], 2
+    return [(DenseRows(eye[data[f"a{v}"]]), eye) for v in (1, 2, 3)], 2
 
 
 def _assert_core_matches_dense_reference(views, k):
-    feats = [k_v[:] @ a_v for k_v, a_v in views]        # rows materialized
+    feats = [materialized(k_v) @ a_v for k_v, a_v in views]
     ss = np.random.SeedSequence(11)
     lam, means, info = _cross_moment_core(views, k, ss)
     priors = priors_from_lambdas(lam)[1]
@@ -669,7 +669,7 @@ def _assert_core_matches_dense_reference(views, k):
 def test_rank_k_core_matches_dense_reference(features):
     views, k = features()
     widths = [a_v.shape[1] for _, a_v in views[:2]]
-    assert min(widths) > max(k + 1, DENSE_SVD_MAX)      # ARPACK
+    assert min(widths) > max(k + 1, DENSE_SVD_MAX)      # the Lanczos SVD
     _assert_core_matches_dense_reference(views, k)
 
 
@@ -698,7 +698,7 @@ def _one_hot_row_views(n):
     scenario = dataclasses.replace(two_state_discrete(), emissions=emissions)
     data, _ = simulate_multitreatment(scenario, n, seed=34)
     eye = np.eye(BOUNDARY_LEVELS)
-    return [(eye[data[f"a{v}"]], eye) for v in (1, 2, 3)], 2
+    return [(DenseRows(eye[data[f"a{v}"]]), eye) for v in (1, 2, 3)], 2
 
 
 @pytest.mark.parametrize("rows_at", [
@@ -738,7 +738,8 @@ def test_rank_deficient_features_raise_through_truncated_svd(monkeypatch):
 
     monkeypatch.setattr(mixture, "_lanczos_svd", counting_lanczos)
     with pytest.raises(RankDeficiency):
-        _cross_moment_core([(f, np.eye(m)) for f in feats], k, np.random.SeedSequence(0))
+        _cross_moment_core([(DenseRows(f), np.eye(m)) for f in feats], k,
+                           np.random.SeedSequence(0))
     assert calls == [(m, m)]
 
 
@@ -779,7 +780,7 @@ def test_landmark_factor_drops_near_duplicates_and_whitens_the_rest(landmark_cou
     k_v, a, anchors = _nystrom_features(view, kernel, np.random.default_rng(0))
     r = anchors.shape[0]
     assert r < min(landmark_count, view.shape[0]) and a.shape == (r, r)
-    assert np.array_equal(k_v[:], gram(kernel, view, anchors))
+    assert np.array_equal(materialized(k_v), gram(kernel, view, anchors))
     whitened = a.T @ gram(kernel, anchors, anchors) @ a
     assert np.max(np.abs(whitened - np.eye(r))) <= 1e-8
 
