@@ -42,17 +42,6 @@ class KernelSpec:
             self.landmark_count, "landmark_count must be an integer of at least 1", 1))
 
 
-def _augmented(x: np.ndarray, y: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Factors with ``xa @ ya = -c ||x_i - y_j||^2 / 2`` of checked float points.
-
-    x is padded with ``[||x||^2, 1]``, and c*y with ``[-c/2, -c ||y||^2 / 2]``.
-    """
-    xa = np.column_stack([x, np.sum(x * x, axis=1), np.ones(x.shape[0])])
-    half = -0.5 * c
-    ya = np.vstack([c * y.T, np.full(y.shape[0], half), half * np.sum(y * y, axis=1)])
-    return xa, ya
-
-
 def gram(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Kernel matrix with entry (i, j) = k(x_i, y_j), for checked float points."""
     return KernelRows(kernel, x, y).fill(0, np.empty((x.shape[0], y.shape[0])))
@@ -61,22 +50,34 @@ def gram(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class KernelRows:
     """Row source of ``gram(kernel, x, y)`` for ``_row_blocks``.
 
-    Nothing n x m is stored; ``fill`` rebuilds any run of rows from the
-    augmented factors. Each row block of about _BLOCK_CELLS entries is one
-    product of them, -||x - y||^2 / (2 s^2), then clamped at 0 (rounding can
-    leave a tiny positive value where x = y) and exponentiated in cache.
+    Nothing n x m is stored, nor any copy of the n x d points: ``fill``
+    rebuilds any run of rows from the points and their squared norms. Each
+    row block of about _BLOCK_CELLS entries pads its points to
+    ``[x, ||x||^2, 1]`` in one reused buffer, and one product of that with
+    c*y padded to ``[-c/2, -c ||y||^2 / 2]`` (c = s^-2) gives
+    -||x - y||^2 / (2 s^2); it is then clamped at 0 (rounding can leave a tiny
+    positive value where x = y) and exponentiated in cache.
     """
 
     def __init__(self, kernel: KernelSpec, x: np.ndarray, y: np.ndarray):
-        self._xa, self._ya = _augmented(x, y, kernel.bandwidth ** -2)
-        self.shape = (self._xa.shape[0], self._ya.shape[1])
+        c = kernel.bandwidth ** -2
+        half = -0.5 * c
+        self._x, self._sq = x, np.sum(x * x, axis=1)
+        self._ya = np.vstack([c * y.T, np.full(y.shape[0], half), half * np.sum(y * y, axis=1)])
+        self.shape = (x.shape[0], y.shape[0])
+        step = max(1, _BLOCK_CELLS // max(self.shape[1], 1))
+        self._pad = np.ones((max(1, min(step, self.shape[0])), x.shape[1] + 2))
 
     def fill(self, lo: int, out: np.ndarray) -> np.ndarray:
         """Write rows lo .. lo + len(out) into ``out``, one row block at a time."""
-        step = max(1, _BLOCK_CELLS // max(self.shape[1], 1))
+        d = self._x.shape[1]
+        step = self._pad.shape[0]
         for a in range(0, out.shape[0], step):
             block = out[a:a + step]
-            np.matmul(self._xa[lo + a:lo + a + block.shape[0]], self._ya, out=block)
+            rows = slice(lo + a, lo + a + block.shape[0])
+            xa = self._pad[:block.shape[0]]
+            xa[:, :d], xa[:, d] = self._x[rows], self._sq[rows]
+            np.matmul(xa, self._ya, out=block)
             np.minimum(block, 0.0, out=block)
             np.exp(block, out=block)
         return out

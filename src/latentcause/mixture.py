@@ -39,7 +39,7 @@ from .kernels import (
     _row_product,
     gram,
 )
-from .linalg import _lanczos_svd, _pivoted_cholesky, _triangular_inverse
+from .linalg import _KRYLOV_STEPS, _lanczos_svd, _pivoted_cholesky, _triangular_inverse
 from .tensor_spectral import build_whitener, robust_power_method, whitened_third_moment
 
 DENSITY_FLOOR = 1e-12
@@ -249,7 +249,9 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
     and identically distributed views are the special case. ``kernel=None``
     is ``KernelSpec()``: a Gaussian RBF of fixed bandwidth 1.0 in the data's
     units. It raises RankDeficiency when the views do not carry k components.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed: the views draw their landmarks in order
+    from one stream, and view 3 draws and factors its own only after c12's
+    SVD, so three factors are never held beside c12.
     """
     views = _as_views(z1, z2, z3)
     k = _check_k(k)
@@ -258,8 +260,15 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
     # child 0 drew the bandwidth once; skipping it keeps every seed's landmarks
     _, sub_ss, power_ss = _seed_sequence(seed).spawn(3)
     rng = np.random.default_rng(sub_ss)
-    sources, factors, anchor_sets = zip(*(_nystrom_features(v, kernel, rng) for v in views))
-    lam, means, info = _cross_moment_core(list(zip(sources, factors)), k, power_ss)
+    drawn = []                                      # (rows, factor, anchors) per view
+
+    def features():
+        for v in views:
+            drawn.append(_nystrom_features(v, kernel, rng))
+            yield drawn[-1][:2]
+
+    lam, means, info = _cross_moment_core(features(), k, power_ss)
+    _, factors, anchor_sets = zip(*drawn)
     info.update(method="crossmoment", anchor_count=min(n, kernel.landmark_count),
                 landmark_rank=[a.shape[0] for a in anchor_sets])
     return MixtureEstimate(
@@ -302,20 +311,29 @@ def _nystrom_features(view, kernel, rng):
     return KernelRows(kernel, view, anchors), inv_l.T, anchors
 
 
+def _leading_svd(c: np.ndarray, count: int):
+    """Top ``count`` singular triplets (u, s, v) of c, or all of them when c has fewer.
+
+    Golub-Kahan-Lanczos where c is wider than DENSE_SVD_MAX and than count on
+    its smaller side, and count is at most a quarter of _KRYLOV_STEPS: the
+    basis needs room beyond the wanted triplets (on the overlap design at
+    r = 600, 50 converged in 200 steps and 100 did not). A dense SVD
+    otherwise, which is also the faster for few one-hot levels.
+    """
+    if min(c.shape) > max(count, DENSE_SVD_MAX) and 4 * count <= _KRYLOV_STEPS:
+        v0 = np.random.default_rng(0).standard_normal(min(c.shape))
+        return _lanczos_svd(c, count, v0)
+    u, s, vt = np.linalg.svd(c, full_matrices=False)
+    return u[:, :count], s[:count], vt[:count].T
+
+
 def _top_singular(c: np.ndarray, k: int):
     """Top k singular triplets (u, s, v) of c, fails loudly when s_k dies.
 
-    Golub-Kahan-Lanczos finds k + 1 triplets where c allows and is wider
-    than DENSE_SVD_MAX on its smaller side (few one-hot levels take a dense
-    SVD, which is faster there); the margin s_k / s_(k+1) is None without a
-    nonzero (k+1)-th value.
+    ``_leading_svd`` finds k + 1 triplets where c allows; the margin
+    s_k / s_(k+1) is None without a nonzero (k+1)-th value.
     """
-    if min(c.shape) > max(k + 1, DENSE_SVD_MAX):
-        v0 = np.random.default_rng(0).standard_normal(min(c.shape))
-        u, s, v = _lanczos_svd(c, k + 1, v0)
-    else:
-        u, s, vt = np.linalg.svd(c, full_matrices=False)
-        v = vt.T
+    u, s, v = _leading_svd(c, k + 1)
     tail = s[k - 1] if s.shape[0] >= k else 0.0
     if tail < RANK_FLOOR_REL * max(s[0], 1e-300):
         raise RankDeficiency(f"cross-moment singular value {k} is {tail:.3e}; "
@@ -344,11 +362,13 @@ def _cross_moment_core(views, k, power_ss, weights=None):
     """Shared third-order decomposition over arbitrary per-view features.
 
     Each view is a pair (k_v, a_v) of a row source and a factor; the features
-    f_v = k_v a_v are never formed, and no source is held whole. Views 1 and 2
-    are mapped into view 3's coordinates with the two-view cross-moment
-    transformations, after which the problem is symmetric and one whitened
-    decomposition recovers the eigenvalues and all three conditional feature
-    means. Four passes over the rows, each needing the one before:
+    f_v = k_v a_v are never formed, and no source is held whole. ``views`` is
+    read in order and view 3's pair only after c12's SVD, so a lazy iterable
+    builds view 3 once c12 is gone. Views 1 and 2 are mapped into view 3's
+    coordinates with the two-view cross-moment transformations, after which
+    the problem is symmetric and one whitened decomposition recovers the
+    eigenvalues and all three conditional feature means. Four passes over the
+    rows, each needing the one before:
 
     1. c12 = a1'(k1'k2/n)a2 = U S V', the only moment formed at feature size,
        in one r x r array and one work buffer;
@@ -360,14 +380,16 @@ def _cross_moment_core(views, k, power_ss, weights=None):
        the view-3 means m3 lie in span(q), the weights h = f3 pinv(m3)'/prior;
     4. k1'h and k2'h, the view-1 and view-2 means.
 
-    Beyond the factors and c12's two r x r arrays, memory is O(block r + n k).
-    Count-table rows carry their counts as ``weights``, which scale one factor
+    Beyond views 1 and 2's factors and c12's two r x r arrays, which view 3's
+    factor follows, memory is O(block r + n k). Count-table rows carry their counts as ``weights``, which scale one factor
     of every sum over rows once normalised to mean one; kernel fits pass none.
     """
-    (k1, a1), (k2, a2), (k3, a3) = views
+    views = iter(views)
+    (k1, a1), (k2, a2) = next(views), next(views)
     n = k1.shape[0]
     r = None if weights is None else weights * (n / weights.sum())
-    u, s, v, margin = _top_singular(_cross_moment(*views[:2], r), k)
+    u, s, v, margin = _top_singular(_cross_moment((k1, a1), (k2, a2), r), k)
+    (k3, a3), = views                                # drawn once c12 is gone
     p1, p2 = a1 @ u, a2 @ v
     g1, g2 = np.empty((n, k)), np.empty((n, k))
     c13, c23 = np.zeros((k, k3.shape[1])), np.zeros((k, k3.shape[1]))  # g1'k3, g2'k3
@@ -605,8 +627,9 @@ def scree(z1, z2, kernel: KernelSpec | None = None, max_k: int = 10,
           seed=0) -> np.ndarray:
     """Leading cross-view correlation spectrum, for picking the rank.
 
-    Both views are mapped to whitened landmark features and the singular
-    values of their cross moment are returned. Conditional independence
+    Both views are mapped to whitened landmark features and the top max_k
+    singular values of their cross moment are returned, by ``_leading_svd``
+    as in a fit. Conditional independence
     makes the population version of that operator rank K exactly (the
     constant direction plus K - 1 mixture directions), so the spectrum
     drops off right after the true component count. ``kernel=None`` is
@@ -618,8 +641,7 @@ def scree(z1, z2, kernel: KernelSpec | None = None, max_k: int = 10,
     # child 0 drew the bandwidth once; skipping it keeps every seed's landmarks
     rng = np.random.default_rng(_seed_sequence(seed).spawn(2)[1])
     f1, f2 = (_nystrom_features(z, kernel, rng)[:2] for z in (z1, z2))
-    sv = np.linalg.svd(_cross_moment(f1, f2), compute_uv=False)
-    return sv[: min(max_k, sv.shape[0])]
+    return _leading_svd(_cross_moment(f1, f2), max_k)[1]
 
 
 def scree_discrete(a1, a2, max_k: int = 10) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Kernel configuration and Gram matrices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from latentcause import InvalidConfig, KernelSpec
+from latentcause import InvalidConfig, KernelSpec, simulate_multiproxy, three_cluster_gaussian
 from latentcause.kernels import gram
 from latentcause.kernels import _BLOCK_CELLS, KernelRows, _row_product
 
@@ -46,6 +48,23 @@ def test_gram_diagonal_is_one_on_shared_points():
     got = gram(KernelSpec(bandwidth=0.7), x, x)
     assert np.allclose(np.diag(got), 1.0, atol=1e-15)
     assert np.max(np.abs(got - got.T)) <= 1e-15
+
+
+def test_kernel_rows_hold_the_points_norms_and_one_padded_block():
+    # n row norms and O(r d) floats besides the caller's points, not an
+    # n x (d + 2) padded copy of them (2.45 MiB here)
+    data, _ = simulate_multiproxy(three_cluster_gaussian(), 64000, seed=7)
+    x = data["z1"]
+    (n, d), r = x.shape, 250
+    anchors = x[:r].copy()
+    tracemalloc.start()
+    try:
+        rows = KernelRows(KernelSpec(), x, anchors)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (n, r)
+    assert held <= (n + 4 * r * (d + 2)) * 8
 
 
 def test_kernel_spec_validation():

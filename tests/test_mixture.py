@@ -39,6 +39,7 @@ from latentcause.kernels import _BLOCK_CELLS, KernelRows, gram
 from latentcause.mixture import (
     _PANEL_CELLS,
     DENSE_SVD_MAX,
+    _cross_moment,
     _cross_moment_core,
     _nystrom_features,
     _triple_table,
@@ -724,11 +725,9 @@ def test_rank_margin_is_none_without_a_further_singular_value():
     assert est.diagnostics["rank_margin"] is None
 
 
-def test_rank_deficient_features_raise_through_truncated_svd(monkeypatch):
-    rng = np.random.default_rng(17)
-    k, n, m = 3, 800, 80                                 # m above DENSE_SVD_MAX
-    hidden = rng.standard_normal((n, k - 1))
-    feats = [hidden @ rng.standard_normal((k - 1, m)) for _ in range(3)]
+@pytest.fixture()
+def lanczos_calls(monkeypatch):
+    """Shapes of the matrices the fits hand to the Lanczos SVD."""
     calls = []
     exact = mixture._lanczos_svd
 
@@ -737,10 +736,18 @@ def test_rank_deficient_features_raise_through_truncated_svd(monkeypatch):
         return exact(c, *args)
 
     monkeypatch.setattr(mixture, "_lanczos_svd", counting_lanczos)
+    return calls
+
+
+def test_rank_deficient_features_raise_through_truncated_svd(lanczos_calls):
+    rng = np.random.default_rng(17)
+    k, n, m = 3, 800, 80                                 # m above DENSE_SVD_MAX
+    hidden = rng.standard_normal((n, k - 1))
+    feats = [hidden @ rng.standard_normal((k - 1, m)) for _ in range(3)]
     with pytest.raises(RankDeficiency):
         _cross_moment_core([(DenseRows(f), np.eye(m)) for f in feats], k,
                            np.random.SeedSequence(0))
-    assert calls == [(m, m)]
+    assert lanczos_calls == [(m, m)]
 
 
 def test_truncated_svd_step_cap_surfaces_as_typed_error(monkeypatch):
@@ -749,6 +756,24 @@ def test_truncated_svd_step_cap_surfaces_as_typed_error(monkeypatch):
     kernel = KernelSpec(bandwidth=0.15)      # keeps about 80 landmarks, above DENSE_SVD_MAX
     with pytest.raises(NonConvergence, match="3 Lanczos steps"):
         fit_multiview(*views, 2, kernel=kernel, seed=0)
+
+
+@pytest.mark.parametrize("max_k, lanczos", [
+    pytest.param(6, True, id="lanczos"),
+    pytest.param(50, True, id="lanczos_at_a_quarter_of_its_steps"),
+    pytest.param(250, False, id="dense_past_the_step_cap"),
+])
+def test_scree_matches_a_dense_svd_of_c12(lanczos_calls, max_k, lanczos):
+    scenario = dataclasses.replace(three_cluster_gaussian(), proxy_sigma=2.4)
+    data, _ = simulate_multiproxy(scenario, 1500, seed=3)
+    kernel = KernelSpec(landmark_count=400)
+    got = scree(data["z1"], data["z2"], kernel=kernel, max_k=max_k, seed=5)
+    rng = np.random.default_rng(mixture._seed_sequence(5).spawn(2)[1])
+    f1, f2 = (_nystrom_features(data[z], kernel, rng)[:2] for z in ("z1", "z2"))
+    want = np.linalg.svd(_cross_moment(f1, f2), compute_uv=False)[:max_k]
+    assert bool(lanczos_calls) == lanczos
+    assert got.shape == want.shape == (max_k,)
+    assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
 
 
 def test_discrete_fit_streams_its_one_hot_rows():
@@ -850,10 +875,10 @@ def test_posteriors_peak_memory_stays_far_below_one_landmark_gram():
     assert peak <= 0.25 * n * m * 8
 
 
-def test_warm_kernel_fit_holds_at_most_nine_r_by_r_arrays():
-    # while c12 is summed: three factors, c12, its work buffer and two row
-    # panels (2.9 r^2 at r = 600); 8.0 r^2 measured, and 10.0 with a copy of
-    # c12 and two sandwich products
+def test_warm_kernel_fit_holds_at_most_seven_and_a_half_r_by_r_arrays():
+    # while c12 is summed: views 1 and 2's factors, c12, its work buffer and
+    # two row panels (2.9 r^2 at r = 600), as view 3 is factored after c12's
+    # SVD; 6.95 r^2 measured, and 8.0 with view 3's factor drawn before it
     scenario = dataclasses.replace(three_cluster_gaussian(), proxy_sigma=2.4)
     data, _ = simulate_multiproxy(scenario, 2000, seed=7)
     views = data["z1"], data["z2"], data["z3"]
@@ -867,7 +892,7 @@ def test_warm_kernel_fit_holds_at_most_nine_r_by_r_arrays():
     finally:
         tracemalloc.stop()
     assert est.diagnostics["landmark_rank"] == [r] * 3
-    assert peak <= 9 * r * r * 8
+    assert peak <= 7.5 * r * r * 8
 
 
 def test_fit_anchors_are_the_in_order_landmark_draws():
