@@ -50,7 +50,8 @@ PIVOT_FLOOR = 1e-6         # landmark factor's last pivot, relative to the kerne
 DENSE_SVD_MAX = 64
 _FLOOR_FALLBACK = ("had every likelihood at the floor; "
                    "their posteriors fall back to the priors")
-_PANEL_CELLS = 1 << 19     # entries per view in one c12 row panel: short panels slow its r x r product
+_PANEL_CELLS = 1 << 18     # entries per view in one c12 row panel: at r = 1000 (2 vCPU) its sums
+                           # ran at about 50 GMAC/s in 262-row panels and 60 in 524-row ones
 _TABLE_CELLS = 1 << 22     # S x S cells a discrete fit may allocate (32 MiB of float64): S <= 2048
 
 
@@ -348,20 +349,53 @@ def _weighted(rows, weights, lo=0):
 
 
 def _cross_moment(view1, view2, weights=None):
-    """(k1 a1)' diag(weights) (k2 a2) / n for two factored views, over row panels."""
+    """(k1 a1)' diag(weights) (k2 a2) / n for two factored views, in one r1 x r2 array.
+
+    Row panels of k1 and k2 add k1'k2 into c a block of c's rows at a time;
+    then c becomes a1'c and (a1'c)a2 in place, all through one buffer of
+    half a panel. Each factor must be upper triangular (the landmark
+    triangle's inverse transpose, or the identity of one-hot views): rows I
+    of a1'c then read only rows of c at or above I, so a1'c can overwrite c
+    from the bottom row block up, and (a1'c)a2 from the right column block
+    leftwards.
+    """
     (k1, a1), (k2, a2) = view1, view2
     c = np.zeros((k1.shape[1], k2.shape[1]))
-    part = np.empty_like(c)
+    buf = np.empty(min(_PANEL_CELLS // 2, c.size))
+    step = buf.size // c.shape[1]
     for lo, _, (b1, b2) in _row_blocks((k1, k2), _PANEL_CELLS):
-        c += np.matmul(b1.T, _weighted(b2, weights, lo), out=part)
+        b2 = _weighted(b2, weights, lo)
+        for i in range(0, c.shape[0], step):
+            part = c[i:i + step]
+            part += np.matmul(b1[:, i:i + step].T, b2, out=buf[:part.size].reshape(part.shape))
     c /= k1.shape[0]
-    return np.matmul(np.matmul(a1.T, c, out=part), a2, out=c)
+    _upper_left_product(a1, c, buf)
+    _upper_left_product(a2, c.T, buf)                # (c a2)' = a2'c'
+    return c
+
+
+def _upper_left_product(a: np.ndarray, c: np.ndarray, buf: np.ndarray) -> None:
+    """c <- a'c in place for an upper-triangular a, by row blocks from the bottom up.
+
+    Rows I of a'c are a[:stop, I]'c[:stop] (stop = I's end) since a is zero
+    below its diagonal, so each block reads rows of c at or above its own,
+    none yet overwritten; buf holds one block. About r^3 / 2 multiply-adds.
+    """
+    width = c.shape[1]
+    step = buf.size // width
+    for stop in range(c.shape[0], 0, -step):
+        lo = max(0, stop - step)
+        c[lo:stop] = np.matmul(a[:stop, lo:stop].T, c[:stop],
+                               out=buf[:(stop - lo) * width].reshape(stop - lo, width))
 
 
 def _cross_moment_core(views, k, power_ss, weights=None):
     """Shared third-order decomposition over arbitrary per-view features.
 
-    Each view is a pair (k_v, a_v) of a row source and a factor; the features
+    Each view is a pair (k_v, a_v) of a row source and an upper-triangular
+    factor, the landmark triangle's inverse transpose or an identity: c12 is
+    carried through views 1 and 2's factors in place, which reads each one's
+    rows and columns in an order that holds only for a triangle. The features
     f_v = k_v a_v are never formed, and no source is held whole. ``views`` is
     read in order and view 3's pair only after c12's SVD, so a lazy iterable
     builds view 3 once c12 is gone. Views 1 and 2 are mapped into view 3's
@@ -371,7 +405,7 @@ def _cross_moment_core(views, k, power_ss, weights=None):
     rows, each needing the one before:
 
     1. c12 = a1'(k1'k2/n)a2 = U S V', the only moment formed at feature size,
-       in one r x r array and one work buffer;
+       summed and carried through both factors in one r x r array;
     2. g1 = k1 a1 U and g2 = k2 a2 V (n x k), with g1'k3 and g2'k3, which give
        V' c23 and U' c13: the maps are x1 = (f1 U S^-1)(V' c23) and
        x2 = (f2 V S^-1)(U' c13), whose cross moment lies in the 2k-dim row
@@ -380,9 +414,10 @@ def _cross_moment_core(views, k, power_ss, weights=None):
        the view-3 means m3 lie in span(q), the weights h = f3 pinv(m3)'/prior;
     4. k1'h and k2'h, the view-1 and view-2 means.
 
-    Beyond views 1 and 2's factors and c12's two r x r arrays, which view 3's
-    factor follows, memory is O(block r + n k). Count-table rows carry their counts as ``weights``, which scale one factor
-    of every sum over rows once normalised to mean one; kernel fits pass none.
+    Beyond views 1 and 2's factors and c12, which view 3's factor follows,
+    memory is O(panel r + n k). Count-table rows carry their counts as
+    ``weights``, which scale one factor of every sum over rows once
+    normalised to mean one; kernel fits pass none.
     """
     views = iter(views)
     (k1, a1), (k2, a2) = next(views), next(views)
