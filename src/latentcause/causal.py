@@ -211,10 +211,8 @@ def _stacked_regression(feats, weights, target):
 
 
 def _check_rows(n, *arrays):
-    for arr in arrays:
-        x = np.asarray(arr)
-        if (x.shape[0] if x.ndim else 1) != n:
-            raise DimensionMismatch("inputs disagree on the number of rows")
+    if any(x.shape[0] != n for x in arrays):
+        raise DimensionMismatch("inputs disagree on the number of rows")
 
 
 def _scalar_target(x, name):
@@ -354,11 +352,11 @@ def fit_effects(data: dict, mixture: MixtureEstimate) -> CausalEstimate:
         if key not in data:
             raise InvalidConfig(f"dataset is missing the {key!r} column")
     z1 = _floats(data["z1"], "view values")
-    if z1.ndim == 1:
-        z1 = z1[:, None]
+    if z1.ndim < 2:
+        z1 = z1.reshape(-1, 1)
     a_vec = _scalar_target(data["a"], "treatment")
     y_vec = _scalar_target(data["y"], "outcome")
-    _check_rows(a_vec.shape[0], z1, y_vec[:, None])
+    _check_rows(a_vec.shape[0], z1, y_vec)
 
     w = posteriors(mixture, data["z1"], data["z2"], data["z3"])
     tm = fit_treatment(a_vec, z1, w)

@@ -468,7 +468,7 @@ def fit_discrete_multiview(a1, a2, a3, k: int, seed=0, counts=None) -> MixtureEs
     row counts, feed the shared
     cross-moment decomposition; recovered conditional means are clamped at the
     density floor and renormalized into column-stochastic emission matrices.
-    k = 1 short-circuits to empirical marginals. ``counts``, one nonnegative
+    k = 1 takes the count-weighted marginals. ``counts``, one nonnegative
     integer per row, makes each row stand for that many: a count table fits as
     its rows repeated would, bit for bit.
     """
@@ -477,26 +477,17 @@ def fit_discrete_multiview(a1, a2, a3, k: int, seed=0, counts=None) -> MixtureEs
         counts = _row_counts(counts, views[0].shape[0])
     triples, counts, _ = _triple_table(views, s, counts=counts)
     if k == 1:
-        n = counts.sum()
-        emissions = tuple(
-            _stochastic_columns(np.bincount(t, weights=counts, minlength=s)[:, None] / n)
-            for t in triples
-        )
-        return MixtureEstimate(
-            backend="discrete", lambdas=np.ones(1), emissions=emissions,
-            seed=int(seed),
-            diagnostics={"method": "discrete_marginal", "levels": s},
-        )
-
-    power_ss = _seed_sequence(seed).spawn(1)[0]
-    eye = np.eye(s)
-    lam, means, info = _cross_moment_core([(_OneHotRows(t, s), eye) for t in triples], k,
-                                          power_ss, counts)
-    emissions = tuple(_stochastic_columns(m) for m in means)
-    info.update(method="discrete_cross_moment", levels=s)
+        lam, info = np.ones(1), {"method": "discrete_marginal"}
+        means = [np.bincount(t, weights=counts, minlength=s)[:, None] / counts.sum()
+                 for t in triples]
+    else:
+        eye = np.eye(s)
+        lam, means, info = _cross_moment_core([(_OneHotRows(t, s), eye) for t in triples],
+                                              k, _seed_sequence(seed).spawn(1)[0], counts)
+        info["method"] = "discrete_cross_moment"
     return MixtureEstimate(
-        backend="discrete", lambdas=lam, emissions=emissions,
-        seed=int(seed), diagnostics=info,
+        backend="discrete", lambdas=lam, emissions=tuple(map(_stochastic_columns, means)),
+        seed=int(seed), diagnostics=info | {"levels": s},
     )
 
 

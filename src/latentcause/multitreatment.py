@@ -13,7 +13,6 @@ set by intervention rather than averaged over.
 
 from __future__ import annotations
 
-import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -75,8 +74,8 @@ def fit_multitreatment(a1, a2, a3, y, k: int, seed=0) -> MultiTreatmentModel:
     _check_rows(y_vec.shape[0], views[0])
     triples, counts, y_sums = _triple_table(views, s, y_vec)
     est = fit_discrete_multiview(*triples, k, seed=seed, counts=counts)
-    with warnings.catch_warnings():     # it would count triples; rows are counted below
-        warnings.filterwarnings("ignore", ".*" + re.escape(_FLOOR_FALLBACK), RuntimeWarning)
+    with warnings.catch_warnings():     # its one warning counts triples; rows are counted below
+        warnings.simplefilter("ignore", RuntimeWarning)
         w = posteriors(est, *triples)
     # posteriors' fallback rule: every component at the floor in all three views
     floored = np.all([e[t] <= DENSITY_FLOOR for e, t in zip(est.emissions, triples)],

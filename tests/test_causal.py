@@ -29,6 +29,8 @@ from latentcause import (
     oracle_posteriors,
     posteriors,
     select_rank,
+    simulate_multiproxy,
+    three_cluster_gaussian,
     true_ate_multiproxy,
 )
 from latentcause.causal import (
@@ -395,6 +397,56 @@ def test_estimate_cate_matches_feature_dot(proxy_case):
         estimate_cate(ce.outcome, -1, 1.5, z=z)
 
 
+def test_estimate_cate_takes_rows(small_models):
+    # n rows of (a, z) give the n per-row values; a scalar a broadcasts over z rows
+    om = small_models[0].outcome
+    rng = np.random.default_rng(3)
+    a, z = rng.standard_normal(4), rng.standard_normal((4, 3))
+    for level, want in ((a, [estimate_cate(om, 1, ai, zi) for ai, zi in zip(a, z)]),
+                        (0.7, [estimate_cate(om, 1, 0.7, zi) for zi in z])):
+        got = estimate_cate(om, 1, level, z)
+        assert isinstance(want[0], float) and got.shape == (4,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.fixture(scope="module", params=[{}, {"proxy_sigma": 2.4}], ids=["paper-7.1", "overlap"])
+def rescaling_fit(request):
+    scenario = dataclasses.replace(three_cluster_gaussian(), **request.param)
+    data, _ = simulate_multiproxy(scenario, 1500, seed=1000)
+    mixture = fit_multiview(data["z1"], data["z2"], data["z3"], 3,
+                            kernel=KernelSpec(bandwidth=1.0, landmark_count=200), seed=0)
+    ce = fit_effects(data, mixture)
+    assert ce.diagnostics["variance_clamped"] == 0       # a clamp breaks the scaling
+    return data, mixture, ce
+
+
+def _relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def test_outcome_rescaling_maps_the_coefficients(rescaling_fit):
+    # y' = 3y - 2 gives beta' = 3 beta - 2 e0 and leaves the treatment stage alone
+    data, mixture, ce = rescaling_fit
+    cs = fit_effects({**data, "y": 3.0 * data["y"] - 2.0}, mixture)
+    want = 3.0 * ce.outcome.beta
+    want[:, 0] -= 2.0
+    assert _relative_gap(cs.outcome.beta, want) <= 1e-10
+    assert np.array_equal(cs.treatment.sigma2, ce.treatment.sigma2)
+
+
+def test_treatment_rescaling_maps_the_coefficients(rescaling_fit):
+    # a' = 2.5a gives alpha' = 2.5 alpha, sigma2' = 6.25 sigma2 and beta'_a = beta_a / 2.5,
+    # with the other beta columns unchanged
+    data, mixture, ce = rescaling_fit
+    cs = fit_effects({**data, "a": 2.5 * data["a"]}, mixture)
+    assert cs.diagnostics["variance_clamped"] == 0
+    assert _relative_gap(cs.treatment.alpha, 2.5 * ce.treatment.alpha) <= 1e-10
+    assert _relative_gap(cs.treatment.sigma2, 6.25 * ce.treatment.sigma2) <= 1e-10
+    want = ce.outcome.beta.copy()
+    want[:, 1] /= 2.5
+    assert _relative_gap(cs.outcome.beta, want) <= 1e-10
+
+
 def test_single_component_reduces_to_ols(one_hot_weights):
     rng = np.random.default_rng(5)
     n = 400
@@ -462,6 +514,7 @@ FIT_EFFECTS_REFUSALS = {
                        "treatment values must be numbers"),
     "y_nan": (lambda d: {**d, "y": _with_nan(d["y"])}, InvalidConfig,
               "outcome values must be finite"),
+    "z1_scalar": (lambda d: {**d, "z1": 1.0}, DimensionMismatch, "disagree on the number of rows"),
     "a_short": (lambda d: {**d, "a": d["a"][1:]}, DimensionMismatch, None),
     "y_short": (lambda d: {**d, "y": d["y"][1:]}, DimensionMismatch, None),
     "no_rows": (lambda d: {key: col[:0] for key, col in d.items()}, EmptyInput, None),

@@ -13,6 +13,7 @@ from latentcause import (
     InvalidConfig,
     KernelSpec,
     LatentCauseError,
+    UnfittedModel,
     estimate_ate,
     fit_effects,
     fit_multitreatment,
@@ -32,6 +33,7 @@ from latentcause import (
     write_report,
     write_truth,
 )
+from latentcause.causal import SIGMA_FLOOR
 
 
 def test_multiproxy_dataset_round_trip_exact(tmp_path, proxy_case):
@@ -328,6 +330,82 @@ def test_malformed_model_documents_rejected(tmp_path, discrete_case, proxy_case)
         path.write_text(json.dumps(bad))
         with pytest.raises(error, match=message):
             load_model(path)
+
+
+@pytest.fixture(scope="module")
+def saved_documents(proxy_case, discrete_case):
+    _, data, _ = discrete_case
+    return {"kernel": model_to_dict(_small_proxy_model(proxy_case)),
+            "discrete": model_to_dict(fit_multitreatment(data["a1"], data["a2"], data["a3"],
+                                                         data["y"], 2, seed=0))}
+
+
+_DROP = object()
+
+# the model constructors' refusals, reached through a saved document: (document,
+# key path, replacement built from both documents or _DROP to delete the key,
+# error, message)
+MODEL_REFUSALS = {
+    "alpha_1d": ("kernel", ("treatment", "alpha"), lambda d: d["kernel"]["treatment"]["alpha"][0],
+                 DimensionMismatch, "alpha must be K x L"),
+    "sigma2_short": ("kernel", ("treatment", "sigma2"),
+                     lambda d: d["kernel"]["treatment"]["sigma2"][:-1],
+                     DimensionMismatch, "one variance per component"),
+    "beta_1d": ("kernel", ("outcome", "beta"), lambda d: d["kernel"]["outcome"]["beta"][0],
+                DimensionMismatch, "beta must be K x M"),
+    "z_feature_means_row_short": ("kernel", ("z_feature_means",),
+                                  lambda d: d["kernel"]["z_feature_means"][:-1],
+                                  DimensionMismatch, "one stored feature row per component"),
+    "beta_k_minus_1_rows": ("kernel", ("outcome", "beta"),
+                            lambda d: d["kernel"]["outcome"]["beta"][:-1],
+                            DimensionMismatch, "disagree on component count"),
+    "lambdas_empty": ("discrete", ("mixture", "lambdas"), lambda d: [],
+                      DimensionMismatch, "lambdas must be a nonempty vector"),
+    "variance_below_floor": ("kernel", ("treatment", "sigma2", 0), lambda d: SIGMA_FLOOR / 2,
+                             InvalidConfig, "variances must be at least"),
+    "kernel_mixture_in_multitreatment": ("discrete", ("mixture",),
+                                         lambda d: d["kernel"]["mixture"],
+                                         InvalidConfig, "pipeline is categorical"),
+    "kernel_without_anchors": ("kernel", ("mixture", "anchors"), _DROP,
+                               UnfittedModel, "needs kernel, anchors, coefficients"),
+    "discrete_without_emissions": ("discrete", ("mixture", "emissions"), _DROP,
+                                   UnfittedModel, "needs emission matrices"),
+}
+
+
+@pytest.mark.parametrize("case", list(MODEL_REFUSALS))
+def test_model_constructors_refuse_edited_documents(saved_documents, case):
+    base, keys, value, error, message = MODEL_REFUSALS[case]
+    doc = json.loads(json.dumps(saved_documents[base]))
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value(saved_documents)
+    with pytest.raises(error, match=message):
+        model_from_dict(doc)
+
+
+def test_one_dimensional_proxies_run_end_to_end(tmp_path, proxy_case):
+    # views with d = 1 given as 1-d arrays fit, save and load as their n x 1 columns do
+    _, data, _ = proxy_case
+    flat = {key: v[:1500, 0] if v.ndim == 2 else v[:1500] for key, v in data.items()}
+    columns = {key: v[:, None] if key[0] == "z" else v for key, v in flat.items()}
+    kernel = KernelSpec(bandwidth=1.0, landmark_count=200)
+    model, column_model = (
+        fit_effects(d, fit_multiview(d["z1"], d["z2"], d["z3"], 3, kernel=kernel, seed=0))
+        for d in (flat, columns))
+    assert model.z_feature_means.shape == (3, 1)
+    assert model_to_dict(model) == model_to_dict(column_model)
+    path = tmp_path / "d1.json"
+    save_model(path, model)
+    loaded = load_model(path)
+    assert loaded.z_feature_means.shape == (3, 1)
+    for a in (-1.0, 0.0, 2.5):
+        assert np.isfinite(estimate_ate(model, a))
+        assert estimate_ate(loaded, a) == estimate_ate(model, a)
 
 
 def test_every_file_failure_is_a_latentcause_error(tmp_path, proxy_case, discrete_case):
