@@ -215,6 +215,14 @@ def _check_rows(n, *arrays):
         raise DimensionMismatch("inputs disagree on the number of rows")
 
 
+def _columns(data: dict, *keys) -> list:
+    """The named columns of a dataset; a missing one raises InvalidConfig."""
+    for key in keys:
+        if key not in data:
+            raise InvalidConfig(f"dataset is missing the {key!r} column")
+    return [data[key] for key in keys]
+
+
 def _scalar_target(x, name):
     vec = _floats(x, f"{name} values").ravel()
     if vec.shape[0] == 0:
@@ -348,17 +356,15 @@ def fit_effects(data: dict, mixture: MixtureEstimate) -> CausalEstimate:
     built-in Gaussian design. The columns are checked here, once; the
     stages take them as read.
     """
-    for key in ("z1", "z2", "z3", "a", "y"):
-        if key not in data:
-            raise InvalidConfig(f"dataset is missing the {key!r} column")
-    z1 = _floats(data["z1"], "view values")
+    cols = _columns(data, "z1", "z2", "z3", "a", "y")
+    z1 = _floats(cols[0], "view values")
     if z1.ndim < 2:
         z1 = z1.reshape(-1, 1)
-    a_vec = _scalar_target(data["a"], "treatment")
-    y_vec = _scalar_target(data["y"], "outcome")
+    a_vec = _scalar_target(cols[3], "treatment")
+    y_vec = _scalar_target(cols[4], "outcome")
     _check_rows(a_vec.shape[0], z1, y_vec)
 
-    w = posteriors(mixture, data["z1"], data["z2"], data["z3"])
+    w = posteriors(mixture, *cols[:3])
     tm = fit_treatment(a_vec, z1, w)
     w_updated = update_posteriors(w, tm, a_vec, z1)
     om = fit_outcome(a_vec, z1, y_vec, w_updated)

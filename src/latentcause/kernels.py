@@ -48,11 +48,12 @@ def gram(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class KernelRows:
-    """Row source of ``gram(kernel, x, y)`` for ``_row_blocks``.
+    """Row source of ``gram(kernel, x, y)`` for ``_row_blocks``, with its products.
 
     Nothing n x m is stored, nor any copy of the n x d points: ``fill``
-    rebuilds any run of rows from the points and their squared norms. Each
-    row block of about _BLOCK_CELLS entries pads its points to
+    rebuilds any run of rows from the points and their squared norms, and
+    ``rows @ m`` and ``rows.tdot(w)`` (rows' w) take them a block at a time.
+    Each row block of about _BLOCK_CELLS entries pads its points to
     ``[x, ||x||^2, 1]`` in one reused buffer, and one product of that with
     c*y padded to ``[-c/2, -c ||y||^2 / 2]`` (c = s^-2) gives
     -||x - y||^2 / (2 s^2); it is then clamped at 0 (rounding can leave a tiny
@@ -82,15 +83,24 @@ class KernelRows:
             np.exp(block, out=block)
         return out
 
+    def __matmul__(self, m: np.ndarray) -> np.ndarray:
+        out = np.empty((self.shape[0], m.shape[1]))
+        for lo, hi, (block,) in _row_blocks((self,)):
+            np.matmul(block, m, out=out[lo:hi])
+        return out
+
+    def tdot(self, w: np.ndarray) -> np.ndarray:
+        return sum(block.T @ w[lo:hi] for lo, hi, (block,) in _row_blocks((self,)))
+
 
 def _row_blocks(sources, cells: int = _BLOCK_CELLS):
     """(lo, hi, blocks): rows lo:hi of each source, about ``cells`` entries apiece.
 
     A row source has ``shape`` and ``fill(lo, out)``, which writes rows
-    lo .. lo + len(out) into ``out``: ``KernelRows`` or the discrete fit's
-    one-hot rows. Each source is evaluated into one buffer that every block
-    reuses (fresh pages cost as much as the kernel arithmetic), so a block is
-    valid only until the next is drawn.
+    lo .. lo + len(out) into ``out``, as ``KernelRows`` does. Each source is
+    evaluated into one buffer that every block reuses (fresh pages cost as
+    much as the kernel arithmetic), so a block is valid only until the next
+    is drawn.
     """
     n = sources[0].shape[0]
     step = max(1, cells // max(max(src.shape[1] for src in sources), 1))
@@ -98,15 +108,3 @@ def _row_blocks(sources, cells: int = _BLOCK_CELLS):
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         yield lo, hi, [src.fill(lo, buf[:hi - lo]) for src, buf in zip(sources, bufs)]
-
-
-def _row_product(rows, coefficients: np.ndarray) -> np.ndarray:
-    """``rows @ coefficients`` for a row source, one row block at a time.
-
-    With a ``KernelRows`` source this is a kernel matrix times coefficients
-    without an n x m array.
-    """
-    out = np.empty((rows.shape[0], coefficients.shape[1]))
-    for lo, hi, (block,) in _row_blocks((rows,)):
-        np.matmul(block, coefficients, out=out[lo:hi])
-    return out

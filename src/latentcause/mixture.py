@@ -32,13 +32,7 @@ from .errors import (
     _floats,
     _integer,
 )
-from .kernels import (
-    KernelRows,
-    KernelSpec,
-    _row_blocks,
-    _row_product,
-    gram,
-)
+from .kernels import KernelRows, KernelSpec, _row_blocks, gram
 from .linalg import _KRYLOV_STEPS, _lanczos_svd, _pivoted_cholesky, _triangular_inverse
 from .tensor_spectral import build_whitener, robust_power_method, whitened_third_moment
 
@@ -183,8 +177,9 @@ def _as_levels(*views, levels: int | None = None):
     """Categorical views as int arrays of one length, with their level count S.
 
     S is ``levels`` when given, else one past the largest observed level;
-    every value must be an integer in 0..S-1, and S^2 within _TABLE_CELLS,
-    the budget of the S x S arrays a discrete fit or ``scree_discrete`` forms.
+    every value must be an integer in 0..S-1. An S read from the data must
+    have S^2 within _TABLE_CELLS, the budget of the S x S arrays a discrete
+    fit or ``scree_discrete`` forms, so one stray level code cannot size them.
     """
     out, tops = [], []
     for a in views:
@@ -209,7 +204,7 @@ def _as_levels(*views, levels: int | None = None):
     s = int(levels) if levels is not None else max(tops) + 1
     if max(tops) >= s:
         raise InvalidConfig(f"a view holds a level outside 0..{s - 1}")
-    if s * s > _TABLE_CELLS:
+    if levels is None and s * s > _TABLE_CELLS:
         raise InvalidConfig(f"S = {s} levels need S x S tables of {s * s} cells, "
                             f"above the budget of {_TABLE_CELLS}")
     return out, s
@@ -261,15 +256,15 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
     # child 0 drew the bandwidth once; skipping it keeps every seed's landmarks
     _, sub_ss, power_ss = _seed_sequence(seed).spawn(3)
     rng = np.random.default_rng(sub_ss)
-    drawn = []                                      # (rows, factor, anchors) per view
+    drawn = []                                      # (features, anchors) per view
 
     def features():
         for v in views:
             drawn.append(_nystrom_features(v, kernel, rng))
-            yield drawn[-1][:2]
+            yield drawn[-1][0]
 
     lam, means, info = _cross_moment_core(features(), k, power_ss)
-    _, factors, anchor_sets = zip(*drawn)
+    feats, anchor_sets = zip(*drawn)
     info.update(method="crossmoment", anchor_count=min(n, kernel.landmark_count),
                 landmark_rank=[a.shape[0] for a in anchor_sets])
     return MixtureEstimate(
@@ -277,14 +272,14 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
         lambdas=lam,
         kernel=kernel,
         anchors=anchor_sets,
-        coefficients=tuple((a @ m).T for a, m in zip(factors, means)),
+        coefficients=tuple((f.factor @ m).T for f, m in zip(feats, means)),
         seed=int(seed),
         diagnostics=info,
     )
 
 
 def _nystrom_features(view, kernel, rng):
-    """Whitened landmark features of one view, factored: (rows, factor, anchors).
+    """Whitened landmark features of one view, factored, and their anchors.
 
     The features are ``rows @ factor`` and are never multiplied out. A pivoted
     Cholesky of the landmark gram stops at the first pivot at or below
@@ -292,7 +287,7 @@ def _nystrom_features(view, kernel, rng):
     is that small adds nothing measurable, and the floor keeps the triangle's
     diagonal above sqrt(PIVOT_FLOOR), which bounds the inverse factor and so
     the rounding it amplifies. Its r pivot landmarks are the anchors, ``rows``
-    is a ``KernelRows`` source of the n x r kernel against them and ``factor``
+    is the ``KernelRows`` source of the n x r kernel against them and ``factor``
     the inverse transpose of the r x r triangle. The features then have
     identity second moment over the anchors, and the view's density
     coefficients are ``factor @ feature_means``. The factor and its inverse
@@ -309,7 +304,7 @@ def _nystrom_features(view, kernel, rng):
     del kmm
     np.copyto(inv_l, 0.0, where=np.tri(r, k=-1, dtype=bool).T)  # scratch above the diagonal
     _triangular_inverse(inv_l)
-    return KernelRows(kernel, view, anchors), inv_l.T, anchors
+    return _LandmarkFeatures(KernelRows(kernel, view, anchors), inv_l.T), anchors
 
 
 def _leading_svd(c: np.ndarray, count: int):
@@ -348,30 +343,47 @@ def _weighted(rows, weights, lo=0):
     return rows if weights is None else rows * weights[lo:lo + rows.shape[0], None]
 
 
-def _cross_moment(view1, view2, weights=None):
-    """(k1 a1)' diag(weights) (k2 a2) / n for two factored views, in one r1 x r2 array.
+class _LandmarkFeatures:
+    """A view's whitened landmark features ``rows @ factor``, never multiplied out.
 
-    Row panels of k1 and k2 add k1'k2 into c a block of c's rows at a time;
-    then c becomes a1'c and (a1'c)a2 in place, all through one buffer of
-    half a panel. Each factor must be upper triangular (the landmark
-    triangle's inverse transpose, or the identity of one-hot views): rows I
-    of a1'c then read only rows of c at or above I, so a1'c can overwrite c
-    from the bottom row block up, and (a1'c)a2 from the right column block
-    leftwards.
+    ``rows`` is the view's ``KernelRows`` source and ``factor`` the landmark
+    triangle's inverse transpose, which is upper triangular. ``f @ m`` and
+    ``f.tdot(w)`` (f'w) take one pass over the rows each.
     """
-    (k1, a1), (k2, a2) = view1, view2
-    c = np.zeros((k1.shape[1], k2.shape[1]))
-    buf = np.empty(min(_PANEL_CELLS // 2, c.size))
-    step = buf.size // c.shape[1]
-    for lo, _, (b1, b2) in _row_blocks((k1, k2), _PANEL_CELLS):
-        b2 = _weighted(b2, weights, lo)
-        for i in range(0, c.shape[0], step):
-            part = c[i:i + step]
-            part += np.matmul(b1[:, i:i + step].T, b2, out=buf[:part.size].reshape(part.shape))
-    c /= k1.shape[0]
-    _upper_left_product(a1, c, buf)
-    _upper_left_product(a2, c.T, buf)                # (c a2)' = a2'c'
-    return c
+
+    def __init__(self, rows: KernelRows, factor: np.ndarray):
+        self.rows, self.factor = rows, factor
+        self.shape = (rows.shape[0], factor.shape[1])
+
+    def __matmul__(self, m: np.ndarray) -> np.ndarray:
+        return self.rows @ (self.factor @ m)
+
+    def tdot(self, w: np.ndarray) -> np.ndarray:
+        return self.factor.T @ self.rows.tdot(w)
+
+    def cross(self, other, weights=None) -> np.ndarray:
+        """f1' diag(weights) f2 / n for features f_v = k_v a_v, in one r1 x r2 array.
+
+        Row panels of k1 and k2 add k1'k2 into c a block of c's rows at a
+        time; then c becomes a1'c and (a1'c)a2 in place, all through one
+        buffer of half a panel. Both factors are upper triangular: rows I of
+        a1'c then read only rows of c at or above I, so a1'c can overwrite c
+        from the bottom row block up, and (a1'c)a2 from the right column
+        block leftwards.
+        """
+        c = np.zeros((self.shape[1], other.shape[1]))
+        buf = np.empty(min(_PANEL_CELLS // 2, c.size))
+        step = buf.size // c.shape[1]
+        for lo, _, (b1, b2) in _row_blocks((self.rows, other.rows), _PANEL_CELLS):
+            b2 = _weighted(b2, weights, lo)
+            for i in range(0, c.shape[0], step):
+                part = c[i:i + step]
+                part += np.matmul(b1[:, i:i + step].T, b2,
+                                  out=buf[:part.size].reshape(part.shape))
+        c /= self.shape[0]
+        _upper_left_product(self.factor, c, buf)
+        _upper_left_product(other.factor, c.T, buf)      # (c a2)' = a2'c'
+        return c
 
 
 def _upper_left_product(a: np.ndarray, c: np.ndarray, buf: np.ndarray) -> None:
@@ -389,85 +401,92 @@ def _upper_left_product(a: np.ndarray, c: np.ndarray, buf: np.ndarray) -> None:
                                out=buf[:(stop - lo) * width].reshape(stop - lo, width))
 
 
+class _OneHotFeatures:
+    """One-hot features of ``levels`` over s levels, with no n x s array.
+
+    ``f @ m`` gathers rows of m, ``f.tdot(w)`` is one bincount per column of
+    w, and ``f.cross(g, weights)`` one bincount of the pair key.
+    """
+
+    def __init__(self, levels: np.ndarray, s: int):
+        self.levels = levels
+        self.shape = (levels.shape[0], s)
+
+    def __matmul__(self, m: np.ndarray) -> np.ndarray:
+        return m[self.levels]
+
+    def tdot(self, w: np.ndarray) -> np.ndarray:
+        return np.column_stack([np.bincount(self.levels, weights=col, minlength=self.shape[1])
+                                for col in w.T])
+
+    def cross(self, other, weights=None) -> np.ndarray:
+        s1, s2 = self.shape[1], other.shape[1]
+        pairs = np.bincount(self.levels * s2 + other.levels, weights=weights, minlength=s1 * s2)
+        return pairs.reshape(s1, s2) / self.shape[0]
+
+
 def _cross_moment_core(views, k, power_ss, weights=None):
     """Shared third-order decomposition over arbitrary per-view features.
 
-    Each view is a pair (k_v, a_v) of a row source and an upper-triangular
-    factor, the landmark triangle's inverse transpose or an identity: c12 is
-    carried through views 1 and 2's factors in place, which reads each one's
-    rows and columns in an order that holds only for a triangle. The features
-    f_v = k_v a_v are never formed, and no source is held whole. ``views`` is
-    read in order and view 3's pair only after c12's SVD, so a lazy iterable
-    builds view 3 once c12 is gone. Views 1 and 2 are mapped into view 3's
-    coordinates with the two-view cross-moment transformations, after which
-    the problem is symmetric and one whitened decomposition recovers the
-    eigenvalues and all three conditional feature means. Four passes over the
-    rows, each needing the one before:
+    Each view is a features object f_v (``_LandmarkFeatures`` or
+    ``_OneHotFeatures``) answering ``f @ m``, ``f.tdot(w)`` (f'w) and
+    ``f.cross(g, weights)`` (f' diag(weights) g / n); no f_v is formed here.
+    ``views`` is read in order and view 3 only after c12's SVD, so a lazy
+    iterable builds view 3 once c12 is gone. Views 1 and 2 are mapped into
+    view 3's coordinates with the two-view cross-moment transformations,
+    after which the problem is symmetric and one whitened decomposition
+    recovers the eigenvalues and all three conditional feature means. Four
+    passes over the rows, each needing the one before:
 
-    1. c12 = a1'(k1'k2/n)a2 = U S V', the only moment formed at feature size,
-       summed and carried through both factors in one r x r array;
-    2. g1 = k1 a1 U and g2 = k2 a2 V (n x k), with g1'k3 and g2'k3, which give
-       V' c23 and U' c13: the maps are x1 = (f1 U S^-1)(V' c23) and
-       x2 = (f2 V S^-1)(U' c13), whose cross moment lies in the 2k-dim row
-       span q of [V' c23; U' c13], where it is whitened;
-    3. g3 = k3 a3 q (n x 2k), view 3's whitened factor and, as the columns of
+    1. c12 = f1'f2/n = U S V', the only moment formed at feature size;
+    2. g1 = f1 U and g2 = f2 V (n x k), then f3'[g2, g1], giving V' c23 and
+       U' c13 in one pass over view 3: the maps are x1 = (f1 U S^-1)(V' c23)
+       and x2 = (f2 V S^-1)(U' c13), whose cross moment lies in the 2k-dim
+       row span q of [V' c23; U' c13], where it is whitened;
+    3. g3 = f3 q (n x 2k), view 3's whitened factor and, as the columns of
        the view-3 means m3 lie in span(q), the weights h = f3 pinv(m3)'/prior;
-    4. k1'h and k2'h, the view-1 and view-2 means.
+    4. f1'h and f2'h, the view-1 and view-2 means.
 
-    Beyond views 1 and 2's factors and c12, which view 3's factor follows,
-    memory is O(panel r + n k). Count-table rows carry their counts as
-    ``weights``, which scale one factor of every sum over rows once
-    normalised to mean one; kernel fits pass none.
+    Beyond c12 and what views 1 and 2 hold, memory is O(n k). Count-table
+    rows carry their counts as ``weights``, which scale one factor of every
+    sum over rows once normalised to mean one; kernel fits pass none.
     """
     views = iter(views)
-    (k1, a1), (k2, a2) = next(views), next(views)
-    n = k1.shape[0]
+    f1, f2 = next(views), next(views)
+    n = f1.shape[0]
     r = None if weights is None else weights * (n / weights.sum())
-    u, s, v, margin = _top_singular(_cross_moment((k1, a1), (k2, a2), r), k)
-    (k3, a3), = views                                # drawn once c12 is gone
-    p1, p2 = a1 @ u, a2 @ v
-    g1, g2 = np.empty((n, k)), np.empty((n, k))
-    c13, c23 = np.zeros((k, k3.shape[1])), np.zeros((k, k3.shape[1]))  # g1'k3, g2'k3
-    for lo, hi, (k1b, k2b, k3b) in _row_blocks((k1, k2, k3)):
-        np.matmul(k1b, p1, out=g1[lo:hi])
-        np.matmul(k2b, p2, out=g2[lo:hi])
-        c13 += _weighted(g1[lo:hi], r, lo).T @ k3b
-        c23 += _weighted(g2[lo:hi], r, lo).T @ k3b
-    b1, b2 = c23 @ a3 / n, c13 @ a3 / n              # V' c23, U' c13
-    q = np.linalg.qr(np.vstack((b1, b2)).T)[0]       # r3 x 2k orthonormal
+    u, s, v, margin = _top_singular(f1.cross(f2, r), k)
+    f3, = views                                      # drawn once c12 is gone
+    g1, g2 = f1 @ u, f2 @ v
+    b = f3.tdot(_weighted(np.hstack((g2, g1)), r)) / n   # [V' c23; U' c13]'
+    q = np.linalg.qr(b)[0]                           # r3 x 2k orthonormal
     if q.shape[1] < k:                               # q has min(r3, 2k) columns
         raise RankDeficiency(f"view 3's features have rank {q.shape[1]}, below k={k}")
-    e1, e2 = b1 @ q / s[:, None], b2 @ q / s[:, None]   # x1 q = g1 e1, x2 q = g2 e2
+    e1, e2 = b[:, :k].T @ q / s[:, None], b[:, k:].T @ q / s[:, None]  # x1 q = g1 e1
     cross = e1.T @ (g1.T @ _weighted(g2, r) / n) @ e2
-    whitener = build_whitener((cross + cross.T) / 2.0, k)
+    w_map, spectrum = build_whitener((cross + cross.T) / 2.0, k)
 
-    g3 = _row_product(k3, a3 @ q)                    # f3 q
-    t_hat = whitened_third_moment(_weighted(g1 @ (e1 @ whitener.map), r),
-                                  g2 @ (e2 @ whitener.map), g3 @ whitener.map)
+    g3 = f3 @ q
+    t_hat = whitened_third_moment(_weighted(g1 @ (e1 @ w_map), r),
+                                  g2 @ (e2 @ w_map), g3 @ w_map)
     eig = robust_power_method(t_hat, k, seed=power_ss)
     priors = priors_from_lambdas(eig.lambdas)[1]
 
-    m3 = ((q @ whitener.map) * whitener.spectrum[None, :]) @ (
-        eig.vectors.T * eig.lambdas[None, :])
+    m3 = ((q @ w_map) * spectrum[None, :]) @ (eig.vectors.T * eig.lambdas[None, :])
     h = _weighted(g3 @ (q.T @ np.linalg.pinv(m3).T / (n * priors[None, :])), r)
-    t1, t2 = np.zeros((k1.shape[1], k)), np.zeros((k2.shape[1], k))
-    for lo, hi, (k1b, k2b) in _row_blocks((k1, k2)):
-        t1 += k1b.T @ h[lo:hi]
-        t2 += k2b.T @ h[lo:hi]
     info = {"power_residual": eig.residual,
-            "moment_spectrum": np.sqrt(whitener.spectrum),
+            "moment_spectrum": np.sqrt(spectrum),
             "rank_margin": margin}
-    return eig.lambdas, [a1.T @ t1, a2.T @ t2, m3], info
+    return eig.lambdas, [f1.tdot(h), f2.tdot(h), m3], info
 
 
 def fit_discrete_multiview(a1, a2, a3, k: int, seed=0, counts=None) -> MixtureEstimate:
     """Mixture fit for three categorical views coded 0..S-1.
 
-    The one-hot features of the distinct observed triples, streamed a row
-    block at a time, paired with an identity factor and weighted by their
-    row counts, feed the shared
-    cross-moment decomposition; recovered conditional means are clamped at the
-    density floor and renormalized into column-stochastic emission matrices.
+    The one-hot features of the distinct observed triples, weighted by their
+    row counts, feed the shared cross-moment decomposition; recovered
+    conditional means are clamped at the density floor and renormalized into
+    column-stochastic emission matrices.
     k = 1 takes the count-weighted marginals. ``counts``, one nonnegative
     integer per row, makes each row stand for that many: a count table fits as
     its rows repeated would, bit for bit.
@@ -481,32 +500,13 @@ def fit_discrete_multiview(a1, a2, a3, k: int, seed=0, counts=None) -> MixtureEs
         means = [np.bincount(t, weights=counts, minlength=s)[:, None] / counts.sum()
                  for t in triples]
     else:
-        eye = np.eye(s)
-        lam, means, info = _cross_moment_core([(_OneHotRows(t, s), eye) for t in triples],
+        lam, means, info = _cross_moment_core([_OneHotFeatures(t, s) for t in triples],
                                               k, _seed_sequence(seed).spawn(1)[0], counts)
         info["method"] = "discrete_cross_moment"
     return MixtureEstimate(
         backend="discrete", lambdas=lam, emissions=tuple(map(_stochastic_columns, means)),
         seed=int(seed), diagnostics=info | {"levels": s},
     )
-
-
-class _OneHotRows:
-    """Row source of the one-hot rows of ``levels`` over s levels, for ``_row_blocks``.
-
-    Like ``KernelRows``, it writes rows into a buffer that every block reuses,
-    so no P x S array of the P distinct triples is formed.
-    """
-
-    def __init__(self, levels: np.ndarray, s: int):
-        self._levels = levels
-        self.shape = (levels.shape[0], s)
-
-    def fill(self, lo: int, out: np.ndarray) -> np.ndarray:
-        """Write rows lo .. lo + len(out) into ``out``."""
-        out.fill(0.0)
-        out[np.arange(out.shape[0]), self._levels[lo:lo + out.shape[0]]] = 1.0
-        return out
 
 
 def _checked_levels(a1, a2, a3, k, seed):
@@ -597,8 +597,7 @@ def _density_matrix(est: MixtureEstimate, view: int, z) -> np.ndarray:
     if est.backend == "discrete":
         dm = est.emissions[view][z, :]
     else:
-        rows = KernelRows(est.kernel, z, est.anchors[view])
-        dm = _row_product(rows, est.coefficients[view].T)
+        dm = KernelRows(est.kernel, z, est.anchors[view]) @ est.coefficients[view].T
     return np.maximum(dm, DENSITY_FLOOR, out=dm)
 
 
@@ -666,17 +665,15 @@ def scree(z1, z2, kernel: KernelSpec | None = None, max_k: int = 10,
     kernel = kernel if kernel is not None else KernelSpec()
     # child 0 drew the bandwidth once; skipping it keeps every seed's landmarks
     rng = np.random.default_rng(_seed_sequence(seed).spawn(2)[1])
-    f1, f2 = (_nystrom_features(z, kernel, rng)[:2] for z in (z1, z2))
-    return _leading_svd(_cross_moment(f1, f2), max_k)[1]
+    f1, f2 = (_nystrom_features(z, kernel, rng)[0] for z in (z1, z2))
+    return _leading_svd(f1.cross(f2), max_k)[1]
 
 
 def scree_discrete(a1, a2, max_k: int = 10) -> np.ndarray:
     """Cross-view correlation spectrum for two categorical views."""
     (v1, v2), s = _as_levels(a1, a2)
-    n = v1.shape[0]
-    max_k = _integer(max_k, "max_k must lie in 1..n", 1, n)
-
-    c12 = np.bincount(v1 * s + v2, minlength=s * s).reshape(s, s) / n
+    max_k = _integer(max_k, "max_k must lie in 1..n", 1, v1.shape[0])
+    c12 = _OneHotFeatures(v1, s).cross(_OneHotFeatures(v2, s))
     p1, p2 = c12.sum(axis=1), c12.sum(axis=0)
     keep1, keep2 = p1 > 0, p2 > 0
     core = (c12[keep1][:, keep2]

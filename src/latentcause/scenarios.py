@@ -21,9 +21,9 @@ from importlib import resources
 
 import numpy as np
 
-from .causal import _regressors
+from .causal import _check_rows, _columns, _regressors, _scalar_target
 from .errors import DimensionMismatch, InvalidConfig, _floats, _integer
-from .mixture import PosteriorMatrix, _seed_sequence
+from .mixture import PosteriorMatrix, _as_levels, _as_views, _seed_sequence
 
 _EMISSIONS_RESOURCE = "two_state_emissions.json"
 
@@ -244,21 +244,24 @@ def oracle_posteriors(s: MultiProxyScenario, data: dict,
     """Exact Bayes posteriors from the true generative densities.
 
     flavor "proxy_only" conditions on the three views; "treatment_updated"
-    additionally multiplies in the true treatment likelihood.
+    additionally multiplies in the true treatment likelihood. The columns
+    are read as ``fit_effects`` reads them: a 1-d view is one column.
     """
-    zs = [np.atleast_2d(np.asarray(data[key], dtype=float))
-          for key in ("z1", "z2", "z3")]
+    if flavor not in ("proxy_only", "treatment_updated"):
+        raise InvalidConfig(f"unknown flavor {flavor!r}")
+    zs = _as_views(*_columns(data, "z1", "z2", "z3"))
+    if zs[0].shape[1] != s.dim:
+        raise DimensionMismatch(f"views need the design's {s.dim} columns, got {zs[0].shape[1]}")
     log_w = np.log(s.priors)[None, :] + sum(
         _gaussian_view_loglik(s, v, zs[v]) for v in range(3)
     )
     if flavor == "treatment_updated":
-        a = np.asarray(data["a"], dtype=float).ravel()
+        a = _scalar_target(_columns(data, "a")[0], "treatment")
+        _check_rows(a.shape[0], zs[0])
         mean = zs[0] @ s.alpha.T                          # n x K
         var = s.treatment_var[None, :]
         log_w += (-0.5 * (a[:, None] - mean) ** 2 / var
                   - 0.5 * np.log(2.0 * np.pi * var))
-    elif flavor != "proxy_only":
-        raise InvalidConfig(f"unknown flavor {flavor!r}")
     log_w -= log_w.max(axis=1, keepdims=True)
     w = np.exp(log_w)
     w /= w.sum(axis=1, keepdims=True)
@@ -267,7 +270,7 @@ def oracle_posteriors(s: MultiProxyScenario, data: dict,
 
 def oracle_discrete_posteriors(s: MultiTreatmentScenario, data: dict) -> PosteriorMatrix:
     """Exact Bayes posteriors over states given the three treatments."""
-    treats = [np.asarray(data[key]).astype(int) for key in ("a1", "a2", "a3")]
+    treats, _ = _as_levels(*_columns(data, "a1", "a2", "a3"), levels=s.levels)
     log_w = np.log(s.priors)[None, :]
     log_w = log_w + sum(np.log(s.emissions[v][treats[v], :]) for v in range(3))
     log_w -= log_w.max(axis=1, keepdims=True)
@@ -277,16 +280,17 @@ def oracle_discrete_posteriors(s: MultiTreatmentScenario, data: dict) -> Posteri
 
 
 def true_ate_multiproxy(s: MultiProxyScenario, a: float) -> float:
-    """Closed-form dose response for the Gaussian design."""
-    psi_mean = np.column_stack([
-        np.ones(s.n_states), np.full(s.n_states, float(a)), s.means[0],
-    ])
+    """Closed-form dose response for the Gaussian design at one treatment level."""
+    a = _floats(a, "treatment level")
+    if a.size != 1:
+        raise DimensionMismatch(f"the dose response takes one treatment level, got {a.size}")
+    psi_mean = np.column_stack([np.ones(s.n_states), np.full(s.n_states, a.item()), s.means[0]])
     return float(s.priors @ np.einsum("kf,kf->k", s.beta, psi_mean))
 
 
 def true_ate_multitreatment(s: MultiTreatmentScenario, a) -> float:
     """Closed-form dose response for the discrete design at levels a."""
-    xi = np.concatenate([[1.0], np.asarray(a, dtype=float).ravel()])
+    xi = np.concatenate([[1.0], _floats(a, "treatment levels").ravel()])
     if xi.shape[0] != 4:
         raise DimensionMismatch("treatment vector must have three entries")
     return float(s.priors @ (s.gamma @ xi))

@@ -24,14 +24,6 @@ POWER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class Whitener:
-    """Linear map W with W' M W = I_K for the moment matrix M it came from."""
-
-    map: np.ndarray          # m x K
-    spectrum: np.ndarray     # K positive values, descending
-
-
-@dataclass(frozen=True)
 class TensorEigenSet:
     """Eigenpairs of a whitened third moment, with the deflation residual."""
 
@@ -40,13 +32,13 @@ class TensorEigenSet:
     residual: float
 
 
-def build_whitener(m: np.ndarray, k: int) -> Whitener:
-    """Whitening map W = U_k diag(s_k^(-1/2)) from the top-k eigenpairs of m.
+def build_whitener(m: np.ndarray, k: int):
+    """Whitening map W = U_k diag(s_k^(-1/2)) and spectrum s_k from m's top k eigenpairs.
 
-    ``m`` is a symmetric second moment. Its k-th eigenvalue must lie strictly
-    above 1e-10 times the largest (and so above 0). Failing that means the
-    requested K exceeds what the data supports, and we fail loudly rather
-    than regularize.
+    W' m W = I_k, and s_k descends. ``m`` is a symmetric second moment. Its
+    k-th eigenvalue must lie strictly above 1e-10 times the largest (and so
+    above 0). Failing that means the requested K exceeds what the data
+    supports, and we fail loudly rather than regularize.
     """
     vals, vecs = np.linalg.eigh(m)
     vals, vecs = vals[::-1][:k], vecs[:, ::-1][:, :k]
@@ -56,7 +48,7 @@ def build_whitener(m: np.ndarray, k: int) -> Whitener:
             f"eigenvalue {k} is {vals[k - 1]:.3e}, not above floor {floor:.3e}; "
             "k too large or data insufficient"
         )
-    return Whitener(map=vecs / np.sqrt(vals)[None, :], spectrum=vals)
+    return vecs / np.sqrt(vals)[None, :], vals
 
 
 def whitened_third_moment(xi1: np.ndarray, xi2: np.ndarray,

@@ -141,25 +141,48 @@ def population_triple_table(priors, emissions, gamma, scale):
     return a1, a2, a3, np.array(counts, dtype=float), np.array(y_sums)
 
 
+def population_support_table(priors, support, probs):
+    """Every support triple of a planted design whose views take finitely many points.
+
+    ``support[v]`` holds view v's points, one per row, and ``probs[v]`` their
+    distributions under each component (points x K). Returns (z1, z2, z3,
+    weights): one row per triple of point indices in lexicographic order,
+    and each triple's mixture probability sum_u pi_u p1u(i) p2u(j) p3u(l).
+    """
+    rows, weights = [], []
+    for t in itertools.product(*(range(len(p)) for p in probs)):
+        weights.append(sum(pi * probs[0][t[0]][u] * probs[1][t[1]][u] * probs[2][t[2]][u]
+                           for u, pi in enumerate(priors)))
+        rows.append(t)
+    index = np.array(rows)
+    return (*(np.asarray(support[v])[index[:, v]] for v in range(3)), np.array(weights))
+
+
 # ---------------------------------------------------------------------------
-# dense row sources
+# dense features
 # ---------------------------------------------------------------------------
 
 class DenseRows:
-    """A row source (``shape`` and ``fill(lo, out)``) over rows held whole."""
+    """Features held whole, with the spectral core's three products as plain matmuls."""
 
     def __init__(self, rows: np.ndarray):
         self.rows = rows
         self.shape = rows.shape
 
-    def fill(self, lo: int, out: np.ndarray) -> np.ndarray:
-        out[:] = self.rows[lo:lo + out.shape[0]]
-        return out
+    def __matmul__(self, m: np.ndarray) -> np.ndarray:
+        return self.rows @ m
+
+    def tdot(self, w: np.ndarray) -> np.ndarray:
+        return self.rows.T @ w
+
+    def cross(self, other, weights=None) -> np.ndarray:
+        w = np.ones(self.shape[0]) if weights is None else weights
+        return self.rows.T @ (w[:, None] * other.rows) / self.shape[0]
 
 
-def materialized(source) -> np.ndarray:
-    """Every row of a row source, in one array."""
-    return source.fill(0, np.empty(source.shape))
+def materialized(features) -> np.ndarray:
+    """Every row of a row source or features object, in one array: features @ I."""
+    return features @ np.eye(features.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from latentcause import InvalidConfig, KernelSpec, simulate_multiproxy, three_cluster_gaussian
 from latentcause.kernels import gram
-from latentcause.kernels import _BLOCK_CELLS, KernelRows, _row_product
+from latentcause.kernels import _BLOCK_CELLS, KernelRows
 
 
 def _direct_gram(bandwidth, x, y):
@@ -37,9 +37,13 @@ def test_gram_matches_direct_formula(n, m):
         assert np.array_equal(gram(spec, x, y), got)
         assert got.min() >= 0.0 and got.max() <= 1.0
         coefficients = rng.standard_normal((3, m))
-        reduced = _row_product(KernelRows(spec, x, y), coefficients.T)
+        rows = KernelRows(spec, x, y)
+        reduced = rows @ coefficients.T
         want = got @ coefficients.T
         assert np.max(np.abs(reduced - want)) <= 1e-13 * np.max(np.abs(want))
+        weights = rng.standard_normal((n, 2))
+        summed, want = rows.tdot(weights), got.T @ weights
+        assert np.max(np.abs(summed - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_gram_diagonal_is_one_on_shared_points():

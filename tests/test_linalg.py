@@ -10,7 +10,7 @@ from latentcause import KernelSpec, simulate_multiproxy, three_cluster_gaussian
 from latentcause import mixture
 from latentcause.kernels import gram
 from latentcause.linalg import _lanczos_svd, _pivoted_cholesky, _triangular_inverse
-from latentcause.mixture import PIVOT_FLOOR, _cross_moment, _nystrom_features
+from latentcause.mixture import PIVOT_FLOOR, _nystrom_features
 
 
 def _landmark_gram(design, n, landmarks):
@@ -49,7 +49,8 @@ def _c12(design, n, landmarks):
     data, _ = simulate_multiproxy(design, n, seed=7)
     rng = np.random.default_rng(mixture._seed_sequence(0).spawn(3)[1])
     kernel = KernelSpec(landmark_count=landmarks)
-    return _cross_moment(*(_nystrom_features(data[f"z{v}"], kernel, rng)[:2] for v in (1, 2)))
+    f1, f2 = (_nystrom_features(data[f"z{v}"], kernel, rng)[0] for v in (1, 2))
+    return f1.cross(f2)
 
 
 @pytest.mark.parametrize("shape", ["square", "tall", "wide"])

@@ -39,9 +39,10 @@ from latentcause.kernels import _BLOCK_CELLS, KernelRows, gram
 from latentcause.mixture import (
     _PANEL_CELLS,
     DENSE_SVD_MAX,
-    _cross_moment,
     _cross_moment_core,
+    _LandmarkFeatures,
     _nystrom_features,
+    _OneHotFeatures,
     _triple_table,
     priors_from_lambdas,
 )
@@ -52,7 +53,13 @@ from latentcause.tensor_spectral import (
 )
 
 from frozen import PRIOR_FROM_LAMBDA_TWO
-from oracles import DenseRows, brute_force_alignment, discrete_posteriors_loop, materialized
+from oracles import (
+    DenseRows,
+    brute_force_alignment,
+    discrete_posteriors_loop,
+    materialized,
+    population_support_table,
+)
 
 
 def symmetric_views(priors, n, seed, means=(-2.0, 2.0), sigma=0.6):
@@ -618,12 +625,11 @@ def _dense_cross_moment_core(feats, k, power_ss):
     x1 = f1 @ p1.T
     x2 = f2 @ p2.T
     m2 = (x1.T @ x2 + x2.T @ x1) / (2.0 * n)
-    whitener = build_whitener(m2, k)
-    t_hat = whitened_third_moment(x1 @ whitener.map, x2 @ whitener.map,
-                                  f3 @ whitener.map)
+    w_map, spectrum = build_whitener(m2, k)
+    t_hat = whitened_third_moment(x1 @ w_map, x2 @ w_map, f3 @ w_map)
     eig = robust_power_method(t_hat, k, seed=power_ss)
     _, priors = priors_from_lambdas(eig.lambdas)
-    unwhiten = whitener.map * whitener.spectrum[None, :]
+    unwhiten = w_map * spectrum[None, :]
     m3 = unwhiten @ (eig.vectors.T * eig.lambdas[None, :])
     m3_pinv_t = np.linalg.pinv(m3).T
     return (eig.lambdas, priors,
@@ -639,7 +645,7 @@ def _overlap_features():
     data, _ = simulate_multiproxy(scenario, 1500, seed=3)
     kernel = KernelSpec(bandwidth=1.0)
     rng = np.random.default_rng(0)
-    return [_nystrom_features(data[f"z{v}"], kernel, rng)[:2] for v in (1, 2, 3)], 3
+    return [_nystrom_features(data[f"z{v}"], kernel, rng)[0] for v in (1, 2, 3)], 3
 
 
 def _one_hot_features():
@@ -648,12 +654,11 @@ def _one_hot_features():
     emissions = tuple(rng.dirichlet(np.full(levels, 0.5), size=2).T for _ in range(3))
     scenario = dataclasses.replace(two_state_discrete(), emissions=emissions)
     data, _ = simulate_multitreatment(scenario, 20000, seed=3)
-    eye = np.eye(levels)
-    return [(DenseRows(eye[data[f"a{v}"]]), eye) for v in (1, 2, 3)], 2
+    return [_OneHotFeatures(data[f"a{v}"], levels) for v in (1, 2, 3)], 2
 
 
 def _assert_core_matches_dense_reference(views, k):
-    feats = [materialized(k_v) @ a_v for k_v, a_v in views]
+    feats = [materialized(f) for f in views]
     ss = np.random.SeedSequence(11)
     lam, means, info = _cross_moment_core(views, k, ss)
     priors = priors_from_lambdas(lam)[1]
@@ -669,9 +674,52 @@ def _assert_core_matches_dense_reference(views, k):
 @pytest.mark.parametrize("features", [_overlap_features, _one_hot_features])
 def test_rank_k_core_matches_dense_reference(features):
     views, k = features()
-    widths = [a_v.shape[1] for _, a_v in views[:2]]
+    widths = [f.shape[1] for f in views[:2]]
     assert min(widths) > max(k + 1, DENSE_SVD_MAX)      # the Lanczos SVD
     _assert_core_matches_dense_reference(views, k)
+
+
+# (points per view, K, spacing, d): views that take finitely many points, so a
+# table of every support triple, weighted by its probability, is the population
+POPULATION_DESIGNS = {
+    "7_points_k3": (7, 3, 1.5, 1),
+    "5_points_k2": (5, 2, 1.5, 1),
+    "10_points_k3": (10, 3, 1.2, 1),
+    "7_close_points_k3": (7, 3, 0.8, 1),
+    "6_points_k3_d2": (6, 3, 1.5, 2),
+}
+
+
+@pytest.mark.parametrize("design, panel_cells", [
+    *((name, None) for name in POPULATION_DESIGNS),
+    # c12 in 32-cell panels: at r <= 10 one panel holds it all otherwise, and
+    # the factors' in-place products then take one block whatever their order
+    pytest.param("7_points_k3", 32, id="7_points_k3-32_cell_panels"),
+])
+def test_kernel_core_recovers_a_finite_support_population(monkeypatch, design, panel_cells):
+    if panel_cells is not None:
+        monkeypatch.setattr(mixture, "_PANEL_CELLS", panel_cells)
+    points, k, spacing, d = POPULATION_DESIGNS[design]
+    rng = np.random.default_rng(points * 10 + k)
+    grid = np.array(list(np.ndindex(*((2, points // 2) if d == 2 else (points,)))), dtype=float)
+    support = [spacing * grid + 0.3 * v for v in range(3)]
+    probs = [rng.dirichlet(np.full(points, 0.5), size=k).T for _ in range(3)]
+    priors = np.arange(k, 2 * k) / np.arange(k, 2 * k).sum()
+    *views, weights = population_support_table(priors, support, probs)
+    # every row a landmark: the pivot floor keeps each distinct support point once
+    kernel = KernelSpec(landmark_count=weights.shape[0])
+    rng = np.random.default_rng(0)
+    feats = [_nystrom_features(view, kernel, rng) for view in views]
+    lam, means, _ = _cross_moment_core([f for f, _ in feats], k, np.random.SeedSequence(0),
+                                       weights)
+    got = [gram(kernel, z, anchors) @ (f.factor @ m)
+           for z, (f, anchors), m in zip(support, feats, means)]
+    want = [gram(kernel, z, z) @ p for z, p in zip(support, probs)]
+    perm = align_permutation(np.vstack(got).T, np.vstack(want).T)
+    assert [anchors.shape[0] for _, anchors in feats] == [points] * 3
+    assert np.max(np.abs(priors_from_lambdas(lam)[1][perm] - priors)) <= 1e-12
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g[:, perm] - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 @functools.cache
@@ -679,14 +727,15 @@ def _shared_anchors():
     """One anchor set and its whitening factor, used by all three views."""
     pool, _ = simulate_multiproxy(three_cluster_gaussian(), 120, seed=31)
     kernel = KernelSpec(bandwidth=1.0)
-    _, a, anchors = _nystrom_features(pool["z1"], kernel, np.random.default_rng(0))
-    return kernel, a, anchors
+    f, anchors = _nystrom_features(pool["z1"], kernel, np.random.default_rng(0))
+    return kernel, f.factor, anchors
 
 
 def _kernel_row_views(n):
     kernel, a, anchors = _shared_anchors()
     data, _ = simulate_multiproxy(three_cluster_gaussian(), n, seed=32)
-    return [(KernelRows(kernel, data[f"z{v}"], anchors), a) for v in (1, 2, 3)], 3
+    return [_LandmarkFeatures(KernelRows(kernel, data[f"z{v}"], anchors), a)
+            for v in (1, 2, 3)], 3
 
 
 BOUNDARY_LEVELS = 40
@@ -698,8 +747,7 @@ def _one_hot_row_views(n):
                       for _ in range(3))
     scenario = dataclasses.replace(two_state_discrete(), emissions=emissions)
     data, _ = simulate_multitreatment(scenario, n, seed=34)
-    eye = np.eye(BOUNDARY_LEVELS)
-    return [(DenseRows(eye[data[f"a{v}"]]), eye) for v in (1, 2, 3)], 2
+    return [_OneHotFeatures(data[f"a{v}"], BOUNDARY_LEVELS) for v in (1, 2, 3)], 2
 
 
 @pytest.mark.parametrize("rows_at", [
@@ -713,7 +761,7 @@ def test_streamed_core_matches_dense_reference_at_block_boundaries(backend, rows
     width = _shared_anchors()[2].shape[0] if backend == "kernel" else BOUNDARY_LEVELS
     n = rows_at(_BLOCK_CELLS // width, _PANEL_CELLS // width)
     views, k = (_kernel_row_views if backend == "kernel" else _one_hot_row_views)(n)
-    assert all(k_v.shape == (n, width) for k_v, _ in views)
+    assert all(f.shape == (n, width) for f in views)
     _assert_core_matches_dense_reference(views, k)
 
 
@@ -722,8 +770,8 @@ def _paper_landmark_pair():
     # view, and neither count is a whole number of c12's blocks
     data, _ = simulate_multiproxy(three_cluster_gaussian(), 2000, seed=7)
     rng = np.random.default_rng(0)
-    views = [_nystrom_features(data[z], KernelSpec(), rng)[:2] for z in ("z1", "z2")]
-    (r1, r2), half = (a.shape[0] for _, a in views), _PANEL_CELLS // 2
+    views = [_nystrom_features(data[z], KernelSpec(), rng)[0] for z in ("z1", "z2")]
+    (r1, r2), half = (f.shape[1] for f in views), _PANEL_CELLS // 2
     assert r1 != r2 and r1 % (half // r2) and r2 % (half // r1)
     return views, None
 
@@ -731,14 +779,13 @@ def _paper_landmark_pair():
 def _counted_one_hot_pair():
     rng = np.random.default_rng(35)
     s, n = BOUNDARY_LEVELS, 3 * _PANEL_CELLS // BOUNDARY_LEVELS + 7
-    eye = np.eye(s)
-    return ([(mixture._OneHotRows(rng.integers(0, s, size=n), s), eye) for _ in range(2)],
+    return ([_OneHotFeatures(rng.integers(0, s, size=n), s) for _ in range(2)],
             rng.integers(1, 6, size=n).astype(float))
 
 
 def _pair_below_one_block():
     views, _ = _kernel_row_views(3000)
-    r = views[0][1].shape[0]
+    r = views[0].shape[1]
     assert r <= _PANEL_CELLS // 2 // r                  # c12's first block holds every row
     return views[:2], None
 
@@ -750,12 +797,19 @@ def test_cross_moment_matches_multiplied_out_features(pair):
     # held to the scale they can amplify it to, |a1| |k1'Wk2/n| |a2|: against
     # c12's largest entry the features' own rounding reads 4.9e-9 on paper-7.1
     views, weights = pair()
-    (k1, a1), (k2, a2) = views
-    w = np.ones(k1.shape[0]) if weights is None else weights
-    n, rows1, rows2 = k1.shape[0], materialized(k1), materialized(k2)
+    (rows1, a1), (rows2, a2) = (_factored(f) for f in views)
+    n = rows1.shape[0]
+    w = np.ones(n) if weights is None else weights
     want = (rows1 @ a1).T @ (w[:, None] * (rows2 @ a2)) / n
     scale = np.prod([np.linalg.norm(m, 2) for m in (a1, rows1.T @ (w[:, None] * rows2) / n, a2)])
-    assert np.max(np.abs(_cross_moment(*views, weights) - want)) <= 1e-15 * scale
+    assert np.max(np.abs(views[0].cross(views[1], weights) - want)) <= 1e-15 * scale
+
+
+def _factored(f):
+    """(rows, factor) of landmark features; of one-hot ones, the rows and I."""
+    if isinstance(f, _LandmarkFeatures):
+        return materialized(f.rows), f.factor
+    return materialized(f), np.eye(f.shape[1])
 
 
 def test_rank_margin_is_none_without_a_further_singular_value():
@@ -786,7 +840,7 @@ def test_rank_deficient_features_raise_through_truncated_svd(lanczos_calls):
     hidden = rng.standard_normal((n, k - 1))
     feats = [hidden @ rng.standard_normal((k - 1, m)) for _ in range(3)]
     with pytest.raises(RankDeficiency):
-        _cross_moment_core([(DenseRows(f), np.eye(m)) for f in feats], k,
+        _cross_moment_core([DenseRows(f) for f in feats], k,
                            np.random.SeedSequence(0))
     assert lanczos_calls == [(m, m)]
 
@@ -810,8 +864,8 @@ def test_scree_matches_a_dense_svd_of_c12(lanczos_calls, max_k, lanczos):
     kernel = KernelSpec(landmark_count=400)
     got = scree(data["z1"], data["z2"], kernel=kernel, max_k=max_k, seed=5)
     rng = np.random.default_rng(mixture._seed_sequence(5).spawn(2)[1])
-    f1, f2 = (_nystrom_features(data[z], kernel, rng)[:2] for z in ("z1", "z2"))
-    want = np.linalg.svd(_cross_moment(f1, f2), compute_uv=False)[:max_k]
+    f1, f2 = (_nystrom_features(data[z], kernel, rng)[0] for z in ("z1", "z2"))
+    want = np.linalg.svd(f1.cross(f2), compute_uv=False)[:max_k]
     assert bool(lanczos_calls) == lanczos
     assert got.shape == want.shape == (max_k,)
     assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
@@ -847,10 +901,10 @@ def test_landmark_factor_drops_near_duplicates_and_whitens_the_rest(landmark_cou
     base = rng.uniform(-3.0, 3.0, size=(40, 2))
     view = np.vstack((base, base + 1e-9 * rng.standard_normal(base.shape)))
     kernel = KernelSpec(bandwidth=0.5, landmark_count=landmark_count)
-    k_v, a, anchors = _nystrom_features(view, kernel, np.random.default_rng(0))
-    r = anchors.shape[0]
+    f, anchors = _nystrom_features(view, kernel, np.random.default_rng(0))
+    r, a = anchors.shape[0], f.factor
     assert r < min(landmark_count, view.shape[0]) and a.shape == (r, r)
-    assert np.array_equal(materialized(k_v), gram(kernel, view, anchors))
+    assert np.array_equal(materialized(f.rows), gram(kernel, view, anchors))
     whitened = a.T @ gram(kernel, anchors, anchors) @ a
     assert np.max(np.abs(whitened - np.eye(r))) <= 1e-8
 
@@ -935,6 +989,6 @@ def test_fit_anchors_are_the_in_order_landmark_draws():
     kernel = KernelSpec(landmark_count=300)
     est = fit_multiview(*views, 3, kernel=kernel, seed=4)
     rng = np.random.default_rng(mixture._seed_sequence(4).spawn(3)[1])
-    eager = [_nystrom_features(v, kernel, rng)[2] for v in views]
+    eager = [_nystrom_features(v, kernel, rng)[1] for v in views]
     for got, want in zip(est.anchors, eager):
         assert np.array_equal(got, want)

@@ -1,5 +1,7 @@
 """Built-in designs: frozen parameters, simulation, and oracle quantities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from latentcause import (
 
 import frozen
 from oracles import (
+    discrete_posteriors_loop,
     monte_carlo_dose_response,
     proxy_posteriors_loop,
     treatment_updated_row,
@@ -117,6 +120,82 @@ def test_oracle_discrete_posteriors_rows_sum_to_one():
     data, _ = simulate_multitreatment(s, 120, seed=3)
     w = oracle_discrete_posteriors(s, data)
     assert np.max(np.abs(w.weights.sum(axis=1) - 1.0)) <= 1e-12
+
+
+def test_oracle_discrete_posteriors_take_more_levels_than_a_fit_tabulates():
+    # the fits refuse S^2 above their table budget (S > 2048); the oracle
+    # forms no S x S table, so a design with more levels still has posteriors
+    rng = np.random.default_rng(4)
+    emissions = tuple(rng.dirichlet(np.ones(3000), size=2).T for _ in range(3))
+    s = dataclasses.replace(two_state_discrete(), emissions=emissions)
+    data, _ = simulate_multitreatment(s, 50, seed=4)
+    want = discrete_posteriors_loop(s.priors, s.emissions, data["a1"], data["a2"], data["a3"])
+    assert np.max(np.abs(oracle_discrete_posteriors(s, data).weights - want)) <= 1e-12
+
+
+def _one_column_design():
+    """paper-7.1's design on the first coordinate of each view: d = 1."""
+    s = three_cluster_gaussian()
+    return dataclasses.replace(s, means=tuple(m[:, :1] for m in s.means),
+                               alpha=s.alpha[:, :1], beta=s.beta[:, :3])
+
+
+@pytest.mark.parametrize("flavor", ["proxy_only", "treatment_updated"])
+def test_oracle_posteriors_read_1d_views_as_their_n_by_1_columns(flavor):
+    s = _one_column_design()
+    data, _ = simulate_multiproxy(s, 500, seed=8)
+    flat = {**data, **{f"z{v}": data[f"z{v}"].ravel() for v in (1, 2, 3)}}
+    got = oracle_posteriors(s, flat, flavor).weights
+    assert got.shape == (500, 3)
+    assert np.array_equal(got, oracle_posteriors(s, data, flavor).weights)
+
+
+def _without(data, key):
+    return {name: col for name, col in data.items() if name != key}
+
+
+def _with_level(data, level):
+    a1 = data["a1"].copy()
+    a1[0] = level
+    return {**data, "a1": a1}
+
+
+PROXY, DISCRETE = three_cluster_gaussian(), two_state_discrete()
+
+# the shipped oracles read their inputs as the fits do: (call on 40-row draws
+# of the proxy and the discrete design, error, message)
+ORACLE_REFUSALS = {
+    "z2_missing": (lambda p, m: oracle_posteriors(PROXY, _without(p, "z2")),
+                   InvalidConfig, "missing the 'z2' column"),
+    "a_missing": (lambda p, m: oracle_posteriors(PROXY, _without(p, "a"), "treatment_updated"),
+                  InvalidConfig, "missing the 'a' column"),
+    "views_two_wide": (lambda p, m: oracle_posteriors(PROXY, {**p, "z1": p["z1"][:, :2],
+                                                             "z2": p["z2"][:, :2],
+                                                             "z3": p["z3"][:, :2]}),
+                       DimensionMismatch, "design's 3 columns"),
+    "a_short": (lambda p, m: oracle_posteriors(PROXY, {**p, "a": p["a"][1:]}, "treatment_updated"),
+                DimensionMismatch, None),
+    "a3_missing": (lambda p, m: oracle_discrete_posteriors(DISCRETE, _without(m, "a3")),
+                   InvalidConfig, "missing the 'a3' column"),
+    "level_99": (lambda p, m: oracle_discrete_posteriors(DISCRETE, _with_level(m, 99)),
+                 InvalidConfig, r"outside 0\.\.4"),
+    "level_negative": (lambda p, m: oracle_discrete_posteriors(DISCRETE, _with_level(m, -1)),
+                       InvalidConfig, "nonnegative"),
+    "ate_text": (lambda p, m: true_ate_multiproxy(PROXY, "x"), InvalidConfig, "must be numbers"),
+    "ate_two_levels": (lambda p, m: true_ate_multiproxy(PROXY, [0.0, 1.0]),
+                       DimensionMismatch, "one treatment level"),
+    "mt_ate_text": (lambda p, m: true_ate_multitreatment(DISCRETE, ("x", 1, 1)),
+                    InvalidConfig, "must be numbers"),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_REFUSALS))
+def test_oracles_refuse_malformed_inputs_with_typed_errors(case):
+    call, error, message = ORACLE_REFUSALS[case]
+    proxy_data, _ = simulate_multiproxy(PROXY, 40, seed=9)
+    discrete_data, _ = simulate_multitreatment(DISCRETE, 40, seed=9)
+    with pytest.raises(error, match=message):
+        call(proxy_data, discrete_data)
 
 
 def test_true_ate_multiproxy_slope():

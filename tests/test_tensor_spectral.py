@@ -100,10 +100,10 @@ def test_whitener_orders_descending_and_reconstructs():
     basis, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     spectrum = np.array([4.0, 2.5, 1.0, 0.2, 0.05])
     m = (basis * spectrum) @ basis.T
-    w = build_whitener(m, 3)
-    assert np.allclose(w.spectrum, spectrum[:3], atol=1e-12)
-    vecs = w.map * np.sqrt(w.spectrum)[None, :]
-    recon = (vecs * w.spectrum) @ vecs.T + (basis[:, 3:] * spectrum[3:]) @ basis[:, 3:].T
+    w_map, w_spectrum = build_whitener(m, 3)
+    assert np.allclose(w_spectrum, spectrum[:3], atol=1e-12)
+    vecs = w_map * np.sqrt(w_spectrum)[None, :]
+    recon = (vecs * w_spectrum) @ vecs.T + (basis[:, 3:] * spectrum[3:]) @ basis[:, 3:].T
     assert np.max(np.abs(recon - m)) <= 1e-10
 
 
@@ -118,8 +118,8 @@ def test_whitener_identity():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((500, 6))
     m = x.T @ x / 500
-    w = build_whitener(m, 4)
-    gram = w.map.T @ m @ w.map
+    w_map, _ = build_whitener(m, 4)
+    gram = w_map.T @ m @ w_map
     assert np.max(np.abs(gram - np.eye(4))) <= 1e-8
 
 
