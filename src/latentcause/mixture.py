@@ -46,7 +46,8 @@ _FLOOR_FALLBACK = ("had every likelihood at the floor; "
                    "their posteriors fall back to the priors")
 _PANEL_CELLS = 1 << 18     # entries per view in one c12 row panel: at r = 1000 (2 vCPU) its sums
                            # ran at about 50 GMAC/s in 262-row panels and 60 in 524-row ones
-_TABLE_CELLS = 1 << 22     # S x S cells a discrete fit may allocate (32 MiB of float64): S <= 2048
+_TABLE_CELLS = 1 << 22     # S x S cells of a discrete fit's pair tables, its largest arrays
+                           # (32 MiB of float64 each): S <= 2048
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +180,8 @@ def _as_levels(*views, levels: int | None = None):
     S is ``levels`` when given, else one past the largest observed level;
     every value must be an integer in 0..S-1. An S read from the data must
     have S^2 within _TABLE_CELLS, the budget of the S x S arrays a discrete
-    fit or ``scree_discrete`` forms, so one stray level code cannot size them.
+    fit or ``scree_discrete`` forms, the largest either allocates, so one
+    stray level code cannot size them.
     """
     out, tops = [], []
     for a in views:
@@ -534,22 +536,23 @@ def _row_counts(counts, n: int) -> np.ndarray:
 def _triple_table(views, s, y=None, counts=None):
     """Distinct observed level triples, their row counts and, given y, their sums of y.
 
-    Two bincounts group the rows: one of the pair key a1 S + a2 (up to S^2
-    cells), whose P present pairs are numbered in order, then one of that
-    number times S plus a3. Its P S cells are no more than one one-hot view of
-    the distinct triples, and the triples come out in lexicographic order.
-    Given ``counts``, a row counts that many times and a triple of count 0
-    drops out.
+    Each row gets one key, (a1 S + a2) S + a3. Where the S^3 cells are no more
+    than the n rows, one bincount of the key counts them; beyond, the sorted
+    distinct keys number the cells, so no table outgrows the rows. The
+    triples come out in lexicographic order. Given ``counts``, a row counts
+    that many times and a triple of count 0 drops out.
     """
     a1, a2, a3 = views
-    pair = a1 * s + a2
-    seen = np.bincount(pair) > 0
-    key = (np.cumsum(seen) - 1)[pair] * s + a3
-    counts = np.bincount(key, weights=counts)
+    key = (a1 * s + a2) * s + a3
+    if s ** 3 <= key.shape[0]:
+        values, index = np.arange(s ** 3), key
+    else:
+        values, index = np.unique(key, return_inverse=True)
+    counts = np.bincount(index, weights=counts)
     cells = np.flatnonzero(counts)
-    pairs = np.flatnonzero(seen)[cells // s]
-    sums = None if y is None else np.bincount(key, weights=y)[cells]
-    return (pairs // s, pairs % s, cells % s), counts[cells], sums
+    sums = None if y is None else np.bincount(index, weights=y)[cells]
+    key = values[cells]
+    return (key // (s * s), key // s % s, key % s), counts[cells], sums
 
 
 def _stochastic_columns(m: np.ndarray) -> np.ndarray:

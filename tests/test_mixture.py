@@ -882,13 +882,30 @@ def _traced_peak(call):
 
 def test_discrete_fit_streams_its_one_hot_rows():
     # 300 levels over 10,000 rows: nearly every triple is distinct, and the
-    # three one-hot arrays of the distinct triples would take 3 P S floats
+    # three one-hot arrays of the distinct triples would take 3 P S floats.
+    # The fit holds S x S tables (c12 and its SVD) and arrays of at most n
+    # rows (the key, its sort, the triples' gathers): 2.6 MB measured, where
+    # one P x S table alone takes 24 MB
     rng = np.random.default_rng(23)
     s, n = 300, 10_000
     views = [rng.integers(0, s, size=n) for _ in range(3)]
     p = _triple_table(views, s)[1].shape[0]
     _, peak = _traced_peak(lambda: fit_discrete_multiview(*views, 2, seed=0))
-    assert peak <= p * s * 8
+    assert peak <= (3 * s * s + 20 * n) * 8 < p * s * 8
+
+
+def test_widest_discrete_fit_holds_its_peak_to_the_pair_tables():
+    # 2048 levels, the widest S that _TABLE_CELLS admits, at n = 20,000 on
+    # two components: its S x S float tables are 32 MiB each, and the fit
+    # peaked at 65 MiB. Grouping the rows by a P x S table took 317 MiB
+    rng = np.random.default_rng(7)
+    n, half = 20_000, 1024
+    u = rng.integers(0, 2, size=n)
+    views = [np.where(rng.random(n) < 0.7, half * u + rng.integers(0, half, n),
+                      rng.integers(0, 2 * half, n)) for _ in range(3)]
+    est, peak = _traced_peak(lambda: fit_discrete_multiview(*views, 2, seed=0))
+    assert est.emissions[0].shape == (2 * half, 2)
+    assert peak <= 96 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from latentcause import (
 from latentcause import mixture, multitreatment
 from latentcause.causal import _regressors, _stacked_regression
 from latentcause.mixture import (
-    DENSE_SVD_MAX,
     _cross_moment_core,
     _stochastic_columns,
     _triple_table,
@@ -200,24 +199,84 @@ def test_population_table_recovers_the_design_to_rounding():
     assert np.max(np.abs(gamma[perm] - scenario.gamma)) <= 1e-9
 
 
-def test_triple_table_matches_unique_rows_within_its_memory_bound():
-    data = _wide_case(600, 6)
+def _unique_rows_table(views, y, counts):
+    """np.unique's grouping of the rows: the distinct triples of nonzero count,
+    their counts and their sums of y."""
+    rows, inverse = np.unique(np.column_stack(views), axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    totals = np.bincount(inverse, weights=counts)
+    keep = totals > 0
+    return rows[keep], totals[keep], np.bincount(inverse, weights=y)[keep]
+
+
+def _assert_same_table(got, want):
+    triples, counts, sums = got
+    for a, b in zip((np.column_stack(triples), counts, sums), want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case, s, bound", [
+    # S^3 = 125 cells against n = 5000: one bincount of the key, which with
+    # the product a1 S + a2 measured 2.0 n floats
+    pytest.param(lambda: _paper_72(5000, 7), 5, 3, id="dense"),
+    # S^3 = 512,000 cells against n = 600: np.unique's sorted copy, its
+    # permutation and the inverse measured 8.8 n floats
+    pytest.param(lambda: _wide_case(600, 6), WIDE_LEVELS, 11, id="sorted"),
+])
+def test_triple_table_matches_unique_rows_within_its_memory_bound(case, s, bound):
+    data = case()
     views = [data[f"a{v}"] for v in (1, 2, 3)]
-    assert max(int(v.max()) for v in views) + 1 == WIDE_LEVELS > DENSE_SVD_MAX
+    rows = np.column_stack(views)
+    n = rows.shape[0]
+    assert rows.max() + 1 == s
+    counts = np.random.default_rng(2).integers(0, 4, size=n).astype(float)
+    counts[np.all(rows == rows[0], axis=1)] = 0.0        # one triple drops out
     tracemalloc.start()
     try:
-        triples, counts, sums = _triple_table(views, WIDE_LEVELS, data["y"])
+        got = _triple_table(views, s, data["y"], counts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows, inverse, want_counts = np.unique(np.column_stack(views), axis=0,
-                                           return_inverse=True, return_counts=True)
-    assert np.array_equal(np.column_stack(triples), rows)
-    assert np.array_equal(counts, want_counts)
-    assert np.allclose(sums, np.bincount(inverse.ravel(), weights=data["y"]),
-                       rtol=1e-13, atol=1e-12)
-    # tables of at most min(n, S^2) S cells, far below one S^3 table
-    assert peak <= 3 * 600 * WIDE_LEVELS * 8 < WIDE_LEVELS ** 3 * 8
+    want = _unique_rows_table(views, data["y"], counts)
+    assert not np.all(want[0] == rows[0], axis=1).any()
+    _assert_same_table(got, want)
+    # a few arrays of n entries, and no table of (distinct pairs) x S cells
+    assert peak <= bound * n * 8
+
+
+def test_drawn_triple_tables_match_unique_rows_and_fits_fail_typed():
+    # S and n on both sides of S^3 = n, so both ways of counting are drawn:
+    # the table is np.unique's grouping bit for bit, and a fit on the same
+    # arrays either answers in finite numbers or fails with a LatentCauseError
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        s, n = draw(st.integers(1, 4)), draw(st.integers(1, 80))
+        views = [np.array(draw(st.lists(st.integers(0, s - 1), min_size=n, max_size=n)))
+                 for _ in range(3)]
+        counts = draw(st.none() | st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        y = np.array(draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
+        return s, views, None if counts is None else np.array(counts, float), y, \
+            draw(st.integers(1, 3))
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        s, views, counts, y, k = case
+        _assert_same_table(_triple_table(views, s, y, counts),
+                           _unique_rows_table(views, y, counts))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                est = fit_discrete_multiview(*views, k, seed=0, counts=counts)
+        except LatentCauseError:
+            return
+        assert np.all(np.isfinite(est.lambdas))
+        assert all(np.all(np.isfinite(e)) for e in est.emissions)
+
+    check()
 
 
 def _paper_72(n, seed):
