@@ -3,8 +3,8 @@
 Every error raised by the library derives from :class:`LatentCauseError`, so
 callers (including the CLI, which maps them to exit code 2) can catch one
 type. Each subclass names a specific failure mode of the spectral or
-regression stages. ``_integer`` is the one check of integer arguments and
-``_floats`` the one reader of numeric ones.
+regression stages. ``_integer`` is the one check of integer arguments,
+``_floats`` the one reader of numeric ones and ``_positive`` of positive scales.
 """
 
 import numbers
@@ -81,3 +81,15 @@ def _floats(value, what: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise InvalidConfig(f"{what} must be finite")
     return values
+
+
+def _positive(value, what: str) -> float:
+    """``value`` as a float when it is one finite number above 0 (a bool is not one).
+
+    ``_floats`` reads it first, so a string or NaN is refused as there; anything
+    else raises InvalidConfig: "{what} must be finite and positive", then the value.
+    """
+    scale = _floats(value, what)
+    if isinstance(value, (bool, np.bool_)) or scale.ndim != 0 or not scale > 0:
+        raise InvalidConfig(f"{what} must be finite and positive, got {value!r}")
+    return float(scale)

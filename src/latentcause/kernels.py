@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, _integer
+from .errors import _integer, _positive
 
 _BLOCK_CELLS = 1 << 16      # kernel entries per row block: 512 KiB of float64
 
@@ -28,16 +28,7 @@ class KernelSpec:
     landmark_count: int = 1000
 
     def __post_init__(self):
-        try:
-            if isinstance(self.bandwidth, (bool, np.bool_)):   # refused like a bool count
-                raise TypeError
-            s = float(self.bandwidth)
-        except (TypeError, ValueError):
-            raise InvalidConfig(f"bandwidth must be a number, got "
-                                f"{self.bandwidth!r}") from None
-        if not (np.isfinite(s) and s > 0):
-            raise InvalidConfig(f"bandwidth must be finite and positive, got {s}")
-        object.__setattr__(self, "bandwidth", s)
+        object.__setattr__(self, "bandwidth", _positive(self.bandwidth, "bandwidth"))
         object.__setattr__(self, "landmark_count", _integer(
             self.landmark_count, "landmark_count must be an integer of at least 1", 1))
 

@@ -21,8 +21,8 @@ from importlib import resources
 
 import numpy as np
 
-from .causal import _check_rows, _columns, _regressors, _scalar_target
-from .errors import DimensionMismatch, InvalidConfig, _floats, _integer
+from .causal import _columns, _regressors
+from .errors import DimensionMismatch, InvalidConfig, _floats, _integer, _positive
 from .mixture import PosteriorMatrix, _as_levels, _as_views, _seed_sequence
 
 _EMISSIONS_RESOURCE = "two_state_emissions.json"
@@ -52,12 +52,12 @@ class MultiProxyScenario:
 
     def __post_init__(self):
         p = _floats(self.priors, "priors")
-        if abs(p.sum() - 1.0) > 1e-10 or np.any(p < 0):
+        if p.ndim != 1 or abs(p.sum() - 1.0) > 1e-10 or np.any(p < 0):
             raise InvalidConfig("priors must be a probability vector")
         k = p.shape[0]
         means = tuple(_floats(m, "means") for m in self.means)
-        if len(means) != 3 or any(m.shape != means[0].shape for m in means):
-            raise DimensionMismatch("need three equally shaped mean matrices")
+        if len(means) != 3 or any(m.ndim != 2 or m.shape != means[0].shape for m in means):
+            raise DimensionMismatch("need three equally shaped 2-d mean matrices")
         d = means[0].shape[1]
         if means[0].shape[0] != k:
             raise DimensionMismatch("means rows must match the number of states")
@@ -71,9 +71,7 @@ class MultiProxyScenario:
         if tvar.shape != (k,) or np.any(tvar <= 0):
             raise InvalidConfig("treatment variances must be positive, one per state")
         for name in ("proxy_sigma", "outcome_sigma"):
-            object.__setattr__(self, name, float(_floats(getattr(self, name), "noise scales")))
-        if not self.proxy_sigma > 0 or not self.outcome_sigma > 0:
-            raise InvalidConfig("noise scales must be positive")
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
         object.__setattr__(self, "priors", p)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "alpha", alpha)
@@ -100,12 +98,12 @@ class MultiTreatmentScenario:
 
     def __post_init__(self):
         p = _floats(self.priors, "priors")
-        if abs(p.sum() - 1.0) > 1e-10 or np.any(p < 0):
+        if p.ndim != 1 or abs(p.sum() - 1.0) > 1e-10 or np.any(p < 0):
             raise InvalidConfig("priors must be a probability vector")
         k = p.shape[0]
         ems = tuple(_floats(e, "emissions") for e in self.emissions)
-        if len(ems) != 3 or any(e.shape != ems[0].shape for e in ems):
-            raise DimensionMismatch("need three equally shaped emission matrices")
+        if len(ems) != 3 or any(e.ndim != 2 or e.shape != ems[0].shape for e in ems):
+            raise DimensionMismatch("need three equally shaped 2-d emission matrices")
         if ems[0].shape[1] != k:
             raise DimensionMismatch("emission columns must match the number of states")
         for e in ems:
@@ -116,9 +114,7 @@ class MultiTreatmentScenario:
         g = _floats(self.gamma, "gamma")
         if g.shape != (k, 4):
             raise DimensionMismatch(f"gamma must be {k} x 4, got {g.shape}")
-        object.__setattr__(self, "noise_sigma", float(_floats(self.noise_sigma, "noise scale")))
-        if not self.noise_sigma > 0:
-            raise InvalidConfig("noise scale must be positive")
+        object.__setattr__(self, "noise_sigma", _positive(self.noise_sigma, "noise_sigma"))
         object.__setattr__(self, "priors", p)
         object.__setattr__(self, "emissions", ems)
         object.__setattr__(self, "gamma", g)
@@ -239,44 +235,31 @@ def _gaussian_view_loglik(s: MultiProxyScenario, view: int, z: np.ndarray):
     )
 
 
-def oracle_posteriors(s: MultiProxyScenario, data: dict,
-                      flavor: str = "proxy_only") -> PosteriorMatrix:
-    """Exact Bayes posteriors from the true generative densities.
-
-    flavor "proxy_only" conditions on the three views; "treatment_updated"
-    additionally multiplies in the true treatment likelihood. The columns
-    are read as ``fit_effects`` reads them: a 1-d view is one column.
-    """
-    if flavor not in ("proxy_only", "treatment_updated"):
-        raise InvalidConfig(f"unknown flavor {flavor!r}")
-    zs = _as_views(*_columns(data, "z1", "z2", "z3"))
-    if zs[0].shape[1] != s.dim:
-        raise DimensionMismatch(f"views need the design's {s.dim} columns, got {zs[0].shape[1]}")
-    log_w = np.log(s.priors)[None, :] + sum(
-        _gaussian_view_loglik(s, v, zs[v]) for v in range(3)
-    )
-    if flavor == "treatment_updated":
-        a = _scalar_target(_columns(data, "a")[0], "treatment")
-        _check_rows(a.shape[0], zs[0])
-        mean = zs[0] @ s.alpha.T                          # n x K
-        var = s.treatment_var[None, :]
-        log_w += (-0.5 * (a[:, None] - mean) ** 2 / var
-                  - 0.5 * np.log(2.0 * np.pi * var))
+def _normalised(log_w: np.ndarray) -> PosteriorMatrix:
+    """Posteriors from n x K log weights: rows shifted by their max, exponentiated, scaled to 1."""
     log_w -= log_w.max(axis=1, keepdims=True)
     w = np.exp(log_w)
     w /= w.sum(axis=1, keepdims=True)
     return PosteriorMatrix(weights=w)
+
+
+def oracle_posteriors(s: MultiProxyScenario, data: dict) -> PosteriorMatrix:
+    """Exact Bayes posteriors over states given the three proxy views.
+
+    The columns are read as ``fit_effects`` reads them: a 1-d view is one column.
+    """
+    zs = _as_views(*_columns(data, "z1", "z2", "z3"))
+    if zs[0].shape[1] != s.dim:
+        raise DimensionMismatch(f"views need the design's {s.dim} columns, got {zs[0].shape[1]}")
+    return _normalised(np.log(s.priors)[None, :] + sum(
+        _gaussian_view_loglik(s, v, zs[v]) for v in range(3)))
 
 
 def oracle_discrete_posteriors(s: MultiTreatmentScenario, data: dict) -> PosteriorMatrix:
     """Exact Bayes posteriors over states given the three treatments."""
     treats, _ = _as_levels(*_columns(data, "a1", "a2", "a3"), levels=s.levels)
-    log_w = np.log(s.priors)[None, :]
-    log_w = log_w + sum(np.log(s.emissions[v][treats[v], :]) for v in range(3))
-    log_w -= log_w.max(axis=1, keepdims=True)
-    w = np.exp(log_w)
-    w /= w.sum(axis=1, keepdims=True)
-    return PosteriorMatrix(weights=w)
+    return _normalised(np.log(s.priors)[None, :] + sum(
+        np.log(s.emissions[v][treats[v], :]) for v in range(3)))
 
 
 def true_ate_multiproxy(s: MultiProxyScenario, a: float) -> float:

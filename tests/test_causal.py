@@ -18,7 +18,9 @@ from latentcause import (
     KernelSpec,
     PosteriorMatrix,
     SingularSystem,
+    UnfittedModel,
     align_permutation,
+    density,
     estimate_ate,
     estimate_cate,
     fit_effects,
@@ -99,6 +101,24 @@ PREDICTION_EDGES = {
 def test_prediction_inputs_raise_typed_errors(small_models, case):
     with pytest.raises(DimensionMismatch):
         PREDICTION_EDGES[case](*small_models)
+
+
+# a CausalEstimate where a mixture is expected, and a 3-d z: (call, error, message)
+FITTED_INPUT_REFUSALS = {
+    "posteriors_of_effects": (lambda ce, mt, z, a, w: posteriors(ce, z, z, z),
+                              UnfittedModel, "expected a fitted MixtureEstimate"),
+    "density_of_effects": (lambda ce, mt, z, a, w: density(ce, 0, 0, z[0]),
+                           UnfittedModel, "expected a fitted MixtureEstimate"),
+    "cate_3d_z": (lambda ce, mt, z, a, w: estimate_cate(ce.outcome, 0, 1.0, z=z[None]),
+                  DimensionMismatch, "treatment and z inputs must be at most 2-d"),
+}
+
+
+@pytest.mark.parametrize("case", list(FITTED_INPUT_REFUSALS))
+def test_fitted_inputs_of_the_wrong_kind_raise_typed_errors(small_models, case):
+    call, error, message = FITTED_INPUT_REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call(*small_models)
 
 
 def _with_nan(x):
@@ -298,8 +318,11 @@ def test_update_posteriors_is_oracle_fixed_point(proxy_case):
     truth = dataclasses.replace(tm, alpha=scenario.alpha,
                                 sigma2=scenario.treatment_var)
     updated = update_posteriors(base, truth, data["a"], data["z1"])
-    want = oracle_posteriors(scenario, data, flavor="treatment_updated")
-    assert np.max(np.abs(updated.weights - want.weights)) <= 1e-10
+    for i in range(data["a"].shape[0]):
+        means = [float(scenario.alpha[u] @ data["z1"][i]) for u in range(3)]
+        want = treatment_updated_row(base.weights[i], float(data["a"][i]),
+                                     means, scenario.treatment_var)
+        assert np.max(np.abs(updated.weights[i] - want)) <= 1e-10
 
 
 def test_variance_floor_clamps_deterministic_treatment(one_hot_weights):

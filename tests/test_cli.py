@@ -79,6 +79,18 @@ def test_simulate_accepts_scenario_config(tmp_path):
     assert not (tmp_path / "nan.csv").exists()
 
 
+def test_simulate_refuses_a_scenario_config_with_a_scalar_prior(tmp_path, capsys):
+    doc = scenario_to_dict(three_cluster_gaussian())
+    doc["priors"] = 1.0
+    config = tmp_path / "scalar_prior.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "scalar.csv"
+    assert main(["simulate", "multiproxy", "--n", "50",
+                 "--scenario-config", str(config), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_emits_diagnostics_and_is_deterministic(tmp_path, proxy_csv,
                                                     proxy_model, capsys):
     capsys.readouterr()
@@ -280,6 +292,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["benchmark", "--scenario", "mystery", "--ns", "5",
                  "--trials", "1", "--out", str(tmp_path / "r.csv")]) == 1
     capsys.readouterr()
+    assert main(["benchmark", "--scenario", "paper-7.1", "--ns", "0,500",
+                 "--trials", "1", "--out", str(tmp_path / "r.csv")]) == 1
+    assert "sample sizes must be positive integers" in capsys.readouterr().err
+    assert main(["estimate", "--model", str(tmp_path / "m.json"), "cate",
+                 "--u", "0", "--a", "1", "--z", "0,x"]) == 1
+    assert "expected a comma-separated number list, got '0,x'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_input_exits_one(tmp_path, capsys):

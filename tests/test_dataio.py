@@ -373,6 +373,40 @@ MODEL_REFUSALS = {
 }
 
 
+def _write_text(path, text):
+    path.write_text(text)
+    return path
+
+
+# the file layer's own refusals: (call on the saved documents and a scratch
+# directory, message)
+FILE_REFUSALS = {
+    "dataset_without_a_column_family": (
+        lambda d, tmp: write_dataset(tmp / "x.csv", {"z1": np.zeros(3), "y": np.zeros(3)}),
+        "dataset must carry z1/z2/z3/a/y or a1/a2/a3/y columns"),
+    "two_treatment_header": (
+        lambda d, tmp: read_dataset(_write_text(tmp / "a.csv", "a1,a2,y\n0,1,0.5\n")),
+        "unexpected treatment columns"),
+    "unserializable_diagnostics": (
+        lambda d, tmp: model_to_dict(dataclasses.replace(model_from_dict(d["discrete"]),
+                                                         diagnostics={"when": object()})),
+        "cannot serialize object values"),
+    "mixture_not_an_object": (
+        lambda d, tmp: model_from_dict({**d["discrete"], "mixture": []}),
+        "MixtureEstimate needs a JSON object, got list"),
+    "save_a_mixture": (
+        lambda d, tmp: save_model(tmp / "m.json", model_from_dict(d["discrete"]).mixture),
+        "not a saveable model: MixtureEstimate"),
+}
+
+
+@pytest.mark.parametrize("case", list(FILE_REFUSALS))
+def test_file_layer_refuses_what_it_cannot_read_or_write(saved_documents, tmp_path, case):
+    call, message = FILE_REFUSALS[case]
+    with pytest.raises(InvalidConfig, match=message):
+        call(saved_documents, tmp_path)
+
+
 @pytest.mark.parametrize("case", list(MODEL_REFUSALS))
 def test_model_constructors_refuse_edited_documents(saved_documents, case):
     base, keys, value, error, message = MODEL_REFUSALS[case]

@@ -77,7 +77,8 @@ def test_kernel_spec_validation():
     for bad in (1e400, float("nan"), 0.0, "x", [1.0], None, True, np.True_):
         with pytest.raises(InvalidConfig, match="bandwidth"):
             KernelSpec(bandwidth=bad)
-    assert KernelSpec(bandwidth="1.0").bandwidth == 1.0
+    with pytest.raises(InvalidConfig, match="bandwidth must be numbers"):
+        KernelSpec(bandwidth="1.0")      # a numeric string is not a number, as for landmark_count
     for bad in (1e400, 2.5, 0, "10", None, True):
         with pytest.raises(InvalidConfig, match="landmark_count"):
             KernelSpec(landmark_count=bad)

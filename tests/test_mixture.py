@@ -264,6 +264,31 @@ def test_posterior_matrix_validation():
         PosteriorMatrix(weights=np.ones(3))
 
 
+# the view and level readers' refusals and a posterior entry above 1:
+# (call, error, message)
+READER_REFUSALS = {
+    "view_3d": (lambda: fit_multiview(*[np.zeros((10, 2, 2))] * 3, 2),
+                DimensionMismatch, "view must be 1-d or 2-d"),
+    "views_unequal": (lambda: scree(np.zeros((10, 2)), np.zeros((10, 3))),
+                      DimensionMismatch, "views must share one shape"),
+    "views_empty": (lambda: fit_multiview(*[np.zeros((0, 2))] * 3, 2),
+                    EmptyInput, "views contain no samples"),
+    "levels_2d": (lambda: fit_discrete_multiview(*[np.zeros((10, 2), dtype=int)] * 3, 2),
+                  DimensionMismatch, "categorical views must be 1-d"),
+    "levels_empty": (lambda: fit_discrete_multiview(*[np.zeros(0, dtype=int)] * 3, 2),
+                     EmptyInput, "views contain no samples"),
+    "posterior_entry_1_5": (lambda: PosteriorMatrix(weights=np.array([[1.5, -0.5]])),
+                            InvalidConfig, r"entries must lie in \[0, 1\]"),
+}
+
+
+@pytest.mark.parametrize("case", list(READER_REFUSALS))
+def test_view_and_level_readers_refuse_malformed_arrays(case):
+    call, error, message = READER_REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
 def _fit_with_bad_value(bad):
     views, _ = symmetric_views([0.5, 0.5], 300, seed=15)
     views[1] = list(views[1])                           # a user's plain list

@@ -372,3 +372,50 @@ def test_drawn_small_inputs_fit_finite_or_raise_typed():
         assert np.isfinite(ate)
 
     finite_or_typed()
+
+
+@pytest.fixture(scope="module", params=[7, 1000, 1001])
+def relabel_case(request):
+    """paper-7.2 at n=20,000 by data seed, with the reference fits at fit seed 0."""
+    data, _ = simulate_multitreatment(two_state_discrete(), 20_000, seed=request.param)
+    a1, a2, a3, y = data["a1"], data["a2"], data["a3"], data["y"]
+    return (data, fit_discrete_multiview(a1, a2, a3, 2, seed=0),
+            fit_multitreatment(a1, a2, a3, y, 2, seed=0))
+
+
+def _matched(est, reference):
+    """Component order of ``est`` matched to ``reference`` by view-3 emissions."""
+    return align_permutation(est.emissions[2].T, reference.emissions[2].T)
+
+
+def _relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def test_swapping_two_views_swaps_their_emissions(relabel_case):
+    data, ref, _ = relabel_case
+    est = fit_discrete_multiview(data["a2"], data["a1"], data["a3"], 2, seed=0)
+    perm = _matched(est, ref)
+    assert _relative_gap(est.lambdas[perm], ref.lambdas) <= 1e-12
+    for view, ref_view in ((0, 1), (1, 0), (2, 2)):
+        assert _relative_gap(est.emissions[view][:, perm], ref.emissions[ref_view]) <= 1e-12
+
+
+def test_relabelling_levels_permutes_emission_rows(relabel_case):
+    data, ref, _ = relabel_case
+    relabel = np.random.default_rng(5).permutation(ref.emissions[0].shape[0])
+    est = fit_discrete_multiview(relabel[data["a1"]], data["a2"], data["a3"], 2, seed=0)
+    perm = _matched(est, ref)
+    assert _relative_gap(est.lambdas[perm], ref.lambdas) <= 1e-12
+    # level s of view 1 is now called relabel[s], so its emission row moves there
+    assert _relative_gap(est.emissions[0][relabel][:, perm], ref.emissions[0]) <= 1e-12
+    for view in (1, 2):
+        assert _relative_gap(est.emissions[view][:, perm], ref.emissions[view]) <= 1e-12
+
+
+def test_swapping_two_treatments_swaps_their_coefficients_and_effects(relabel_case):
+    data, _, ref = relabel_case
+    model = fit_multitreatment(data["a2"], data["a1"], data["a3"], data["y"], 2, seed=0)
+    perm = _matched(model.mixture, ref.mixture)
+    assert np.max(np.abs(model.gamma[perm][:, [0, 2, 1, 3]] - ref.gamma)) <= 1e-10
+    assert abs(mt_ate(model, (0, 1, 1)) - mt_ate(ref, (1, 0, 1))) <= 1e-10

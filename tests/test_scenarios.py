@@ -8,6 +8,7 @@ import pytest
 from latentcause import (
     DimensionMismatch,
     InvalidConfig,
+    KernelSpec,
     oracle_discrete_posteriors,
     oracle_posteriors,
     scenario_from_dict,
@@ -25,7 +26,6 @@ from oracles import (
     discrete_posteriors_loop,
     monte_carlo_dose_response,
     proxy_posteriors_loop,
-    treatment_updated_row,
 )
 
 
@@ -102,19 +102,6 @@ def test_oracle_posteriors_match_loop_oracle():
     assert np.max(np.abs(w.weights - want)) <= 1e-12
 
 
-def test_oracle_posteriors_treatment_updated_flavor():
-    s = three_cluster_gaussian()
-    data, _ = simulate_multiproxy(s, 80, seed=6)
-    w = oracle_posteriors(s, data, flavor="treatment_updated")
-    assert np.max(np.abs(w.weights.sum(axis=1) - 1.0)) <= 1e-12
-    base = oracle_posteriors(s, data)
-    for i in range(80):
-        means = [float(s.alpha[u] @ data["z1"][i]) for u in range(3)]
-        want = treatment_updated_row(base.weights[i], float(data["a"][i]),
-                                     means, s.treatment_var)
-        assert np.max(np.abs(w.weights[i] - want)) <= 1e-12
-
-
 def test_oracle_discrete_posteriors_rows_sum_to_one():
     s = two_state_discrete()
     data, _ = simulate_multitreatment(s, 120, seed=3)
@@ -140,14 +127,13 @@ def _one_column_design():
                                alpha=s.alpha[:, :1], beta=s.beta[:, :3])
 
 
-@pytest.mark.parametrize("flavor", ["proxy_only", "treatment_updated"])
-def test_oracle_posteriors_read_1d_views_as_their_n_by_1_columns(flavor):
+def test_oracle_posteriors_read_1d_views_as_their_n_by_1_columns():
     s = _one_column_design()
     data, _ = simulate_multiproxy(s, 500, seed=8)
     flat = {**data, **{f"z{v}": data[f"z{v}"].ravel() for v in (1, 2, 3)}}
-    got = oracle_posteriors(s, flat, flavor).weights
+    got = oracle_posteriors(s, flat).weights
     assert got.shape == (500, 3)
-    assert np.array_equal(got, oracle_posteriors(s, data, flavor).weights)
+    assert np.array_equal(got, oracle_posteriors(s, data).weights)
 
 
 def _without(data, key):
@@ -167,14 +153,10 @@ PROXY, DISCRETE = three_cluster_gaussian(), two_state_discrete()
 ORACLE_REFUSALS = {
     "z2_missing": (lambda p, m: oracle_posteriors(PROXY, _without(p, "z2")),
                    InvalidConfig, "missing the 'z2' column"),
-    "a_missing": (lambda p, m: oracle_posteriors(PROXY, _without(p, "a"), "treatment_updated"),
-                  InvalidConfig, "missing the 'a' column"),
     "views_two_wide": (lambda p, m: oracle_posteriors(PROXY, {**p, "z1": p["z1"][:, :2],
                                                              "z2": p["z2"][:, :2],
                                                              "z3": p["z3"][:, :2]}),
                        DimensionMismatch, "design's 3 columns"),
-    "a_short": (lambda p, m: oracle_posteriors(PROXY, {**p, "a": p["a"][1:]}, "treatment_updated"),
-                DimensionMismatch, None),
     "a3_missing": (lambda p, m: oracle_discrete_posteriors(DISCRETE, _without(m, "a3")),
                    InvalidConfig, "missing the 'a3' column"),
     "level_99": (lambda p, m: oracle_discrete_posteriors(DISCRETE, _with_level(m, 99)),
@@ -186,6 +168,8 @@ ORACLE_REFUSALS = {
                        DimensionMismatch, "one treatment level"),
     "mt_ate_text": (lambda p, m: true_ate_multitreatment(DISCRETE, ("x", 1, 1)),
                     InvalidConfig, "must be numbers"),
+    "mt_ate_two_levels": (lambda p, m: true_ate_multitreatment(DISCRETE, (1, 1)),
+                          DimensionMismatch, "treatment vector must have three entries"),
 }
 
 
@@ -233,53 +217,95 @@ def test_simulate_rejects_negative_n():
             simulate_multitreatment(two_state_discrete(), bad)
 
 
-# (design, key path into its scenario document, edit of the value there, error):
-# one case per refusal in the two scenario checks, then non-numeric values
-@pytest.mark.parametrize("design, keys, edit, error", [
+# (design, key path into its scenario document, edit of the value there, error,
+# message or None): one case per refusal in the two scenario checks, then
+# non-numeric values, malformed shapes and scales that are not one number
+@pytest.mark.parametrize("design, keys, edit, error, message", [
     pytest.param(three_cluster_gaussian, ("priors",), lambda p: [0.5, 0.5, 0.5],
-                 InvalidConfig, id="proxy-priors-sum"),
+                 InvalidConfig, None, id="proxy-priors-sum"),
     pytest.param(three_cluster_gaussian, ("means",), lambda m: m[:2],
-                 DimensionMismatch, id="proxy-two-mean-matrices"),
+                 DimensionMismatch, None, id="proxy-two-mean-matrices"),
     pytest.param(three_cluster_gaussian, ("means",), lambda m: [v[:2] for v in m],
-                 DimensionMismatch, id="proxy-mean-rows"),
+                 DimensionMismatch, None, id="proxy-mean-rows"),
     pytest.param(three_cluster_gaussian, ("alpha",), lambda a: a[:2],
-                 DimensionMismatch, id="proxy-alpha-shape"),
+                 DimensionMismatch, None, id="proxy-alpha-shape"),
     pytest.param(three_cluster_gaussian, ("beta",), lambda b: [row[:-1] for row in b],
-                 DimensionMismatch, id="proxy-beta-shape"),
+                 DimensionMismatch, None, id="proxy-beta-shape"),
     pytest.param(three_cluster_gaussian, ("treatment_var", 1), lambda v: 0.0,
-                 InvalidConfig, id="proxy-treatment-variance"),
+                 InvalidConfig, None, id="proxy-treatment-variance"),
     pytest.param(three_cluster_gaussian, ("outcome_sigma",), lambda s: -1.0,
-                 InvalidConfig, id="proxy-noise-scale"),
+                 InvalidConfig, None, id="proxy-noise-scale"),
     pytest.param(three_cluster_gaussian, ("priors", 0), lambda p: float("nan"),
-                 InvalidConfig, id="proxy-nan-prior"),
+                 InvalidConfig, None, id="proxy-nan-prior"),
     pytest.param(three_cluster_gaussian, ("means", 1, 0, 2), lambda m: float("inf"),
-                 InvalidConfig, id="proxy-inf-mean"),
+                 InvalidConfig, None, id="proxy-inf-mean"),
     pytest.param(two_state_discrete, ("priors",), lambda p: [0.7, 0.7],
-                 InvalidConfig, id="discrete-priors-sum"),
+                 InvalidConfig, None, id="discrete-priors-sum"),
     pytest.param(two_state_discrete, ("emissions", 2), lambda e: e[:-1],
-                 DimensionMismatch, id="discrete-emission-shapes"),
+                 DimensionMismatch, None, id="discrete-emission-shapes"),
     pytest.param(two_state_discrete, ("emissions",),
                  lambda ems: [[row + [0.0] for row in e] for e in ems],
-                 DimensionMismatch, id="discrete-emission-columns"),
+                 DimensionMismatch, None, id="discrete-emission-columns"),
     pytest.param(two_state_discrete, ("emissions", 0, 0, 0), lambda v: -0.1,
-                 InvalidConfig, id="discrete-emission-not-stochastic"),
+                 InvalidConfig, None, id="discrete-emission-not-stochastic"),
     pytest.param(two_state_discrete, ("emissions", 1),
                  lambda e: [[row[0], row[0]] for row in e],
-                 InvalidConfig, id="discrete-emission-rank"),
+                 InvalidConfig, None, id="discrete-emission-rank"),
     pytest.param(two_state_discrete, ("gamma",), lambda g: [row[:3] for row in g],
-                 DimensionMismatch, id="discrete-gamma-shape"),
+                 DimensionMismatch, None, id="discrete-gamma-shape"),
     pytest.param(two_state_discrete, ("noise_sigma",), lambda s: 0.0,
-                 InvalidConfig, id="discrete-noise-scale"),
+                 InvalidConfig, None, id="discrete-noise-scale"),
     pytest.param(two_state_discrete, ("emissions", 0, 0, 1), lambda v: float("nan"),
-                 InvalidConfig, id="discrete-nan-emission"),
+                 InvalidConfig, None, id="discrete-nan-emission"),
     pytest.param(two_state_discrete, ("gamma", 0, 0), lambda g: "x",
-                 InvalidConfig, id="discrete-string-gamma"),
+                 InvalidConfig, None, id="discrete-string-gamma"),
+    pytest.param(three_cluster_gaussian, ("priors",), lambda p: 1.0,
+                 InvalidConfig, "probability vector", id="proxy-scalar-priors"),
+    pytest.param(two_state_discrete, ("priors",), lambda p: 1.0,
+                 InvalidConfig, "probability vector", id="discrete-scalar-priors"),
+    pytest.param(three_cluster_gaussian, ("means",), lambda m: [[0, 0, 0]] * 3,
+                 DimensionMismatch, "2-d mean matrices", id="proxy-1d-means"),
+    pytest.param(two_state_discrete, ("emissions",), lambda ems: [[r[0] for r in e] for e in ems],
+                 DimensionMismatch, "2-d emission matrices", id="discrete-1d-emissions"),
+    pytest.param(three_cluster_gaussian, ("proxy_sigma",), lambda s: [1, 2],
+                 InvalidConfig, "proxy_sigma must be finite and positive", id="proxy-sigma-list"),
+    pytest.param(three_cluster_gaussian, ("proxy_sigma",), lambda s: True,
+                 InvalidConfig, "proxy_sigma must be finite and positive", id="proxy-sigma-bool"),
+    pytest.param(two_state_discrete, ("noise_sigma",), lambda s: [1],
+                 InvalidConfig, "noise_sigma must be finite and positive", id="discrete-sigma-list"),
 ])
-def test_scenario_documents_with_bad_fields_are_refused(design, keys, edit, error):
+def test_scenario_documents_with_bad_fields_are_refused(design, keys, edit, error, message):
     doc = scenario_to_dict(design())
     target = doc
     for key in keys[:-1]:
         target = target[key]
     target[keys[-1]] = edit(target[keys[-1]])
-    with pytest.raises(error):
+    with pytest.raises(error, match=message):
         scenario_from_dict(doc)
+
+
+# the four positive scales share one reader: each reads one finite number above
+# 0 as a float, and refuses anything else with InvalidConfig naming the scale
+SCALES = {
+    "bandwidth": lambda v: KernelSpec(bandwidth=v).bandwidth,
+    "proxy_sigma": lambda v: dataclasses.replace(PROXY, proxy_sigma=v).proxy_sigma,
+    "outcome_sigma": lambda v: dataclasses.replace(PROXY, outcome_sigma=v).outcome_sigma,
+    "noise_sigma": lambda v: dataclasses.replace(DISCRETE, noise_sigma=v).noise_sigma,
+}
+NOT_SCALES = {"numeric-string": "2.5", "bool": True, "numpy-bool": np.True_, "list": [1.5],
+              "zero": 0, "negative": -1, "nan": float("nan"), "inf": float("inf"),
+              "none": None, "text": "x"}
+
+
+@pytest.mark.parametrize("value", list(NOT_SCALES.values()), ids=list(NOT_SCALES))
+@pytest.mark.parametrize("scale", list(SCALES))
+def test_positive_scales_refuse_what_is_not_one_positive_number(scale, value):
+    with pytest.raises(InvalidConfig, match=scale):
+        SCALES[scale](value)
+
+
+@pytest.mark.parametrize("scale", list(SCALES))
+def test_positive_scales_read_one_positive_number_as_a_float(scale):
+    for value in (2, np.int64(2), np.float32(2.0), np.array(2.0)):
+        got = SCALES[scale](value)
+        assert type(got) is float and got == 2.0
