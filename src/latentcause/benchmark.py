@@ -25,7 +25,7 @@ from .causal import fit_effects
 from .dataio import REPORT_COLUMNS
 from .errors import InvalidConfig, LatentCauseError, _integer
 from .kernels import KernelSpec
-from .mixture import _seed_sequence, align_permutation, fit_multiview
+from .mixture import _items, _seed_sequence, align_permutation, fit_multiview
 from .multitreatment import fit_multitreatment
 from .scenarios import _DESIGNS
 
@@ -103,7 +103,7 @@ def run_benchmark(mode: str, ns, trials: int, seed=0, workers: int | None = None
     """
     if mode not in _DESIGNS:
         raise InvalidConfig(f"unknown benchmark mode {mode!r}")
-    ns = [_integer(n, "sample sizes must be positive integers", 1) for n in ns]
+    ns = [_integer(n, "sample sizes must be positive integers", 1) for n in _items(ns, "ns")]
     if not ns:
         raise InvalidConfig("need at least one sample size")
     trials = _integer(trials, "need at least one trial", 1)

@@ -34,6 +34,7 @@ from .errors import (
 from .mixture import (
     MixtureEstimate,
     PosteriorMatrix,
+    _as_views,
     _bayes_rows,
     _check_component,
     posteriors,
@@ -353,18 +354,16 @@ def fit_effects(data: dict, mixture: MixtureEstimate) -> CausalEstimate:
     ``data`` is a mapping with keys z1, z2, z3, a, y. Both regression
     stages consume the first view: the treatment mean is linear in z1 with
     no intercept and the outcome is affine in (a, z1), matching the
-    built-in Gaussian design. The columns are checked here, once; the
-    stages take them as read.
+    built-in Gaussian design. The columns are checked here, once, the views
+    by the reader ``posteriors`` uses; the stages take them as read.
     """
     cols = _columns(data, "z1", "z2", "z3", "a", "y")
-    z1 = _floats(cols[0], "view values")
-    if z1.ndim < 2:
-        z1 = z1.reshape(-1, 1)
+    z1, z2, z3 = _as_views(*cols[:3])
     a_vec = _scalar_target(cols[3], "treatment")
     y_vec = _scalar_target(cols[4], "outcome")
     _check_rows(a_vec.shape[0], z1, y_vec)
 
-    w = posteriors(mixture, *cols[:3])
+    w = posteriors(mixture, z1, z2, z3)
     tm = fit_treatment(a_vec, z1, w)
     w_updated = update_posteriors(w, tm, a_vec, z1)
     om = fit_outcome(a_vec, z1, y_vec, w_updated)

@@ -164,13 +164,9 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):     # numpy scalars become Python ones
         return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if obj is None or isinstance(obj, (str, bool)):
+    if obj is None or isinstance(obj, (str, int, float)):   # bool too: json writes true/false
         return obj
     raise InvalidConfig(f"cannot serialize {type(obj).__name__} values")
 

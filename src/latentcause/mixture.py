@@ -79,9 +79,9 @@ class MixtureEstimate:
             raise InvalidConfig(f"unknown backend {self.backend!r}")
         object.__setattr__(self, "lambdas", _floats(self.lambdas, "lambdas"))
         for name in ("anchors", "coefficients", "emissions"):
-            if getattr(self, name) is not None:
+            if (items := getattr(self, name)) is not None:
                 what = "emission entries" if name == "emissions" else "anchors and coefficients"
-                object.__setattr__(self, name, tuple(_floats(a, what) for a in getattr(self, name)))
+                object.__setattr__(self, name, tuple(_floats(a, what) for a in _items(items, name)))
         lam = self.lambdas
         if lam.ndim != 1 or lam.size == 0:
             raise DimensionMismatch("lambdas must be a nonempty vector")
@@ -129,7 +129,7 @@ class PosteriorMatrix:
     """Per-sample component weights; rows are probability vectors."""
 
     weights: np.ndarray
-    fallback_count: int = 0
+    fallback: np.ndarray | None = None       # per row: fell back to its replacement row
 
     def __post_init__(self):
         w = _floats(self.weights, "posterior entries")
@@ -139,11 +139,17 @@ class PosteriorMatrix:
             raise InvalidConfig("posterior entries must lie in [0, 1]")
         if w.size and np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-12:
             raise InvalidConfig("posterior rows must sum to 1")
+        if self.fallback is not None and np.shape(self.fallback) != w.shape[:1]:
+            raise DimensionMismatch(f"need a fallback flag per row, got {np.shape(self.fallback)}")
         object.__setattr__(self, "weights", np.clip(w, 0.0, 1.0))
 
     @property
     def n_components(self) -> int:
         return self.weights.shape[1]
+
+    @property
+    def fallback_count(self) -> int:
+        return 0 if self.fallback is None else int(np.count_nonzero(self.fallback))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +226,12 @@ def _check_component(u, k, name="component") -> int:
     return _integer(u, f"{name} index must lie in 0..{k - 1}", 0, k - 1)
 
 
+def _items(value, what: str):
+    if not np.iterable(value):
+        raise InvalidConfig(f"{what} must be a sequence, got {value!r}")
+    return value
+
+
 def priors_from_lambdas(lambdas: np.ndarray):
     """Mixing weights from tensor eigenvalues.
 
@@ -258,22 +270,15 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
     # child 0 drew the bandwidth once; skipping it keeps every seed's landmarks
     _, sub_ss, power_ss = _seed_sequence(seed).spawn(3)
     rng = np.random.default_rng(sub_ss)
-    drawn = []                                      # (features, anchors) per view
-
-    def features():
-        for v in views:
-            drawn.append(_nystrom_features(v, kernel, rng))
-            yield drawn[-1][0]
-
-    lam, means, info = _cross_moment_core(features(), k, power_ss)
-    feats, anchor_sets = zip(*drawn)
+    lam, feats, means, info = _cross_moment_core(
+        (_nystrom_features(v, kernel, rng) for v in views), k, power_ss)
     info.update(method="crossmoment", anchor_count=min(n, kernel.landmark_count),
-                landmark_rank=[a.shape[0] for a in anchor_sets])
+                landmark_rank=[f.anchors.shape[0] for f in feats])
     return MixtureEstimate(
         backend="kernel",
         lambdas=lam,
         kernel=kernel,
-        anchors=anchor_sets,
+        anchors=tuple(f.anchors for f in feats),
         coefficients=tuple((f.factor @ m).T for f, m in zip(feats, means)),
         seed=int(seed),
         diagnostics=info,
@@ -281,14 +286,14 @@ def fit_multiview(z1, z2, z3, k: int, kernel: KernelSpec | None = None,
 
 
 def _nystrom_features(view, kernel, rng):
-    """Whitened landmark features of one view, factored, and their anchors.
+    """Whitened landmark features of one view, factored, carrying their anchors.
 
     The features are ``rows @ factor`` and are never multiplied out. A pivoted
     Cholesky of the landmark gram stops at the first pivot at or below
     PIVOT_FLOOR (the kernel diagonal is 1): a landmark whose residual variance
     is that small adds nothing measurable, and the floor keeps the triangle's
     diagonal above sqrt(PIVOT_FLOOR), which bounds the inverse factor and so
-    the rounding it amplifies. Its r pivot landmarks are the anchors, ``rows``
+    the rounding it amplifies. Its r pivot landmarks are ``anchors``, ``rows``
     is the ``KernelRows`` source of the n x r kernel against them and ``factor``
     the inverse transpose of the r x r triangle. The features then have
     identity second moment over the anchors, and the view's density
@@ -306,7 +311,7 @@ def _nystrom_features(view, kernel, rng):
     del kmm
     np.copyto(inv_l, 0.0, where=np.tri(r, k=-1, dtype=bool).T)  # scratch above the diagonal
     _triangular_inverse(inv_l)
-    return _LandmarkFeatures(KernelRows(kernel, view, anchors), inv_l.T), anchors
+    return _LandmarkFeatures(KernelRows(kernel, view, anchors), inv_l.T, anchors)
 
 
 def _leading_svd(c: np.ndarray, count: int):
@@ -348,13 +353,13 @@ def _weighted(rows, weights, lo=0):
 class _LandmarkFeatures:
     """A view's whitened landmark features ``rows @ factor``, never multiplied out.
 
-    ``rows`` is the view's ``KernelRows`` source and ``factor`` the landmark
-    triangle's inverse transpose, which is upper triangular. ``f @ m`` and
-    ``f.tdot(w)`` (f'w) take one pass over the rows each.
+    ``rows`` is the view's ``KernelRows`` source against ``anchors`` and
+    ``factor`` the landmark triangle's inverse transpose, which is upper
+    triangular. ``f @ m`` and ``f.tdot(w)`` (f'w) take one pass over the rows each.
     """
 
-    def __init__(self, rows: KernelRows, factor: np.ndarray):
-        self.rows, self.factor = rows, factor
+    def __init__(self, rows: KernelRows, factor: np.ndarray, anchors: np.ndarray):
+        self.rows, self.factor, self.anchors = rows, factor, anchors
         self.shape = (rows.shape[0], factor.shape[1])
 
     def __matmul__(self, m: np.ndarray) -> np.ndarray:
@@ -452,6 +457,7 @@ def _cross_moment_core(views, k, power_ss, weights=None):
     Beyond c12 and what views 1 and 2 hold, memory is O(n k). Count-table
     rows carry their counts as ``weights``, which scale one factor of every
     sum over rows once normalised to mean one; kernel fits pass none.
+    Returns (lambdas, the three features read, their means, info).
     """
     views = iter(views)
     f1, f2 = next(views), next(views)
@@ -479,7 +485,7 @@ def _cross_moment_core(views, k, power_ss, weights=None):
     info = {"power_residual": eig.residual,
             "moment_spectrum": np.sqrt(spectrum),
             "rank_margin": margin}
-    return eig.lambdas, [f1.tdot(h), f2.tdot(h), m3], info
+    return eig.lambdas, (f1, f2, f3), [f1.tdot(h), f2.tdot(h), m3], info
 
 
 def fit_discrete_multiview(a1, a2, a3, k: int, seed=0, counts=None) -> MixtureEstimate:
@@ -502,8 +508,8 @@ def fit_discrete_multiview(a1, a2, a3, k: int, seed=0, counts=None) -> MixtureEs
         means = [np.bincount(t, weights=counts, minlength=s)[:, None] / counts.sum()
                  for t in triples]
     else:
-        lam, means, info = _cross_moment_core([_OneHotFeatures(t, s) for t in triples],
-                                              k, _seed_sequence(seed).spawn(1)[0], counts)
+        lam, _, means, info = _cross_moment_core([_OneHotFeatures(t, s) for t in triples],
+                                                 k, _seed_sequence(seed).spawn(1)[0], counts)
         info["method"] = "discrete_cross_moment"
     return MixtureEstimate(
         backend="discrete", lambdas=lam, emissions=tuple(map(_stochastic_columns, means)),
@@ -609,7 +615,7 @@ def posteriors(est: MixtureEstimate, z1, z2, z3) -> PosteriorMatrix:
 
     Likelihood products are accumulated in log space. Rows where every
     component's product collapses to the cube of the density floor carry no
-    information; they fall back to the prior vector and are counted.
+    information; they fall back to the prior vector and ``fallback`` flags them.
     """
     _check_fitted(est)
     zs = _checked_views(est, z1, z2, z3)
@@ -631,8 +637,8 @@ def _bayes_rows(log_w, fallback, replacement, reason: str) -> PosteriorMatrix:
     """Posterior rows from n x K log weights, normalised after a row-max shift.
 
     A row falls back to its row of ``replacement`` when ``fallback`` flags
-    it or its normaliser is not finite and positive; fallbacks are counted
-    and reported in one warning that ``reason`` completes.
+    it or its normaliser is not finite and positive; such rows are flagged in
+    ``fallback`` and counted in one warning that ``reason`` completes.
     """
     shift = log_w.max(axis=1, keepdims=True)
     w = np.exp(log_w - np.where(np.isfinite(shift), shift, 0.0))
@@ -644,7 +650,7 @@ def _bayes_rows(log_w, fallback, replacement, reason: str) -> PosteriorMatrix:
         w[fallback] = replacement[fallback]
         warnings.warn(f"{count} of {w.shape[0]} rows {reason}", RuntimeWarning,
                       stacklevel=3)
-    return PosteriorMatrix(weights=w, fallback_count=count)
+    return PosteriorMatrix(weights=w, fallback=fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +674,7 @@ def scree(z1, z2, kernel: KernelSpec | None = None, max_k: int = 10,
     kernel = kernel if kernel is not None else KernelSpec()
     # child 0 drew the bandwidth once; skipping it keeps every seed's landmarks
     rng = np.random.default_rng(_seed_sequence(seed).spawn(2)[1])
-    f1, f2 = (_nystrom_features(z, kernel, rng)[0] for z in (z1, z2))
+    f1, f2 = (_nystrom_features(z, kernel, rng) for z in (z1, z2))
     return _leading_svd(f1.cross(f2), max_k)[1]
 
 

@@ -22,7 +22,6 @@ from .causal import _check_rows, _regressors, _scalar_target, _stacked_regressio
 from .errors import DimensionMismatch, InvalidConfig, _floats
 from .mixture import (
     _FLOOR_FALLBACK,
-    DENSITY_FLOOR,
     MixtureEstimate,
     _check_component,
     _checked_levels,
@@ -77,10 +76,7 @@ def fit_multitreatment(a1, a2, a3, y, k: int, seed=0) -> MultiTreatmentModel:
     with warnings.catch_warnings():     # its one warning counts triples; rows are counted below
         warnings.simplefilter("ignore", RuntimeWarning)
         w = posteriors(est, *triples)
-    # posteriors' fallback rule: every component at the floor in all three views
-    floored = np.all([e[t] <= DENSITY_FLOOR for e, t in zip(est.emissions, triples)],
-                     axis=(0, 2))
-    fallbacks = int(counts[floored].sum())
+    fallbacks = int(counts[w.fallback].sum())
     if fallbacks:
         warnings.warn(f"{fallbacks} of {y_vec.shape[0]} rows {_FLOOR_FALLBACK}",
                       RuntimeWarning, stacklevel=2)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .causal import _columns, _regressors
 from .errors import DimensionMismatch, InvalidConfig, _floats, _integer, _positive
-from .mixture import PosteriorMatrix, _as_levels, _as_views, _seed_sequence
+from .mixture import PosteriorMatrix, _as_levels, _as_views, _items, _seed_sequence
 
 _EMISSIONS_RESOURCE = "two_state_emissions.json"
 
@@ -55,7 +55,7 @@ class MultiProxyScenario:
         if p.ndim != 1 or abs(p.sum() - 1.0) > 1e-10 or np.any(p < 0):
             raise InvalidConfig("priors must be a probability vector")
         k = p.shape[0]
-        means = tuple(_floats(m, "means") for m in self.means)
+        means = tuple(_floats(m, "means") for m in _items(self.means, "means"))
         if len(means) != 3 or any(m.ndim != 2 or m.shape != means[0].shape for m in means):
             raise DimensionMismatch("need three equally shaped 2-d mean matrices")
         d = means[0].shape[1]
@@ -101,7 +101,7 @@ class MultiTreatmentScenario:
         if p.ndim != 1 or abs(p.sum() - 1.0) > 1e-10 or np.any(p < 0):
             raise InvalidConfig("priors must be a probability vector")
         k = p.shape[0]
-        ems = tuple(_floats(e, "emissions") for e in self.emissions)
+        ems = tuple(_floats(e, "emissions") for e in _items(self.emissions, "emissions"))
         if len(ems) != 3 or any(e.ndim != 2 or e.shape != ems[0].shape for e in ems):
             raise DimensionMismatch("need three equally shaped 2-d emission matrices")
         if ems[0].shape[1] != k:

@@ -537,7 +537,7 @@ FIT_EFFECTS_REFUSALS = {
                        "treatment values must be numbers"),
     "y_nan": (lambda d: {**d, "y": _with_nan(d["y"])}, InvalidConfig,
               "outcome values must be finite"),
-    "z1_scalar": (lambda d: {**d, "z1": 1.0}, DimensionMismatch, "disagree on the number of rows"),
+    "z1_scalar": (lambda d: {**d, "z1": 1.0}, DimensionMismatch, "view must be 1-d or 2-d"),
     "a_short": (lambda d: {**d, "a": d["a"][1:]}, DimensionMismatch, None),
     "y_short": (lambda d: {**d, "y": d["y"][1:]}, DimensionMismatch, None),
     "no_rows": (lambda d: {key: col[:0] for key, col in d.items()}, EmptyInput, None),

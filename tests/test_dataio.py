@@ -400,6 +400,16 @@ FILE_REFUSALS = {
 }
 
 
+def test_boolean_diagnostics_round_trip_as_booleans(saved_documents):
+    # True is an int and np.True_ a numpy scalar; both must come back as booleans
+    model = model_from_dict(saved_documents["discrete"])
+    mixture = dataclasses.replace(model.mixture, diagnostics={"python": True, "numpy": np.True_})
+    doc = json.loads(json.dumps(model_to_dict(dataclasses.replace(model, mixture=mixture))))
+    assert doc["mixture"]["diagnostics"] == {"python": True, "numpy": True}
+    loaded = model_from_dict(doc).mixture.diagnostics
+    assert [loaded[key] is True for key in ("python", "numpy")] == [True, True]
+
+
 @pytest.mark.parametrize("case", list(FILE_REFUSALS))
 def test_file_layer_refuses_what_it_cannot_read_or_write(saved_documents, tmp_path, case):
     call, message = FILE_REFUSALS[case]

@@ -49,7 +49,7 @@ def _c12(design, n, landmarks):
     data, _ = simulate_multiproxy(design, n, seed=7)
     rng = np.random.default_rng(mixture._seed_sequence(0).spawn(3)[1])
     kernel = KernelSpec(landmark_count=landmarks)
-    f1, f2 = (_nystrom_features(data[f"z{v}"], kernel, rng)[0] for v in (1, 2))
+    f1, f2 = (_nystrom_features(data[f"z{v}"], kernel, rng) for v in (1, 2))
     return f1.cross(f2)
 
 

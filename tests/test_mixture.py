@@ -15,6 +15,7 @@ from latentcause import (
     InvalidConfig,
     KernelSpec,
     LatentCauseError,
+    MixtureEstimate,
     NonConvergence,
     PosteriorMatrix,
     RankDeficiency,
@@ -39,6 +40,7 @@ from latentcause.kernels import _BLOCK_CELLS, KernelRows, gram
 from latentcause.mixture import (
     _PANEL_CELLS,
     DENSE_SVD_MAX,
+    DENSITY_FLOOR,
     _cross_moment_core,
     _LandmarkFeatures,
     _nystrom_features,
@@ -253,8 +255,49 @@ def test_kernel_posteriors_fall_back_to_priors_at_the_density_floor():
     assert record[0].category is RuntimeWarning
     assert record[0].filename == __file__
     assert w.fallback_count == 1
+    assert w.fallback.tolist() == [False] * 5 + [True]
     assert np.array_equal(w.weights[5], est.priors)
     assert not np.array_equal(w.weights[0], est.priors)
+
+
+def test_discrete_posteriors_fall_back_exactly_where_every_likelihood_is_at_the_floor():
+    # the fallback contract: finite stochastic rows, the flags exactly where every
+    # component is at the floor in all three views, and those rows the priors
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        s, k, n = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 12))
+        floor = st.sampled_from([0.0, DENSITY_FLOOR / 2, DENSITY_FLOOR])
+        emissions = []
+        for _ in range(3):
+            rows = [draw(st.lists(floor if draw(st.booleans()) else floor | st.floats(1e-3, 1.0),
+                                  min_size=k, max_size=k)) for _ in range(s)]
+            emissions.append(np.array(rows).reshape(s, k))
+        lambdas = draw(st.lists(st.floats(1.0, 4.0), min_size=k, max_size=k))
+        est = MixtureEstimate(backend="discrete", lambdas=np.array(lambdas),
+                              emissions=tuple(emissions))
+        levels = np.array(draw(st.lists(st.integers(0, s - 1), min_size=3 * n,
+                                        max_size=3 * n))).reshape(3, n)
+        return est, levels
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        est, levels = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            w = posteriors(est, *levels)
+        assert np.all(np.isfinite(w.weights))
+        assert np.max(np.abs(w.weights.sum(axis=1) - 1.0)) <= 1e-12
+        floored = np.all([e[a] <= DENSITY_FLOOR for e, a in zip(est.emissions, levels)],
+                         axis=(0, 2))
+        assert w.fallback.tolist() == floored.tolist()
+        assert w.fallback_count == int(floored.sum())
+        assert np.array_equal(w.weights[floored], np.tile(est.priors, (int(floored.sum()), 1)))
+
+    check()
 
 
 def test_posterior_matrix_validation():
@@ -279,6 +322,9 @@ READER_REFUSALS = {
                      EmptyInput, "views contain no samples"),
     "posterior_entry_1_5": (lambda: PosteriorMatrix(weights=np.array([[1.5, -0.5]])),
                             InvalidConfig, r"entries must lie in \[0, 1\]"),
+    "fallback_flags_short": (lambda: PosteriorMatrix(weights=np.full((2, 2), 0.5),
+                                                     fallback=np.array([True])),
+                             DimensionMismatch, r"a fallback flag per row, got \(1,\)"),
 }
 
 
@@ -286,6 +332,35 @@ READER_REFUSALS = {
 def test_view_and_level_readers_refuse_malformed_arrays(case):
     call, error, message = READER_REFUSALS[case]
     with pytest.raises(error, match=message):
+        call()
+
+
+# fields read as sequences, given a value that cannot be iterated: (call, message)
+SEQUENCE_REFUSALS = {
+    "means_int": (lambda: dataclasses.replace(three_cluster_gaussian(), means=5),
+                  "means must be a sequence, got 5"),
+    "means_none": (lambda: dataclasses.replace(three_cluster_gaussian(), means=None),
+                   "means must be a sequence, got None"),
+    "emissions_int": (lambda: dataclasses.replace(two_state_discrete(), emissions=5),
+                      "emissions must be a sequence, got 5"),
+    "emissions_none": (lambda: dataclasses.replace(two_state_discrete(), emissions=None),
+                       "emissions must be a sequence, got None"),
+    "kernel_anchors_int": (lambda: MixtureEstimate(backend="kernel", lambdas=[1.5, 1.5],
+                                                   kernel=KernelSpec(), anchors=5,
+                                                   coefficients=5),
+                           "anchors must be a sequence, got 5"),
+    "discrete_emissions_int": (lambda: MixtureEstimate(backend="discrete", lambdas=[1.5, 1.5],
+                                                       emissions=5),
+                               "emissions must be a sequence, got 5"),
+    "benchmark_ns_int": (lambda: run_benchmark("multitreatment", 500, 1),
+                         "ns must be a sequence, got 500"),
+}
+
+
+@pytest.mark.parametrize("case", list(SEQUENCE_REFUSALS))
+def test_sequence_fields_refuse_what_cannot_be_iterated(case):
+    call, message = SEQUENCE_REFUSALS[case]
+    with pytest.raises(InvalidConfig, match=message):
         call()
 
 
@@ -670,7 +745,7 @@ def _overlap_features():
     data, _ = simulate_multiproxy(scenario, 1500, seed=3)
     kernel = KernelSpec(bandwidth=1.0)
     rng = np.random.default_rng(0)
-    return [_nystrom_features(data[f"z{v}"], kernel, rng)[0] for v in (1, 2, 3)], 3
+    return [_nystrom_features(data[f"z{v}"], kernel, rng) for v in (1, 2, 3)], 3
 
 
 def _one_hot_features():
@@ -685,7 +760,7 @@ def _one_hot_features():
 def _assert_core_matches_dense_reference(views, k):
     feats = [materialized(f) for f in views]
     ss = np.random.SeedSequence(11)
-    lam, means, info = _cross_moment_core(views, k, ss)
+    lam, _, means, info = _cross_moment_core(views, k, ss)
     priors = priors_from_lambdas(lam)[1]
     want_lam, want_priors, want_means = _dense_cross_moment_core(feats, k, ss)
     assert _relative_gap(priors, want_priors) <= 1e-8
@@ -735,13 +810,11 @@ def test_kernel_core_recovers_a_finite_support_population(monkeypatch, design, p
     kernel = KernelSpec(landmark_count=weights.shape[0])
     rng = np.random.default_rng(0)
     feats = [_nystrom_features(view, kernel, rng) for view in views]
-    lam, means, _ = _cross_moment_core([f for f, _ in feats], k, np.random.SeedSequence(0),
-                                       weights)
-    got = [gram(kernel, z, anchors) @ (f.factor @ m)
-           for z, (f, anchors), m in zip(support, feats, means)]
+    lam, _, means, _ = _cross_moment_core(feats, k, np.random.SeedSequence(0), weights)
+    got = [gram(kernel, z, f.anchors) @ (f.factor @ m) for z, f, m in zip(support, feats, means)]
     want = [gram(kernel, z, z) @ p for z, p in zip(support, probs)]
     perm = align_permutation(np.vstack(got).T, np.vstack(want).T)
-    assert [anchors.shape[0] for _, anchors in feats] == [points] * 3
+    assert [f.anchors.shape[0] for f in feats] == [points] * 3
     assert np.max(np.abs(priors_from_lambdas(lam)[1][perm] - priors)) <= 1e-12
     for g, w in zip(got, want):
         assert np.max(np.abs(g[:, perm] - w)) <= 1e-12 * np.max(np.abs(w))
@@ -752,14 +825,14 @@ def _shared_anchors():
     """One anchor set and its whitening factor, used by all three views."""
     pool, _ = simulate_multiproxy(three_cluster_gaussian(), 120, seed=31)
     kernel = KernelSpec(bandwidth=1.0)
-    f, anchors = _nystrom_features(pool["z1"], kernel, np.random.default_rng(0))
-    return kernel, f.factor, anchors
+    f = _nystrom_features(pool["z1"], kernel, np.random.default_rng(0))
+    return kernel, f.factor, f.anchors
 
 
 def _kernel_row_views(n):
     kernel, a, anchors = _shared_anchors()
     data, _ = simulate_multiproxy(three_cluster_gaussian(), n, seed=32)
-    return [_LandmarkFeatures(KernelRows(kernel, data[f"z{v}"], anchors), a)
+    return [_LandmarkFeatures(KernelRows(kernel, data[f"z{v}"], anchors), a, anchors)
             for v in (1, 2, 3)], 3
 
 
@@ -795,7 +868,7 @@ def _paper_landmark_pair():
     # view, and neither count is a whole number of c12's blocks
     data, _ = simulate_multiproxy(three_cluster_gaussian(), 2000, seed=7)
     rng = np.random.default_rng(0)
-    views = [_nystrom_features(data[z], KernelSpec(), rng)[0] for z in ("z1", "z2")]
+    views = [_nystrom_features(data[z], KernelSpec(), rng) for z in ("z1", "z2")]
     (r1, r2), half = (f.shape[1] for f in views), _PANEL_CELLS // 2
     assert r1 != r2 and r1 % (half // r2) and r2 % (half // r1)
     return views, None
@@ -889,7 +962,7 @@ def test_scree_matches_a_dense_svd_of_c12(lanczos_calls, max_k, lanczos):
     kernel = KernelSpec(landmark_count=400)
     got = scree(data["z1"], data["z2"], kernel=kernel, max_k=max_k, seed=5)
     rng = np.random.default_rng(mixture._seed_sequence(5).spawn(2)[1])
-    f1, f2 = (_nystrom_features(data[z], kernel, rng)[0] for z in ("z1", "z2"))
+    f1, f2 = (_nystrom_features(data[z], kernel, rng) for z in ("z1", "z2"))
     want = np.linalg.svd(f1.cross(f2), compute_uv=False)[:max_k]
     assert bool(lanczos_calls) == lanczos
     assert got.shape == want.shape == (max_k,)
@@ -943,8 +1016,9 @@ def test_landmark_factor_drops_near_duplicates_and_whitens_the_rest(landmark_cou
     base = rng.uniform(-3.0, 3.0, size=(40, 2))
     view = np.vstack((base, base + 1e-9 * rng.standard_normal(base.shape)))
     kernel = KernelSpec(bandwidth=0.5, landmark_count=landmark_count)
-    f, anchors = _nystrom_features(view, kernel, np.random.default_rng(0))
-    r, a = anchors.shape[0], f.factor
+    f = _nystrom_features(view, kernel, np.random.default_rng(0))
+    anchors, a = f.anchors, f.factor
+    r = anchors.shape[0]
     assert r < min(landmark_count, view.shape[0]) and a.shape == (r, r)
     assert np.array_equal(materialized(f.rows), gram(kernel, view, anchors))
     whitened = a.T @ gram(kernel, anchors, anchors) @ a
@@ -1031,6 +1105,6 @@ def test_fit_anchors_are_the_in_order_landmark_draws():
     kernel = KernelSpec(landmark_count=300)
     est = fit_multiview(*views, 3, kernel=kernel, seed=4)
     rng = np.random.default_rng(mixture._seed_sequence(4).spawn(3)[1])
-    eager = [_nystrom_features(v, kernel, rng)[1] for v in views]
+    eager = [_nystrom_features(v, kernel, rng).anchors for v in views]
     for got, want in zip(est.anchors, eager):
         assert np.array_equal(got, want)

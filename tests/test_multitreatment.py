@@ -114,7 +114,7 @@ def _row_level_reference(data, k, seed=0):
     views = [np.asarray(data[f"a{v}"]) for v in (1, 2, 3)]
     eye = np.eye(max(int(v.max()) for v in views) + 1)
     power_ss = np.random.SeedSequence(seed).spawn(1)[0]
-    lam, means, _ = _cross_moment_core([DenseRows(eye[v]) for v in views], k, power_ss)
+    lam, _, means, _ = _cross_moment_core([DenseRows(eye[v]) for v in views], k, power_ss)
     est = MixtureEstimate(backend="discrete", lambdas=lam,
                           emissions=tuple(_stochastic_columns(m) for m in means))
     w = posteriors(est, *views)
