@@ -357,6 +357,9 @@ def fit_effects(data: dict, mixture: MixtureEstimate) -> CausalEstimate:
     built-in Gaussian design. The columns are checked here, once, the views
     by the reader ``posteriors`` uses; the stages take them as read.
     """
+    if isinstance(mixture, MixtureEstimate) and mixture.backend != "kernel":
+        raise InvalidConfig("fit_effects takes a fit_multiview (kernel) mixture; "
+                            "a discrete design is fitted end to end by fit_multitreatment")
     cols = _columns(data, "z1", "z2", "z3", "a", "y")
     z1, z2, z3 = _as_views(*cols[:3])
     a_vec = _scalar_target(cols[3], "treatment")

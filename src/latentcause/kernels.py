@@ -35,16 +35,19 @@ class KernelSpec:
 
 def gram(kernel: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Kernel matrix with entry (i, j) = k(x_i, y_j), for checked float points."""
-    return KernelRows(kernel, x, y).fill(0, np.empty((x.shape[0], y.shape[0])))
+    rows = KernelRows(kernel, x, y)
+    for _, _, block in rows.blocks(max(1, x.shape[0])):     # one run: one n x m array
+        return block
+    return np.empty(rows.shape)
 
 
 class KernelRows:
-    """Row source of ``gram(kernel, x, y)`` for ``_row_blocks``, with its products.
+    """Rows of ``gram(kernel, x, y)``, streamed by ``blocks``, with their products.
 
-    Nothing n x m is stored, nor any copy of the n x d points: ``fill``
+    Nothing n x m is stored, nor any copy of the n x d points: ``blocks``
     rebuilds any run of rows from the points and their squared norms, and
-    ``rows @ m`` and ``rows.tdot(w)`` (rows' w) take them a block at a time.
-    Each row block of about _BLOCK_CELLS entries pads its points to
+    ``rows @ m`` and ``rows.tdot(w)`` (rows' w) take them a run at a time.
+    Each piece of about _BLOCK_CELLS entries pads its points to
     ``[x, ||x||^2, 1]`` in one reused buffer, and one product of that with
     c*y padded to ``[-c/2, -c ||y||^2 / 2]`` (c = s^-2) gives
     -||x - y||^2 / (2 s^2); it is then clamped at 0 (rounding can leave a tiny
@@ -60,42 +63,31 @@ class KernelRows:
         step = max(1, _BLOCK_CELLS // max(self.shape[1], 1))
         self._pad = np.ones((max(1, min(step, self.shape[0])), x.shape[1] + 2))
 
-    def fill(self, lo: int, out: np.ndarray) -> np.ndarray:
-        """Write rows lo .. lo + len(out) into ``out``, one row block at a time."""
-        d = self._x.shape[1]
-        step = self._pad.shape[0]
-        for a in range(0, out.shape[0], step):
-            block = out[a:a + step]
-            rows = slice(lo + a, lo + a + block.shape[0])
-            xa = self._pad[:block.shape[0]]
-            xa[:, :d], xa[:, d] = self._x[rows], self._sq[rows]
-            np.matmul(xa, self._ya, out=block)
-            np.minimum(block, 0.0, out=block)
-            np.exp(block, out=block)
-        return out
+    def blocks(self, rows: int):
+        """(lo, hi, block): rows lo:hi, ``rows`` a run, each run in one reused buffer.
+
+        A block is valid only until the next is drawn (fresh pages cost as much
+        as the kernel arithmetic). Each run is filled in pieces as tall as the
+        padded buffer from its first row, as BLAS rounds by the row count.
+        """
+        (n, m), d, step = self.shape, self._x.shape[1], self._pad.shape[0]
+        buf = np.empty((min(rows, n), m))
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            for a in range(lo, hi, step):
+                b = min(a + step, hi)
+                piece, xa = buf[a - lo:b - lo], self._pad[:b - a]
+                xa[:, :d], xa[:, d] = self._x[a:b], self._sq[a:b]
+                np.matmul(xa, self._ya, out=piece)
+                np.minimum(piece, 0.0, out=piece)
+                np.exp(piece, out=piece)
+            yield lo, hi, buf[:hi - lo]
 
     def __matmul__(self, m: np.ndarray) -> np.ndarray:
         out = np.empty((self.shape[0], m.shape[1]))
-        for lo, hi, (block,) in _row_blocks((self,)):
+        for lo, hi, block in self.blocks(self._pad.shape[0]):
             np.matmul(block, m, out=out[lo:hi])
         return out
 
     def tdot(self, w: np.ndarray) -> np.ndarray:
-        return sum(block.T @ w[lo:hi] for lo, hi, (block,) in _row_blocks((self,)))
-
-
-def _row_blocks(sources, cells: int = _BLOCK_CELLS):
-    """(lo, hi, blocks): rows lo:hi of each source, about ``cells`` entries apiece.
-
-    A row source has ``shape`` and ``fill(lo, out)``, which writes rows
-    lo .. lo + len(out) into ``out``, as ``KernelRows`` does. Each source is
-    evaluated into one buffer that every block reuses (fresh pages cost as
-    much as the kernel arithmetic), so a block is valid only until the next
-    is drawn.
-    """
-    n = sources[0].shape[0]
-    step = max(1, cells // max(max(src.shape[1] for src in sources), 1))
-    bufs = [np.empty((min(step, n), src.shape[1])) for src in sources]
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        yield lo, hi, [src.fill(lo, buf[:hi - lo]) for src, buf in zip(sources, bufs)]
+        return sum(block.T @ w[lo:hi] for lo, hi, block in self.blocks(self._pad.shape[0]))

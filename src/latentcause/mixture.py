@@ -32,7 +32,7 @@ from .errors import (
     _floats,
     _integer,
 )
-from .kernels import KernelRows, KernelSpec, _row_blocks, gram
+from .kernels import KernelRows, KernelSpec, gram
 from .linalg import _KRYLOV_STEPS, _lanczos_svd, _pivoted_cholesky, _triangular_inverse
 from .tensor_spectral import build_whitener, robust_power_method, whitened_third_moment
 
@@ -92,7 +92,7 @@ class MixtureEstimate:
         k = lam.shape[0]
         if self.backend == "kernel":
             anchors, coefs = self.anchors, self.coefficients
-            if self.kernel is None or anchors is None or coefs is None:
+            if not isinstance(self.kernel, KernelSpec) or anchors is None or coefs is None:
                 raise UnfittedModel("kernel backend needs kernel, anchors, coefficients")
             if (len(anchors) != 3 or len(coefs) != 3
                     or any(a.ndim != 2 or a.shape[1:] != anchors[0].shape[1:]
@@ -300,6 +300,8 @@ def _nystrom_features(view, kernel, rng):
     coefficients are ``factor @ feature_means``. The factor and its inverse
     run in numpy, in place in the gram, so the fit's BLAS calls share one pool.
     """
+    if not isinstance(kernel, KernelSpec):
+        raise InvalidConfig(f"kernel must be a KernelSpec, got {kernel!r}")
     n = view.shape[0]
     n_a = min(n, kernel.landmark_count)
     idx = np.sort(rng.choice(n, size=n_a, replace=False)) if n_a < n else np.arange(n)
@@ -380,8 +382,8 @@ class _LandmarkFeatures:
         """
         c = np.zeros((self.shape[1], other.shape[1]))
         buf = np.empty(min(_PANEL_CELLS // 2, c.size))
-        step = buf.size // c.shape[1]
-        for lo, _, (b1, b2) in _row_blocks((self.rows, other.rows), _PANEL_CELLS):
+        step, rows = buf.size // c.shape[1], max(1, _PANEL_CELLS // max(c.shape))
+        for (lo, _, b1), (_, _, b2) in zip(self.rows.blocks(rows), other.rows.blocks(rows)):
             b2 = _weighted(b2, weights, lo)
             for i in range(0, c.shape[0], step):
                 part = c[i:i + step]

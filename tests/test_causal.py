@@ -23,6 +23,7 @@ from latentcause import (
     density,
     estimate_ate,
     estimate_cate,
+    fit_discrete_multiview,
     fit_effects,
     fit_multitreatment,
     fit_multiview,
@@ -32,8 +33,10 @@ from latentcause import (
     posteriors,
     select_rank,
     simulate_multiproxy,
+    simulate_multitreatment,
     three_cluster_gaussian,
     true_ate_multiproxy,
+    two_state_discrete,
 )
 from latentcause.causal import (
     _component_means,
@@ -541,6 +544,8 @@ FIT_EFFECTS_REFUSALS = {
     "a_short": (lambda d: {**d, "a": d["a"][1:]}, DimensionMismatch, None),
     "y_short": (lambda d: {**d, "y": d["y"][1:]}, DimensionMismatch, None),
     "no_rows": (lambda d: {key: col[:0] for key, col in d.items()}, EmptyInput, None),
+    "a_empty": (lambda d: {**d, "a": d["a"][:0]}, EmptyInput, "no treatment values"),
+    "y_empty": (lambda d: {**d, "y": d["y"][:0]}, EmptyInput, "no outcome values"),
 }
 
 
@@ -550,6 +555,17 @@ def test_fit_effects_refuses_bad_treatment_and_outcome(proxy_case, small_models,
     edit, error, message = FIT_EFFECTS_REFUSALS[case]
     with pytest.raises(error, match=message):
         fit_effects(edit({key: col[:40] for key, col in data.items()}), small_models[0].mixture)
+
+
+def test_fit_effects_refuses_a_discrete_mixture():
+    # paper-7.2's treatments as the three views: the level views would read as
+    # n x 1 continuous ones, so the discrete mixture is refused by name first
+    data, _ = simulate_multitreatment(two_state_discrete(), 3000, seed=1)
+    est = fit_discrete_multiview(data["a1"], data["a2"], data["a3"], 2, seed=0)
+    views = {"z1": data["a1"], "z2": data["a2"], "z3": data["a3"], "a": data["a1"]}
+    message = "fit_effects takes a fit_multiview .* fit_multitreatment"
+    with pytest.raises(InvalidConfig, match=message):
+        fit_effects({**data, **views}, est)
 
 
 def test_fit_effects_requires_complete_data(proxy_case):

@@ -71,6 +71,44 @@ def test_kernel_rows_hold_the_points_norms_and_one_padded_block():
     assert held <= (n + 4 * r * (d + 2)) * 8
 
 
+def test_blocks_tile_the_rows_in_one_buffer():
+    # runs around the piece height on an n that is no multiple of it: each
+    # run's pieces start at its first row, as gram's do on that run alone
+    rng = np.random.default_rng(3)
+    m = 700
+    piece = _BLOCK_CELLS // m
+    n = 3 * piece + 11
+    x, y = rng.standard_normal((n, 2)), rng.standard_normal((m, 2))
+    spec = KernelSpec(bandwidth=1.3)
+    rows, want = KernelRows(spec, x, y), _direct_gram(1.3, x, y)
+    for run in (1, piece - 1, piece, piece + 1, n - 1, n, n + 5):
+        seen, first = [], None
+        for lo, hi, block in rows.blocks(run):
+            first = block if first is None else first
+            assert np.shares_memory(block, first)
+            assert np.max(np.abs(block - want[lo:hi])) <= 1e-14
+            assert np.array_equal(block, gram(spec, x[lo:hi], y))
+            seen.append((lo, hi))
+        assert seen == [(lo, min(lo + run, n)) for lo in range(0, n, run)], run
+    assert not list(KernelRows(spec, x[:0], y).blocks(piece))
+    assert gram(spec, x[:0], y).shape == (0, m)
+
+
+def test_gram_holds_one_array():
+    # one n x m array and O(m d) floats besides: no second n x m buffer
+    rng = np.random.default_rng(4)
+    n = m = 1000
+    x, y = rng.standard_normal((n, 3)), rng.standard_normal((m, 3))
+    tracemalloc.start()
+    try:
+        got = gram(KernelSpec(), x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (n, m)
+    assert peak <= (n * m + _BLOCK_CELLS) * 8      # plus one piece of _BLOCK_CELLS entries
+
+
 def test_kernel_spec_validation():
     with pytest.raises(InvalidConfig):
         KernelSpec(bandwidth=-1.0)

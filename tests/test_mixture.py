@@ -19,6 +19,7 @@ from latentcause import (
     NonConvergence,
     PosteriorMatrix,
     RankDeficiency,
+    UnfittedModel,
     align_permutation,
     density,
     fit_discrete_multiview,
@@ -300,6 +301,47 @@ def test_discrete_posteriors_fall_back_exactly_where_every_likelihood_is_at_the_
     check()
 
 
+def test_kernel_posteriors_fall_back_exactly_where_every_density_is_at_the_floor():
+    # the same contract on the kernel backend: coefficients of either sign clamp
+    # some densities, and query rows 100 bandwidths off put every one at the floor
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def array(draw, shape, lo, hi):
+        size = int(np.prod(shape))
+        values = draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size))
+        return np.array(values).reshape(shape)
+
+    @st.composite
+    def cases(draw):
+        k, d, n = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 8))
+        anchors = [array(draw, (draw(st.integers(1, 6)), d), -3, 3) for _ in range(3)]
+        far = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        views = [a[draw(st.lists(st.integers(0, a.shape[0] - 1), min_size=n, max_size=n))]
+                 + array(draw, (n, d), -1, 1) + 100.0 * far[:, None] for a in anchors]
+        est = MixtureEstimate(backend="kernel", lambdas=array(draw, (k,), 1.0, 4.0),
+                              kernel=KernelSpec(), anchors=tuple(anchors),
+                              coefficients=tuple(array(draw, (k, a.shape[0]), -2, 2)
+                                                 for a in anchors))
+        return est, views
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        est, views = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            w = posteriors(est, *views)
+        assert np.all(np.isfinite(w.weights))
+        assert np.max(np.abs(w.weights.sum(axis=1) - 1.0)) <= 1e-12
+        floored = np.all([mixture._density_matrix(est, v, z) <= DENSITY_FLOOR
+                          for v, z in enumerate(views)], axis=(0, 2))
+        assert w.fallback.tolist() == floored.tolist()
+        assert np.array_equal(w.weights[floored], np.tile(est.priors, (int(floored.sum()), 1)))
+
+    check()
+
+
 def test_posterior_matrix_validation():
     with pytest.raises(InvalidConfig):
         PosteriorMatrix(weights=np.array([[0.5, 0.6]]))
@@ -361,6 +403,27 @@ SEQUENCE_REFUSALS = {
 def test_sequence_fields_refuse_what_cannot_be_iterated(case):
     call, message = SEQUENCE_REFUSALS[case]
     with pytest.raises(InvalidConfig, match=message):
+        call()
+
+
+# a kernel that is not a KernelSpec: (call, error, message)
+KERNEL_TYPE_REFUSALS = {
+    "fit_multiview_dict": (lambda: fit_multiview(*[np.zeros((20, 2))] * 3, 2,
+                                                 kernel={"bandwidth": 1.0}),
+                           InvalidConfig, r"kernel must be a KernelSpec, got \{'bandwidth'"),
+    "scree_float": (lambda: scree(np.zeros((20, 2)), np.zeros((20, 2)), kernel=1.0),
+                    InvalidConfig, "kernel must be a KernelSpec, got 1.0"),
+    "estimate_str": (lambda: MixtureEstimate(backend="kernel", lambdas=[1.5], kernel="x",
+                                             anchors=[np.zeros((2, 1))] * 3,
+                                             coefficients=[np.ones((1, 2))] * 3),
+                     UnfittedModel, "kernel backend needs kernel, anchors, coefficients"),
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_TYPE_REFUSALS))
+def test_a_kernel_that_is_not_a_kernel_spec_is_refused(case):
+    call, error, message = KERNEL_TYPE_REFUSALS[case]
+    with pytest.raises(error, match=message):
         call()
 
 

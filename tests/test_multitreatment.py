@@ -9,6 +9,7 @@ import pytest
 
 from latentcause import (
     DimensionMismatch,
+    EmptyInput,
     InvalidConfig,
     LatentCauseError,
     MixtureEstimate,
@@ -91,6 +92,8 @@ def test_input_validation(discrete_case):
         fit_multitreatment(data["a1"], data["a2"], data["a3"][:-1], data["y"], 2)
     with pytest.raises(DimensionMismatch):
         fit_multitreatment(data["a1"], data["a2"], data["a3"], data["y"][:-1], 2)
+    with pytest.raises(EmptyInput, match="no outcome values"):
+        fit_multitreatment(data["a1"], data["a2"], data["a3"], data["y"][:0], 2)
     for bad in (np.inf, np.nan):
         bad_y = data["y"].copy()
         bad_y[0] = bad
